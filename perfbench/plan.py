@@ -60,7 +60,7 @@ class Size:
     sweep_horizon: int
     sweep_classify: int
     sweep_radius_points: int
-    mc_sites: tuple
+    mc_sites: tuple  # simulate; dual runs on the first halves
     mc_reps: int
     coupling_horizon: int
     verify_pairs: tuple
@@ -75,7 +75,7 @@ SIZES = {
         sweep_radius_points=5,
         mc_sites=(50, 100, 200),
         mc_reps=100_000,
-        coupling_horizon=100,
+        coupling_horizon=50,
         # (n, support bound) of the ConstantQ and MarkovQ config of each op
         verify_pairs=(
             ((8, 3), (3, 2)),
@@ -93,7 +93,7 @@ SIZES = {
         sweep_horizon=200,
         sweep_classify=1_000,
         sweep_radius_points=2,
-        mc_sites=(5, 10),
+        mc_sites=(6, 10),
         mc_reps=2_000,
         coupling_horizon=10,
         verify_pairs=(((4, 2), (3, 1)), ((2, 1), (5, 2))),
@@ -178,10 +178,11 @@ def mc_deck(seed: int, size: Size) -> list:
     q = {"family": "markov", "q0": float(rng.uniform(0.2, 0.4)), "q1": float(rng.uniform(*DRAINS))}
     radius = _radius(rng)
     sim_seed = int(rng.integers(0, 2**31))
-    sites = list(size.mc_sites)
     reps = size.mc_reps
+    # simulate, dual and coupling cost about 4 : 2 : 1, so the median op of a
+    # run is always a dual op rather than a mix of two op kinds
     ops = []
-    for command in ("simulate", "dual"):
+    for command, sites in (("simulate", list(size.mc_sites)), ("dual", [n // 2 for n in size.mc_sites])):
         config = {"q": q, "radius": radius, "n": sites, "reps": reps, "seed": sim_seed}
         ops.append(Op(f"{command}-0", command, config, dict(config), work=float(reps * sum(sites))))
     delays = [0, 1, 2, 3]
