@@ -60,7 +60,7 @@ class Size:
     sweep_horizon: int
     sweep_classify: int
     sweep_radius_points: int
-    mc_sites: tuple  # simulate; dual runs on the first halves
+    mc_sites: tuple  # simulate; dual uses half of each
     mc_reps: int
     coupling_horizon: int
     verify_pairs: tuple

@@ -210,7 +210,11 @@ class Runner:
 
 
 class DigestRecord:
-    """Op digests of earlier runs of the same source on the same seed."""
+    """CSV digests of earlier runs of the same source on the same seed.
+
+    Digests are keyed by op id and a hash of the op's command and config,
+    so a changed plan starts fresh records instead of comparing other inputs.
+    """
 
     def __init__(self, workload: str, size: str, seed: int, source: str):
         self.path = OUT / "digests" / f"{workload}-{size}-seed{seed}.json"
@@ -221,9 +225,14 @@ class DigestRecord:
             if saved.get("source_sha256") == source:
                 self.digests = saved["digests"]
 
-    def compare(self, record: dict) -> None:
+    @staticmethod
+    def key(op: plans.Op) -> str:
+        text = json.dumps([op.command, op.config], sort_keys=True)
+        return f"{op.op_id}:{hashlib.sha256(text.encode()).hexdigest()[:16]}"
+
+    def compare(self, op: plans.Op, record: dict) -> None:
         """Flag the op when its digest differs from an earlier one."""
-        expected = self.digests.setdefault(record["op_id"], record["digest"])
+        expected = self.digests.setdefault(self.key(op), record["digest"])
         if record["digest"] is not None and expected != record["digest"]:
             record["problems"].append(f"digest {record['digest']} differs from earlier {expected}")
 
@@ -292,7 +301,7 @@ def run_untraced(args, modules: dict, plan: plans.Plan, runner: Runner, record: 
             first = first_digest.setdefault(op.op_id, res["digest"])
             if res["digest"] != first:
                 res["problems"].append(f"digest {res['digest']} differs from this run's {first}")
-            record.compare(res)
+            record.compare(op, res)
             ops.append(op)
             results.append(res)
         if time.perf_counter() - start >= args.seconds:
@@ -366,7 +375,7 @@ def run_traced(args, modules: dict, plan: plans.Plan, runner: Runner, record: Di
         traced["problems"] += plain["problems"]
         if traced["digest"] != plain["digest"]:
             traced["problems"].append(f"traced digest {traced['digest']} != untraced {plain['digest']}")
-        record.compare(traced)
+        record.compare(op, traced)
         ops.append(op)
         results.append(traced)
     balance = spanlib.op_balance(tracer.spans)
