@@ -3,7 +3,7 @@
 
 Run one workload (the last stdout line is the JSON result)::
 
-    python3 perfbench/run.py --workload exact-large --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload exact-large --seed 1 --seconds 50 --trace 0
 
 Run every workload, each in its own process, and print every metric::
 
@@ -469,7 +469,7 @@ def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True, choices=plans.WORKLOADS + ("all",))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=25.0)
+    p.add_argument("--seconds", type=float, default=50.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--size", choices=tuple(plans.SIZES), default="full",
                    help="op sizes: full (the benchmark) or tiny (smoke test)")
