@@ -314,10 +314,6 @@ def run_untraced(args, modules: dict, plan: plans.Plan, runner: Runner, record: 
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
     }
     extra = {WORK_UNIT[args.workload]: work / sum(walls), "measured_s": time.perf_counter() - start}
-    if len(walls) > 10:
-        # the highest percentile with ten ops beyond it
-        extra["op_s_tail_pct"] = 100.0 * (len(walls) - 10) / len(walls)
-        extra["op_s_tail"] = sorted(walls)[-11]
     return ops, results, metrics, extra
 
 
