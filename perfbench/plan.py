@@ -199,20 +199,20 @@ def _tiny_shape(cfg) -> tuple:
     return (cfg.n, cfg.model.support_bound)
 
 
-def verify_deck(seed: int, size: Size, random_tiny_configs) -> list:
-    """Verify batteries whose configs have a fixed (n, support) profile.
+def battery_seeds(seed: int, size: Size, random_tiny_configs) -> list:
+    """Seeds of verify batteries whose configs have a fixed (n, support) profile.
 
     Oracle cost grows like (support + 2)^n, so a battery drawn freely costs
     anywhere from milliseconds to seconds.  Battery seeds are drawn from
     the workload seed and kept when the battery's ConstantQ and MarkovQ
     configs have the (n, support) pair the op slot asks for; the laws and
-    radius tables inside stay random.
+    radius tables inside stay random.  The number of draws this takes
+    varies by seed, so callers keep the search out of any timed region.
     """
     rng = _rng("verify-tiny", seed)
     wanted = {pair: None for pair in size.verify_pairs}
     missing = len(wanted)
-    n_max = max(n for pair in wanted for n, _ in pair)
-    support_max = max(m for pair in wanted for _, m in pair)
+    n_max, support_max = _verify_bounds(size)
     while missing:
         battery_seed = int(rng.integers(0, 2**31))
         configs = random_tiny_configs(2, battery_seed, n_max=n_max, support_max=support_max)
@@ -220,11 +220,22 @@ def verify_deck(seed: int, size: Size, random_tiny_configs) -> list:
         if pair in wanted and wanted[pair] is None:
             wanted[pair] = battery_seed
             missing -= 1
+    return [wanted[pair] for pair in size.verify_pairs]
+
+
+def _verify_bounds(size: Size) -> tuple:
+    pairs = size.verify_pairs
+    return max(n for pair in pairs for n, _ in pair), max(m for pair in pairs for _, m in pair)
+
+
+def verify_deck(size: Size, seeds: list) -> list:
+    """One verify op per battery seed from ``battery_seeds``."""
+    n_max, support_max = _verify_bounds(size)
     ops = []
-    for index, pair in enumerate(size.verify_pairs):
+    for index, (pair, battery_seed) in enumerate(zip(size.verify_pairs, seeds)):
         config = {
             "configs": 2, "n_max": n_max, "support_max": support_max,
-            "reps": size.verify_reps, "seed": wanted[pair],
+            "reps": size.verify_reps, "seed": battery_seed,
         }
         inputs = dict(config, shapes=[list(p) for p in pair])
         ops.append(Op(f"verify-{index}", "verify", config, inputs, work=2.0))
@@ -234,16 +245,17 @@ def verify_deck(seed: int, size: Size, random_tiny_configs) -> list:
 class Plan:
     """The op sequence of one workload run, indexed from 0 without end."""
 
-    def __init__(self, workload: str, seed: int, size: Size, random_tiny_configs=None):
+    def __init__(self, workload: str, seed: int, size: Size, verify_seeds=None):
         self.workload = workload
         self.seed = seed
         self.size = size
         self.cycle = cycle_length(workload, size)
+        self.verify_seeds = verify_seeds
         self._deck = None
         if workload == "mc-long":
             self._deck = mc_deck(seed, size)
         elif workload == "verify-tiny":
-            self._deck = verify_deck(seed, size, random_tiny_configs)
+            self._deck = verify_deck(size, verify_seeds)
 
     def op(self, index: int) -> Op:
         if self._deck is not None:

@@ -3,7 +3,7 @@
 
 Run one workload (the last stdout line is the JSON result)::
 
-    python3 perfbench/run.py --workload exact-large --seed 1 --seconds 50 --trace 0
+    python3 perfbench/run.py --workload exact-large --seed 1 --seconds 35 --trace 0
 
 Run every workload, each in its own process, and print every metric::
 
@@ -46,7 +46,12 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 OUT = BENCH_DIR / "out"
 
-SETUP_PROBES = 7
+# fresh-process setup probes per run, spread over the measured window
+SETUP_PROBES = 9
+# a traced op's self times may fall short of its measured wall time by the
+# cost of installing and removing the wrappers and redirecting output
+BALANCE_TOL_S = 2e-3
+BALANCE_TOL_SHARE = 0.01
 # ops in the traced run: whole cycles, so counts repeat exactly for a seed
 TRACE_CYCLES = {"exact-large": 1, "sweep-grid": 2, "mc-long": 1, "verify-tiny": 1}
 # the named throughput of each workload, reported as work_units_per_s
@@ -88,21 +93,12 @@ def source_digest() -> str:
 
 
 def git_sha():
-    """HEAD commit read from .git, or None outside a git checkout."""
-    git = ROOT / ".git"
+    """HEAD commit, or None outside a git checkout."""
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).is_file():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
+        done = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True, cwd=ROOT)
     except OSError:
-        pass
-    return None
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def cpu_model() -> str:
@@ -253,31 +249,40 @@ def clear_caches(modules: dict) -> None:
                 clear()
 
 
-def measure_setup(args) -> list:
-    """Wall times of fresh processes that import and write the first configs."""
-    samples = []
-    for i in range(SETUP_PROBES):
-        target = OUT / f"setup-{os.getpid()}-{i}"
-        cmd = [
-            sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
-            "--seed", str(args.seed), "--size", args.size, "--setup-only", str(target),
-        ]
-        start = time.perf_counter()
-        done = subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=120)
-        samples.append(time.perf_counter() - start)
-        shutil.rmtree(target, ignore_errors=True)
-        if done.returncode != 0:
-            raise RuntimeError(f"setup probe failed: {done.stderr.decode()[-500:]}")
-    return samples
+def setup_probe(args, plan: plans.Plan) -> float:
+    """Wall time of a fresh process that imports and writes the first configs.
+
+    The verify battery seeds are passed in, so the probe does not time the
+    benchmark's own seed search.
+    """
+    target = OUT / f"setup-{os.getpid()}"
+    cmd = [
+        sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
+        "--seed", str(args.seed), "--size", args.size, "--setup-only", str(target),
+    ]
+    if plan.verify_seeds:
+        cmd += ["--verify-seeds", ",".join(map(str, plan.verify_seeds))]
+    start = time.perf_counter()
+    done = subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=120)
+    wall = time.perf_counter() - start
+    shutil.rmtree(target, ignore_errors=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"setup probe failed: {done.stderr.decode()[-500:]}")
+    return wall
 
 
-def first_configs(args, modules: dict, workdir: Path) -> plans.Plan:
-    plan = plans.Plan(args.workload, args.seed, plans.SIZES[args.size],
-                      modules["oracle"].random_tiny_configs)
+def make_plan(args, modules: dict) -> plans.Plan:
+    size = plans.SIZES[args.size]
+    seeds = args.verify_seeds
+    if args.workload == "verify-tiny" and seeds is None:
+        seeds = plans.battery_seeds(args.seed, size, modules["oracle"].random_tiny_configs)
+    return plans.Plan(args.workload, args.seed, size, seeds)
+
+
+def write_first_configs(plan: plans.Plan, workdir: Path) -> None:
     workdir.mkdir(parents=True, exist_ok=True)
     for index in range(plan.cycle):
         write_config(plan.op(index), workdir)
-    return plan
 
 
 def regime_counts(ops: list) -> dict:
@@ -288,11 +293,17 @@ def regime_counts(ops: list) -> dict:
     return counts
 
 
-def run_untraced(args, modules: dict, plan: plans.Plan, runner: Runner, record: DigestRecord):
-    ops, results, first_digest = [], [], {}
+def run_untraced(args, plan: plans.Plan, runner: Runner, record: DigestRecord):
+    ops, results, first_digest, setup = [], [], {}, []
     start = time.perf_counter()
+    probing_s = 0.0  # time spent in setup probes, not counted as measured
     index = 0
     while True:
+        # one setup probe per cycle, spread evenly over the measured window
+        if len(setup) < SETUP_PROBES and time.perf_counter() - start - probing_s >= \
+                len(setup) * args.seconds / SETUP_PROBES:
+            setup.append(setup_probe(args, plan))
+            probing_s += setup[-1]
         for _ in range(plan.cycle):
             op = plan.op(index)
             index += 1
@@ -304,16 +315,28 @@ def run_untraced(args, modules: dict, plan: plans.Plan, runner: Runner, record: 
             record.compare(op, res)
             ops.append(op)
             results.append(res)
-        if time.perf_counter() - start >= args.seconds:
+        if time.perf_counter() - start - probing_s >= args.seconds:
             break
+    while len(setup) < SETUP_PROBES:
+        setup.append(setup_probe(args, plan))
     walls = [r["wall_s"] for r in results]
     work = sum(op.work for op in ops)
+    # a deck op's time is the mean of its replays, so that the median reads
+    # a blend of the machine's speed over the run rather than its majority state
+    per_op: dict = {}
+    for res in results:
+        per_op.setdefault(res["op_id"], []).append(res["wall_s"])
     metrics = {
-        "op_s_p50": (statistics.median(walls), "s"),
+        "setup_s": (statistics.median(setup), "s"),
+        "op_s_p50": (statistics.median([statistics.fmean(v) for v in per_op.values()]), "s"),
         "work_units_per_s": (work / sum(walls), "1/s"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
     }
-    extra = {WORK_UNIT[args.workload]: work / sum(walls), "measured_s": time.perf_counter() - start}
+    extra = {
+        WORK_UNIT[args.workload]: work / sum(walls),
+        "measured_s": time.perf_counter() - start - probing_s,
+        "setup_samples_s": setup,
+    }
     return ops, results, metrics, extra
 
 
@@ -353,11 +376,11 @@ def layer_metrics(spans: list, untraced_s: float, traced_s: float) -> dict:
     return m
 
 
-def run_traced(args, modules: dict, plan: plans.Plan, runner: Runner, record: DigestRecord):
+def run_traced(modules: dict, plan: plans.Plan, runner: Runner, record: DigestRecord):
     tracer = spanlib.Tracer(modules)
     ops, results = [], []
     untraced_s = traced_s = 0.0
-    for index in range(TRACE_CYCLES[args.workload] * plan.cycle):
+    for index in range(TRACE_CYCLES[plan.workload] * plan.cycle):
         op = plan.op(index)
         # alternate which copy runs first, so warm-up does not bias the overhead
         copies = {}
@@ -374,11 +397,14 @@ def run_traced(args, modules: dict, plan: plans.Plan, runner: Runner, record: Di
         record.compare(op, traced)
         ops.append(op)
         results.append(traced)
-    balance = spanlib.op_balance(tracer.spans)
+    # the spans of an op must account for the wall time measured around it
+    self_sums = spanlib.self_sums(tracer.spans)
     for res in results:
-        total, root = balance.get(res["op_id"], (0, 0))
-        if total != root:
-            res["problems"].append(f"self times sum to {total} ns, root span is {root} ns")
+        res["self_sum_s"] = self_sums.get(res["op_id"], 0) * 1e-9
+        gap = res["wall_s"] - res["self_sum_s"]
+        if not 0.0 <= gap <= BALANCE_TOL_S + BALANCE_TOL_SHARE * res["wall_s"]:
+            res["problems"].append(
+                f"self times sum to {res['self_sum_s']:.6f} s, traced wall is {res['wall_s']:.6f} s")
     metrics = layer_metrics(tracer.spans, untraced_s, traced_s)
     extra = {"untraced_s": untraced_s, "traced_s": traced_s, "spans": len(tracer.spans)}
     return ops, results, metrics, extra, tracer.spans
@@ -386,25 +412,23 @@ def run_traced(args, modules: dict, plan: plans.Plan, runner: Runner, record: Di
 
 def run_workload(args) -> int:
     modules = import_package()
+    plan = make_plan(args, modules)
     if args.setup_only:
-        first_configs(args, modules, Path(args.setup_only))
+        write_first_configs(plan, Path(args.setup_only))
         return 0
     OUT.mkdir(parents=True, exist_ok=True)
     workdir = OUT / f"work-{args.workload}-{os.getpid()}"
     try:
-        setup = None if args.trace else measure_setup(args)
-        plan = first_configs(args, modules, workdir)
+        write_first_configs(plan, workdir)
         runner = Runner(modules, workdir)
         record = DigestRecord(args.workload, args.size, args.seed, source_digest())
         stem = f"{args.workload}-{args.size}-seed{args.seed}-trace{args.trace}"
         if args.trace:
-            ops, results, metrics, extra, spans = run_traced(args, modules, plan, runner, record)
+            ops, results, metrics, extra, spans = run_traced(modules, plan, runner, record)
             (OUT / f"spans-{stem}.json").write_text(json.dumps(
                 {"fields": ["name", "start_ns", "end_ns", "parent", "op_id", "size"], "spans": spans}))
         else:
-            ops, results, metrics, extra = run_untraced(args, modules, plan, runner, record)
-            metrics = {"setup_s": (statistics.median(setup), "s"), **metrics}
-            extra["setup_samples_s"] = setup
+            ops, results, metrics, extra = run_untraced(args, plan, runner, record)
         record.save()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -465,11 +489,13 @@ def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True, choices=plans.WORKLOADS + ("all",))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=50.0)
+    p.add_argument("--seconds", type=float, default=35.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--size", choices=tuple(plans.SIZES), default="full",
                    help="op sizes: full (the benchmark) or tiny (smoke test)")
     p.add_argument("--setup-only", default=None, help=argparse.SUPPRESS)
+    p.add_argument("--verify-seeds", type=lambda t: [int(v) for v in t.split(",")], default=None,
+                   help=argparse.SUPPRESS)
     return p.parse_args(argv)
 
 

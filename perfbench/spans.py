@@ -139,12 +139,9 @@ def aggregate(spans: list) -> dict:
     return totals
 
 
-def op_balance(spans: list) -> dict:
-    """op_id -> (sum of self times, root span duration), both in ns."""
+def self_sums(spans: list) -> dict:
+    """op_id -> sum of the self times of the op's spans (ns)."""
     out: dict = {}
     for span, own in zip(spans, self_times(spans)):
-        total, root = out.get(span[4], (0, 0))
-        if span[3] is None:
-            root += span[2] - span[1]
-        out[span[4]] = (total + own, root)
+        out[span[4]] = out.get(span[4], 0) + own
     return out
