@@ -43,7 +43,7 @@ from .engine import (
     gf_partial,
     percolation_probability,
 )
-from .errors import RenewpercError, ValidationError
+from .errors import RenewpercError, ValidationError, check_int
 from .oracle import enumerate_connectivity, enumerate_dual, random_tiny_configs
 from .radius import radius_from_config
 from .renewal import q_sequence_from_config
@@ -145,6 +145,10 @@ _ALLOWED = {
 }
 
 
+_INT_KEYS = ("horizon", "reps", "seed", "configs", "n_max", "support_max",
+             "classify_horizon", "coupling_horizon", "workers")
+
+
 def _resolve_config(command: str, args) -> dict:
     config = {}
     if getattr(args, "config", None):
@@ -161,17 +165,20 @@ def _resolve_config(command: str, args) -> dict:
     if unknown:
         raise ValidationError(f"unknown config keys for {command}: {sorted(unknown)}")
     merged = {**_DEFAULTS[command], **config}
-    for flag in ("seed", "horizon", "reps", "out", "format"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            merged[flag] = value
-    for flag in ("tail", "exact_tol", "configs", "workers"):
+    for flag in ("seed", "horizon", "reps", "out", "format", "tail", "exact_tol", "configs", "workers"):
         value = getattr(args, flag, None)
         if value is not None:
             merged[flag] = value
     missing = [k for k in _REQUIRED[command] if k not in merged]
     if missing:
         raise _UsageError(f"{command} requires config keys {missing}")
+    for key in _INT_KEYS:
+        if key in merged:
+            merged[key] = check_int(key, merged[key])
+    if isinstance(merged.get("n"), list) and merged["n"]:
+        merged["n"] = [check_int("n", v) for v in merged["n"]]
+    elif "n" in merged:  # a scalar, or an empty list (rejected)
+        merged["n"] = check_int("n", merged["n"])
     return merged
 
 
@@ -195,7 +202,7 @@ def cmd_exact(args) -> int:
     started = time.perf_counter()
     spec = q_sequence_from_config(cfg["q"])
     model = radius_from_config(cfg["radius"])
-    horizon = int(cfg["horizon"])
+    horizon = cfg["horizon"]
     gf = gf_partial(spec, model, horizon)
     dual = dual_law(gf, spec, model)
     bracket = percolation_probability(gf, spec, model, tail=cfg["tail"])
@@ -228,7 +235,7 @@ def cmd_bounds(args) -> int:
     started = time.perf_counter()
     spec = q_sequence_from_config(cfg["q"])
     model = radius_from_config(cfg["radius"])
-    horizon = int(cfg["horizon"])
+    horizon = cfg["horizon"]
     gf = gf_partial(spec, model, horizon)
     bracket = percolation_probability(gf, spec, model)
     bounds = bounds_report(spec, model, horizon)
@@ -280,9 +287,7 @@ def _cmd_sim(command: str, args, runner) -> int:
     spec = q_sequence_from_config(cfg["q"])
     model = radius_from_config(cfg["radius"])
     sites = cfg["n"] if isinstance(cfg["n"], list) else [cfg["n"]]
-    reports = [
-        runner(spec, model, int(n), int(cfg["reps"]), int(cfg["seed"])) for n in sites
-    ]
+    reports = [runner(spec, model, n, cfg["reps"], cfg["seed"]) for n in sites]
     fields = ["schema", "version", "seed", "target", "n", "reps", "estimate", "stderr",
               "wilson_low", "wilson_high"]
     _write_rows(cfg["out"], fields, _sim_rows(command, reports), cfg["format"])
@@ -290,7 +295,7 @@ def _cmd_sim(command: str, args, runner) -> int:
         {
             "command": command,
             "config": cfg,
-            "seed": int(cfg["seed"]),
+            "seed": cfg["seed"],
             "layout": reports[0].layout,
             "estimates": {str(r.n): r.estimate for r in reports},
             "runtime_s": time.perf_counter() - started,
@@ -315,9 +320,7 @@ def cmd_coupling(args) -> int:
     delays = cfg["delays"]
     if not isinstance(delays, list) or not delays:
         raise ValidationError("coupling needs a nonempty 'delays' list")
-    report = simulate_coupling(
-        spec, delays, int(cfg["coupling_horizon"]), int(cfg["reps"]), int(cfg["seed"])
-    )
+    report = simulate_coupling(spec, delays, cfg["coupling_horizon"], cfg["reps"], cfg["seed"])
     rows = [
         {
             "schema": _SCHEMAS["coupling"],
@@ -353,11 +356,11 @@ def cmd_coupling(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _resolve_config("verify", args)
     started = time.perf_counter()
-    reps = int(cfg["reps"])
+    reps = cfg["reps"]
     exact_tol = float(cfg["exact_tol"])
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     configs = random_tiny_configs(
-        int(cfg["configs"]), seed, n_max=int(cfg["n_max"]), support_max=int(cfg["support_max"])
+        cfg["configs"], seed, n_max=cfg["n_max"], support_max=cfg["support_max"]
     )
     rows = []
     failures = 0
@@ -472,8 +475,8 @@ def cmd_sweep(args) -> int:
         values = grid[key]
         if not isinstance(values, list) or not values:
             raise _UsageError(f"sweep grid entry {key!r} must be a nonempty list")
-    horizon = int(cfg["horizon"])
-    classify_horizon = int(cfg["classify_horizon"])
+    horizon = cfg["horizon"]
+    classify_horizon = cfg["classify_horizon"]
     points = [
         dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))
     ]
@@ -481,7 +484,7 @@ def cmd_sweep(args) -> int:
         ({"q": cfg["q"], "radius": cfg["radius"]}, point, horizon, cfg["tail"], classify_horizon)
         for point in points
     ]
-    workers = int(cfg["workers"])
+    workers = cfg["workers"]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, payloads))

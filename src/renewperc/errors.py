@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer validator."""
 
 
 class RenewpercError(Exception):
@@ -27,3 +27,12 @@ class EnumerationCapError(RenewpercError):
 
 class InternalConsistencyError(RenewpercError):
     """Two redundant computations of the same quantity disagree."""
+
+
+def check_int(name: str, value) -> int:
+    """``value`` as an int; integral floats such as 1e4 pass, bool/str/None/NaN/1.5 raise."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -15,7 +15,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import InfiniteMeanError, ValidationError
+from .errors import InfiniteMeanError, ValidationError, check_int
 from .renewal import QSequence, interarrival
 
 
@@ -230,7 +230,7 @@ def radius_from_config(fragment: Mapping) -> RadiusModel:
         return GeometricTailRadius(r=fragment["r"])
     if family == "power_tail":
         return PowerLawTailRadius(
-            c=fragment["c"], gamma=fragment["gamma"], n0=int(fragment.get("n0", 1))
+            c=fragment["c"], gamma=fragment["gamma"], n0=check_int("n0", fragment.get("n0", 1))
         )
     if family == "table":
         return FiniteTableRadius(p=tuple(fragment["p"]))

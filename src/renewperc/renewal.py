@@ -29,7 +29,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 
 # Climb probabilities are capped strictly below 1 so the chain cannot get
 # absorbed (q_i = 1 would make T defective, which the model excludes).
@@ -253,7 +253,7 @@ def q_sequence_from_config(fragment: Mapping) -> QSequence:
     if family == "markov":
         return MarkovQ(q0=fragment["q0"], q1=fragment["q1"])
     if family == "poly_monotone":
-        return PolynomialMonotoneQ(beta=fragment["beta"], i0=int(fragment.get("i0", 2)))
+        return PolynomialMonotoneQ(beta=fragment["beta"], i0=check_int("i0", fragment.get("i0", 2)))
     tail = fragment.get("tail", REPEAT_LAST)
     if isinstance(tail, Mapping):
         tail = q_sequence_from_config(tail)
@@ -336,26 +336,32 @@ class RenewalProbTable:
     horizon: int
 
 
-def renewal_probabilities(spec: QSequence, horizon: int) -> RenewalProbTable:
-    """Renewal probabilities by convolution: u_n = sum_k P(T=k) u_{n-k}.
+def renewal_solve(f: np.ndarray, mult=None) -> np.ndarray:
+    """Solve g_0 = 1, g_n = mult[n-1] * sum_{k=1..n} f_k g_{n-k} for n < len(f).
 
-    A reversed copy of u is maintained so both dot operands stay
-    contiguous; the recursion is O(N^2) overall.
+    ``f[0]`` is ignored; ``mult`` defaults to all ones (the plain renewal
+    equation).  A reversed copy of g is maintained so both dot operands
+    stay contiguous; the recursion is O(N^2) overall.
     """
-    if horizon < 0:
-        raise ValidationError(f"horizon must be >= 0, got {horizon}")
-    u = np.empty(horizon + 1)
-    u[0] = 1.0
-    if horizon == 0:
-        return RenewalProbTable(u=u, horizon=horizon)
-    pmf = interarrival(spec, horizon).pmf
+    horizon = len(f) - 1
+    scale = np.ones(horizon) if mult is None else mult
+    g = np.empty(horizon + 1)
+    g[0] = 1.0
     rev = np.empty(horizon + 1)
     rev[horizon] = 1.0
     for n in range(1, horizon + 1):
-        value = pmf[1 : n + 1] @ rev[horizon - n + 1 :]
-        u[n] = value
+        value = scale[n - 1] * (f[1 : n + 1] @ rev[horizon - n + 1 :])
+        g[n] = value
         rev[horizon - n] = value
-    return RenewalProbTable(u=u, horizon=horizon)
+    return g
+
+
+def renewal_probabilities(spec: QSequence, horizon: int) -> RenewalProbTable:
+    """Renewal probabilities u_n = sum_k P(T=k) u_{n-k}, by ``renewal_solve``."""
+    if horizon < 0:
+        raise ValidationError(f"horizon must be >= 0, got {horizon}")
+    pmf = interarrival(spec, horizon).pmf if horizon else np.zeros(1)
+    return RenewalProbTable(u=renewal_solve(pmf), horizon=horizon)
 
 
 def markov_renewal_closed(q0: float, q1: float, i: int) -> float:

@@ -198,3 +198,53 @@ def test_jsonl_format(tmp_path):
     record = json.loads(lines[0])
     assert record["schema"] == "renewperc.sim.v1"
     assert 0.0 <= record["estimate"] <= 1.0
+
+
+_POWER_LAW = {"family": "power_tail", "c": 3, "gamma": 1, "n0": 1}
+
+
+@pytest.mark.parametrize("bad", ["abc", None, float("nan"), [3], 1.5, True])
+@pytest.mark.parametrize(
+    "command, payload, path",
+    [
+        ("exact", HAND_CONFIG, ("horizon",)),
+        ("bounds", HAND_CONFIG, ("horizon",)),
+        ("simulate", {**HAND_LAW, "n": 2}, ("reps",)),
+        ("simulate", {**HAND_LAW, "n": 2}, ("seed",)),
+        ("simulate", {**HAND_LAW, "n": [2, 3]}, ("n", 1)),
+        ("dual", {**HAND_LAW, "n": [2]}, ("n", 0)),
+        ("coupling", {"q": {"family": "constant", "q": 0.5}, "delays": [0, 3]},
+         ("coupling_horizon",)),
+        ("verify", {}, ("configs",)),
+        ("verify", {}, ("n_max",)),
+        ("verify", {}, ("support_max",)),
+        ("sweep", {**HAND_LAW, "grid": {"q.q1": [0.6]}}, ("classify_horizon",)),
+        ("sweep", {**HAND_LAW, "grid": {"q.q1": [0.6]}}, ("workers",)),
+        ("exact", {**HAND_CONFIG, "radius": _POWER_LAW}, ("radius", "n0")),
+        ("exact", {**HAND_CONFIG, "q": {"family": "poly_monotone", "beta": 0.25, "i0": 2}},
+         ("q", "i0")),
+    ],
+)
+def test_non_integer_config_values_are_validation_errors(tmp_path, command, payload, path, bad):
+    payload = json.loads(json.dumps(payload))
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    cfg = _write_config(tmp_path, payload)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+
+
+def test_scalar_and_empty_site_lists(tmp_path):
+    cfg = _write_config(tmp_path, {**HAND_LAW, "n": 2.5})
+    assert main(["dual", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 2
+    cfg = _write_config(tmp_path, {**HAND_LAW, "n": []})
+    assert main(["dual", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 2
+
+
+def test_integral_float_config_values_are_accepted(tmp_path):
+    cfg = _write_config(tmp_path, {**HAND_CONFIG, "horizon": 5.0,
+                                   "radius": {**_POWER_LAW, "n0": 1e0}})
+    out = tmp_path / "exact.csv"
+    assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(list(csv.DictReader(out.open()))) == 6

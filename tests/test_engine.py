@@ -81,10 +81,37 @@ def test_gf_matches_enumeration_oracle():
 
 def test_gf_iid_factorization():
     model = GeometricTailRadius(0.9)
-    for p in (0.2, 0.5, 0.8):
-        gf = gf_partial(ConstantQ(1 - p), model, 200)
-        expected = np.cumprod(1 - p * (1 - model.alpha_array(200)))
-        assert np.max(np.abs(gf.S[1:] - expected)) <= 1e-12
+    for n in (200, 20_000):
+        for p in (0.2, 0.5, 0.8):
+            gf = gf_partial(ConstantQ(1 - p), model, n)
+            expected = np.cumprod(1 - p * (1 - model.alpha_array(n)))
+            assert np.max(np.abs(gf.S[1:] - expected)) <= 1e-12
+
+
+def _markov_transfer_series(q0, q1, alpha):
+    """S_n for MarkovQ(q0, q1) by the 2-state mark chain, independent of gf_partial.
+
+    The marks are Markov with P(1 | 1) = 1 - q0 and P(1 | 0) = 1 - q1, and
+    xi_0 = 1; site i contributes alpha_i when xi_{i+1} = 1.
+    """
+    unmarked, marked = 0.0, 1.0
+    S = [1.0]
+    for a in alpha:
+        unmarked, marked = (
+            marked * q0 + unmarked * q1,
+            a * (marked * (1.0 - q0) + unmarked * (1.0 - q1)),
+        )
+        S.append(unmarked + marked)
+    return np.array(S)
+
+
+@pytest.mark.parametrize("q0, q1", [(0.3, 0.4), (0.3, 0.6), (0.7, 0.2)])
+def test_gf_markov_matches_transfer_product_at_large_horizon(q0, q1):
+    model = PowerLawTailRadius(c=3.0, gamma=1.0, n0=1)
+    n = 5000
+    expected = _markov_transfer_series(q0, q1, model.alpha_array(n))
+    got = gf_partial(MarkovQ(q0, q1), model, n).S
+    assert np.max(np.abs(got - expected) / expected) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +245,16 @@ def test_iid_power_tail_positive_lower_bound():
     bracket = iid_closed_form(0.5, PowerLawTailRadius(c=3.0, gamma=1.0, n0=1), 20_000)
     assert bracket.lo > 0.01
     assert bracket.lo <= bracket.hi <= 1.0
+
+
+@pytest.mark.parametrize("secondary", [100, 10, -5])
+def test_secondary_horizon_must_exceed_horizon(secondary):
+    spec, model = ConstantQ(0.5), PowerLawTailRadius(c=3.0, gamma=1.0, n0=1)
+    gf = gf_partial(spec, model, 100)
+    with pytest.raises(ValidationError, match="secondary_horizon"):
+        percolation_probability(gf, spec, model, secondary_horizon=secondary)
+    with pytest.raises(ValidationError, match="secondary_horizon"):
+        bounds_report(spec, model, 100, secondary_horizon=secondary)
 
 
 def test_bracket_rejects_unknown_tail():
