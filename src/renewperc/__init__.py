@@ -48,8 +48,6 @@ from .radius import (
     TailDiagnosis,
     criterion_ratio,
     radius_from_config,
-    sample,
-    tail_sum,
 )
 from .renewal import (
     BinaryPath,
@@ -66,10 +64,8 @@ from .renewal import (
     interarrival,
     markov_renewal_closed,
     q_sequence_from_config,
-    q_star,
     q_star_array,
     renewal_probabilities,
-    sample_path,
     survival_products,
 )
 from .simulate import (
@@ -77,7 +73,6 @@ from .simulate import (
     SimReport,
     coalescence_times,
     connectivity_successes,
-    dual_successes,
     simulate_connectivity,
     simulate_coupling,
     simulate_dual,
@@ -126,7 +121,6 @@ __all__ = [
     "connectivity_successes",
     "criterion_ratio",
     "dual_law",
-    "dual_successes",
     "enumerate_connectivity",
     "enumerate_dual",
     "enumerate_gf",
@@ -137,17 +131,13 @@ __all__ = [
     "markov_renewal_closed",
     "percolation_probability",
     "q_sequence_from_config",
-    "q_star",
     "q_star_array",
     "radius_from_config",
     "random_tiny_configs",
     "renewal_probabilities",
-    "sample",
-    "sample_path",
     "simulate_connectivity",
     "simulate_coupling",
     "simulate_dual",
     "survival_products",
-    "tail_sum",
     "wilson_interval",
 ]

@@ -1,22 +1,28 @@
 """Batch front-end.
 
-Commands::
+Commands (every one also takes ``--config cfg.json`` and
+``--format csv|jsonl``)::
 
-    renewperc exact    --config cfg.json [--horizon N] [--out PATH]
+    renewperc exact    --config cfg.json [--horizon N] [--tail T] [--out PATH]
     renewperc bounds   --config cfg.json [--horizon N] [--out PATH]
-    renewperc simulate --config cfg.json [--reps R] [--seed S] [--out PATH]
-    renewperc dual     --config cfg.json [--reps R] [--seed S] [--out PATH]
-    renewperc coupling --config cfg.json [--reps R] [--seed S] [--out PATH]
-    renewperc verify   [--configs K] [--reps R] [--seed S] [--exact-tol T]
-    renewperc sweep    --config cfg.json [--out PATH] [--workers W]
+    renewperc simulate --config cfg.json [--seed S] [--reps R] [--out PATH]
+    renewperc dual     --config cfg.json [--seed S] [--reps R] [--out PATH]
+    renewperc coupling --config cfg.json [--seed S] [--reps R] [--out PATH]
+    renewperc verify   [--seed S] [--reps R] [--out PATH] [--configs K] [--exact-tol T]
+    renewperc sweep    --config cfg.json [--horizon N] [--tail T] [--out PATH] [--workers W]
 
 The configuration is one JSON document (q-spec fragment, radius fragment,
 horizons, seed, command options); command-line flags override it.  Unknown
-keys are rejected.  CSV output is RFC-4180 style (UTF-8, CRLF, mandatory
-header row) and carries a schema-id column; randomized commands embed the
-seed in every row.  Runs are deterministic: the same config file yields a
-byte-identical CSV, so wall-clock runtime is reported only in the JSON
-summary, never in CSV rows.
+keys, and flags the command does not read, are rejected.  Integer, float
+and string fields must match the type of their default (integral floats
+such as 1e4 count as integers).  ``verify`` writes a CSV only when given
+an ``out`` path.
+
+CSV output is RFC-4180 style (UTF-8, CRLF, mandatory header row) and
+carries a schema-id column; randomized commands embed the seed in every
+row.  Runs are deterministic: the same config file yields a byte-identical
+CSV, so wall-clock runtime is reported only in the JSON summary, never in
+CSV rows.
 
 Exit codes: 0 ok, 1 usage, 2 validation, 3 verification failure.
 """
@@ -33,6 +39,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .engine import (
@@ -43,22 +50,17 @@ from .engine import (
     gf_partial,
     percolation_probability,
 )
-from .errors import RenewpercError, ValidationError, check_int
+from .errors import RenewpercError, ValidationError, check_float, check_int
 from .oracle import enumerate_connectivity, enumerate_dual, random_tiny_configs
 from .radius import radius_from_config
 from .renewal import q_sequence_from_config
 from .simulate import simulate_connectivity, simulate_coupling, simulate_dual
 
-_SCHEMAS = {
-    "exact": "renewperc.exact.v1",
-    "bounds": "renewperc.bounds.v1",
-    "simulate": "renewperc.sim.v1",
-    "dual": "renewperc.sim.v1",
-    "coupling": "renewperc.coupling.v1",
-    "verify": "renewperc.verify.v1",
-    "sweep": "renewperc.sweep.v1",
-    "summary": "renewperc.summary.v1",
-}
+_SUMMARY_SCHEMA = "renewperc.summary.v1"
+
+# A command gets --<key> for each of these keys among its defaults.
+_FLAGS = ("seed", "horizon", "reps", "out", "format", "tail", "configs", "exact_tol", "workers")
+_FORMATS = ("csv", "jsonl")
 
 
 class _UsageError(Exception):
@@ -90,11 +92,11 @@ def _write_rows(path: str, fieldnames, rows, fmt: str) -> None:
                 fh.write(json.dumps({k: row.get(k) for k in fieldnames}, sort_keys=True))
                 fh.write("\n")
     else:
-        raise ValidationError(f"unknown format {fmt!r}; expected csv or jsonl")
+        raise ValidationError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
 
 
 def _emit_summary(summary: dict, out_path: str) -> None:
-    summary = {"schema": _SCHEMAS["summary"], "version": __version__, **summary}
+    summary = {"schema": _SUMMARY_SCHEMA, "version": __version__, **summary}
     text = json.dumps(summary, sort_keys=True, default=str)
     out = Path(out_path)
     sidecar = out.with_name(out.stem + ".summary.json")
@@ -102,56 +104,19 @@ def _emit_summary(summary: dict, out_path: str) -> None:
     print(text)
 
 
-_DEFAULTS = {
-    "exact": {"horizon": 1000, "tail": "auto", "out": "exact.csv", "format": "csv"},
-    "bounds": {"horizon": 1000, "out": "bounds.csv", "format": "csv"},
-    "simulate": {"reps": 100_000, "seed": 0, "out": "simulate.csv", "format": "csv"},
-    "dual": {"reps": 100_000, "seed": 0, "out": "dual.csv", "format": "csv"},
-    "coupling": {
-        "reps": 100_000, "seed": 0, "coupling_horizon": 64,
-        "out": "coupling.csv", "format": "csv",
-    },
-    "verify": {
-        "configs": 50, "n_max": 8, "support_max": 4, "reps": 20_000,
-        "seed": 0, "exact_tol": 1e-12, "out": None, "format": "csv",
-    },
-    "sweep": {
-        "horizon": 2000, "tail": "auto", "classify_horizon": 10_000,
-        "workers": 1, "out": "sweep.csv", "format": "csv",
-    },
-}
-
-_REQUIRED = {
-    "exact": ("q", "radius"),
-    "bounds": ("q", "radius"),
-    "simulate": ("q", "radius", "n"),
-    "dual": ("q", "radius", "n"),
-    "coupling": ("q", "delays"),
-    "verify": (),
-    "sweep": ("q", "radius", "grid"),
-}
-
-_ALLOWED = {
-    "exact": {"q", "radius", "horizon", "tail", "out", "format"},
-    "bounds": {"q", "radius", "horizon", "out", "format"},
-    "simulate": {"q", "radius", "n", "reps", "seed", "out", "format"},
-    "dual": {"q", "radius", "n", "reps", "seed", "out", "format"},
-    "coupling": {"q", "delays", "coupling_horizon", "reps", "seed", "out", "format"},
-    "verify": {"configs", "n_max", "support_max", "reps", "seed", "exact_tol", "out", "format"},
-    "sweep": {
-        "q", "radius", "horizon", "tail", "grid", "classify_horizon",
-        "workers", "seed", "out", "format",
-    },
-}
-
-
-_INT_KEYS = ("horizon", "reps", "seed", "configs", "n_max", "support_max",
-             "classify_horizon", "coupling_horizon", "workers")
+def _checked(key: str, default, value):
+    """``value`` checked against the type of the key's default."""
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ValidationError(f"{key} must be a string, got {value!r}")
+        return value
+    return (check_float if isinstance(default, float) else check_int)(key, value)
 
 
 def _resolve_config(command: str, args) -> dict:
+    entry = _COMMANDS[command]
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ValidationError(f"config file not found: {path}")
@@ -161,20 +126,19 @@ def _resolve_config(command: str, args) -> dict:
             raise ValidationError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise ValidationError("config document must be a JSON object")
-    unknown = set(config) - _ALLOWED[command]
+    unknown = set(config) - set(entry.required) - set(entry.defaults)
     if unknown:
         raise ValidationError(f"unknown config keys for {command}: {sorted(unknown)}")
-    merged = {**_DEFAULTS[command], **config}
-    for flag in ("seed", "horizon", "reps", "out", "format", "tail", "exact_tol", "configs", "workers"):
-        value = getattr(args, flag, None)
+    merged = {**entry.defaults, **config}
+    for key in entry.defaults:
+        value = getattr(args, key, None)
         if value is not None:
-            merged[flag] = value
-    missing = [k for k in _REQUIRED[command] if k not in merged]
+            merged[key] = value
+    missing = [k for k in entry.required if k not in merged]
     if missing:
         raise _UsageError(f"{command} requires config keys {missing}")
-    for key in _INT_KEYS:
-        if key in merged:
-            merged[key] = check_int(key, merged[key])
+    for key, default in entry.defaults.items():
+        merged[key] = _checked(key, default, merged[key])
     if isinstance(merged.get("n"), list) and merged["n"]:
         merged["n"] = [check_int("n", v) for v in merged["n"]]
     elif "n" in merged:  # a scalar, or an empty list (rejected)
@@ -182,12 +146,12 @@ def _resolve_config(command: str, args) -> dict:
     return merged
 
 
-def _series_rows(gf, dual) -> list:
+def _series_rows(gf, dual, schema: str) -> list:
     rows = []
     for n in range(gf.horizon + 1):
         rows.append(
             {
-                "schema": _SCHEMAS["exact"],
+                "schema": schema,
                 "n": n,
                 "S_n": float(gf.S[n]),
                 "f_n": float(dual.f[n]),
@@ -197,8 +161,7 @@ def _series_rows(gf, dual) -> list:
     return rows
 
 
-def cmd_exact(args) -> int:
-    cfg = _resolve_config("exact", args)
+def cmd_exact(cfg: dict, schema: str) -> int:
     started = time.perf_counter()
     spec = q_sequence_from_config(cfg["q"])
     model = radius_from_config(cfg["radius"])
@@ -208,7 +171,7 @@ def cmd_exact(args) -> int:
     bracket = percolation_probability(gf, spec, model, tail=cfg["tail"])
     bounds = bounds_report(spec, model, horizon)
     verdict = classify(spec, model, max(4, horizon))
-    _write_rows(cfg["out"], ["schema", "n", "S_n", "f_n", "v_n"], _series_rows(gf, dual), cfg["format"])
+    _write_rows(cfg["out"], ["schema", "n", "S_n", "f_n", "v_n"], _series_rows(gf, dual, schema), cfg["format"])
     _emit_summary(
         {
             "command": "exact",
@@ -230,8 +193,7 @@ def cmd_exact(args) -> int:
     return 0
 
 
-def cmd_bounds(args) -> int:
-    cfg = _resolve_config("bounds", args)
+def cmd_bounds(cfg: dict, schema: str) -> int:
     started = time.perf_counter()
     spec = q_sequence_from_config(cfg["q"])
     model = radius_from_config(cfg["radius"])
@@ -240,7 +202,7 @@ def cmd_bounds(args) -> int:
     bracket = percolation_probability(gf, spec, model)
     bounds = bounds_report(spec, model, horizon)
     row = {
-        "schema": _SCHEMAS["bounds"],
+        "schema": schema,
         "horizon": horizon,
         "bracket_lo": bracket.lo,
         "bracket_hi": bracket.hi,
@@ -263,10 +225,10 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _sim_rows(command: str, reports) -> list:
+def _sim_rows(schema: str, reports) -> list:
     return [
         {
-            "schema": _SCHEMAS[command],
+            "schema": schema,
             "version": __version__,
             "seed": rep.seed,
             "target": rep.target,
@@ -281,8 +243,7 @@ def _sim_rows(command: str, reports) -> list:
     ]
 
 
-def _cmd_sim(command: str, args, runner) -> int:
-    cfg = _resolve_config(command, args)
+def _cmd_sim(command: str, cfg: dict, schema: str, runner) -> int:
     started = time.perf_counter()
     spec = q_sequence_from_config(cfg["q"])
     model = radius_from_config(cfg["radius"])
@@ -290,7 +251,7 @@ def _cmd_sim(command: str, args, runner) -> int:
     reports = [runner(spec, model, n, cfg["reps"], cfg["seed"]) for n in sites]
     fields = ["schema", "version", "seed", "target", "n", "reps", "estimate", "stderr",
               "wilson_low", "wilson_high"]
-    _write_rows(cfg["out"], fields, _sim_rows(command, reports), cfg["format"])
+    _write_rows(cfg["out"], fields, _sim_rows(schema, reports), cfg["format"])
     _emit_summary(
         {
             "command": command,
@@ -305,16 +266,15 @@ def _cmd_sim(command: str, args, runner) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    return _cmd_sim("simulate", args, simulate_connectivity)
+def cmd_simulate(cfg: dict, schema: str) -> int:
+    return _cmd_sim("simulate", cfg, schema, simulate_connectivity)
 
 
-def cmd_dual(args) -> int:
-    return _cmd_sim("dual", args, simulate_dual)
+def cmd_dual(cfg: dict, schema: str) -> int:
+    return _cmd_sim("dual", cfg, schema, simulate_dual)
 
 
-def cmd_coupling(args) -> int:
-    cfg = _resolve_config("coupling", args)
+def cmd_coupling(cfg: dict, schema: str) -> int:
     started = time.perf_counter()
     spec = q_sequence_from_config(cfg["q"])
     delays = cfg["delays"]
@@ -323,7 +283,7 @@ def cmd_coupling(args) -> int:
     report = simulate_coupling(spec, delays, cfg["coupling_horizon"], cfg["reps"], cfg["seed"])
     rows = [
         {
-            "schema": _SCHEMAS["coupling"],
+            "schema": schema,
             "version": __version__,
             "seed": report.seed,
             "target": report.target,
@@ -353,11 +313,10 @@ def cmd_coupling(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = _resolve_config("verify", args)
+def cmd_verify(cfg: dict, schema: str) -> int:
     started = time.perf_counter()
     reps = cfg["reps"]
-    exact_tol = float(cfg["exact_tol"])
+    exact_tol = cfg["exact_tol"]
     seed = cfg["seed"]
     configs = random_tiny_configs(
         cfg["configs"], seed, n_max=cfg["n_max"], support_max=cfg["support_max"]
@@ -387,7 +346,7 @@ def cmd_verify(args) -> int:
         )
         rows.append(
             {
-                "schema": _SCHEMAS["verify"],
+                "schema": schema,
                 "version": __version__,
                 "seed": seed,
                 "config_index": idx,
@@ -464,8 +423,7 @@ def _sweep_point(payload) -> dict:
     return row
 
 
-def cmd_sweep(args) -> int:
-    cfg = _resolve_config("sweep", args)
+def cmd_sweep(cfg: dict, schema: str) -> int:
     started = time.perf_counter()
     grid = cfg["grid"]
     if not isinstance(grid, dict) or not grid:
@@ -495,7 +453,7 @@ def cmd_sweep(args) -> int:
         "jensen_upper", "fkg_upper", "concentration_lower", "verdict", "error",
     ]
     for row in rows:
-        row["schema"] = _SCHEMAS["sweep"]
+        row["schema"] = schema
     _write_rows(cfg["out"], fields, rows, cfg["format"])
     _emit_summary(
         {
@@ -509,35 +467,63 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# One entry per command; its allowed keys, flags and type checks follow
+# from the required keys and the defaults of the optional ones.
+class _Command(NamedTuple):
+    handler: Callable[[dict, str], int]
+    schema: str
+    required: tuple
+    defaults: dict
+
+
 _COMMANDS = {
-    "exact": cmd_exact,
-    "bounds": cmd_bounds,
-    "simulate": cmd_simulate,
-    "dual": cmd_dual,
-    "coupling": cmd_coupling,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
+    "exact": _Command(
+        cmd_exact, "renewperc.exact.v1", ("q", "radius"),
+        {"horizon": 1000, "tail": "auto", "out": "exact.csv", "format": "csv"},
+    ),
+    "bounds": _Command(
+        cmd_bounds, "renewperc.bounds.v1", ("q", "radius"),
+        {"horizon": 1000, "out": "bounds.csv", "format": "csv"},
+    ),
+    "simulate": _Command(
+        cmd_simulate, "renewperc.sim.v1", ("q", "radius", "n"),
+        {"reps": 100_000, "seed": 0, "out": "simulate.csv", "format": "csv"},
+    ),
+    "dual": _Command(
+        cmd_dual, "renewperc.sim.v1", ("q", "radius", "n"),
+        {"reps": 100_000, "seed": 0, "out": "dual.csv", "format": "csv"},
+    ),
+    "coupling": _Command(
+        cmd_coupling, "renewperc.coupling.v1", ("q", "delays"),
+        {"reps": 100_000, "seed": 0, "coupling_horizon": 64, "out": "coupling.csv", "format": "csv"},
+    ),
+    # an empty out writes no CSV
+    "verify": _Command(
+        cmd_verify, "renewperc.verify.v1", (),
+        {"configs": 50, "n_max": 8, "support_max": 4, "reps": 20_000, "seed": 0,
+         "exact_tol": 1e-12, "out": "", "format": "csv"},
+    ),
+    "sweep": _Command(
+        cmd_sweep, "renewperc.sweep.v1", ("q", "radius", "grid"),
+        {"horizon": 2000, "tail": "auto", "classify_horizon": 10_000, "workers": 1,
+         "out": "sweep.csv", "format": "csv"},
+    ),
 }
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="renewperc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", type=str, default=None, choices=("csv", "jsonl"))
-        if name in ("exact", "sweep"):
-            p.add_argument("--tail", type=str, default=None)
-        if name == "verify":
-            p.add_argument("--configs", type=int, default=None)
-            p.add_argument("--exact-tol", dest="exact_tol", type=float, default=None)
-        if name == "sweep":
-            p.add_argument("--workers", type=int, default=None)
+        for key in _FLAGS:
+            if key in command.defaults:
+                p.add_argument(
+                    "--" + key.replace("_", "-"), dest=key, default=None,
+                    type=type(command.defaults[key]),
+                    choices=_FORMATS if key == "format" else None,
+                )
     return parser
 
 
@@ -545,7 +531,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        command = _COMMANDS[args.command]
+        return command.handler(_resolve_config(args.command, args), command.schema)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -151,8 +151,17 @@ class PercolationBracket:
 
 
 @functools.lru_cache(maxsize=16)
-def _cached_ck(spec: QSequence, kmax: int) -> np.ndarray:
-    return ck_sequence(spec, kmax).c
+def _law_tables(spec: QSequence, horizon: int, secondary: int) -> tuple:
+    """Read-only renewal probabilities u_0..u_N and coalescence constants C_0..C_secondary.
+
+    Keyed by value, so the bracket and the bounds of one run, and the
+    sweep points that share a law, build each table once.
+    """
+    u = renewal_probabilities(spec, horizon).u
+    c = ck_sequence(spec, secondary).c
+    u.setflags(write=False)
+    c.setflags(write=False)
+    return u, c
 
 
 def _geometric_remainder(terms: np.ndarray) -> Optional[float]:
@@ -197,7 +206,6 @@ def _concentration_series(
     spec: QSequence,
     model: RadiusModel,
     horizon: int,
-    u: np.ndarray,
     secondary: int,
 ):
     """Per-term concentration upper bounds on S_n.
@@ -217,6 +225,7 @@ def _concentration_series(
         return None
     log_a = np.zeros(n2)
     log_a[pos] = np.log(alph[pos])
+    u, c = _law_tables(spec, horizon, secondary)
     window = u[max(1, horizon // 2) :]
     u_lb = max(0.0, float(window.min()) - float(window.max() - window.min()))
     weights = np.empty(n2)
@@ -224,7 +233,6 @@ def _concentration_series(
     weights[horizon:] = u_lb
     lam = np.cumsum(weights * log_a)
     sig = np.cumsum(log_a * log_a)
-    c = _cached_ck(spec, n2)
     with np.errstate(over="ignore"):
         head = np.exp(lam[:horizon] + c[1 : horizon + 1] * sig[:horizon])
         tail = np.exp(lam[horizon:] + c[horizon + 1 :] * sig[horizon:])
@@ -280,8 +288,7 @@ def percolation_probability(
         return bracket(hi, TAIL_GEOMETRIC, True)
 
     if tail in ("auto", TAIL_CONCENTRATION):
-        u = renewal_probabilities(spec, n).u
-        series = _concentration_series(spec, model, n, u, secondary)
+        series = _concentration_series(spec, model, n, secondary)
         if series is None:
             notes.append("concentration bound unavailable: alpha identically zero")
         else:
@@ -368,7 +375,7 @@ def bounds_report(
     n = horizon
     secondary = _secondary_horizon(n, secondary_horizon)
     notes: list = []
-    u = renewal_probabilities(spec, n).u
+    u = _law_tables(spec, n, secondary)[0]
     alph = model.alpha_array(n)
     pos = alph > 0.0
     with np.errstate(divide="ignore"):
@@ -386,7 +393,7 @@ def bounds_report(
         fkg_upper = 1.0 / (1.0 + float(fkg_terms.sum()))
 
     concentration_lower = None
-    series = _concentration_series(spec, model, n, u, secondary)
+    series = _concentration_series(spec, model, n, secondary)
     if series is None:
         notes.append("concentration bound skipped: alpha identically zero (log undefined)")
     else:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the integer validator."""
+"""Exception types shared across the package, and the number validators."""
+
+import math
+import numbers
 
 
 class RenewpercError(Exception):
@@ -36,3 +39,10 @@ def check_int(name: str, value) -> int:
     ):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_float(name: str, value) -> float:
+    """``value`` as a finite float; ints and floats pass, bool/str/None/NaN/inf raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)

@@ -15,7 +15,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import InfiniteMeanError, ValidationError, check_int
+from .errors import InfiniteMeanError, ValidationError, check_float, check_int
 from .renewal import QSequence, interarrival
 
 
@@ -58,7 +58,7 @@ class GeometricTailRadius(RadiusModel):
     r: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r) and 0.0 < self.r < 1.0):
+        if not 0.0 < check_float("r", self.r) < 1.0:
             raise ValidationError(f"r must lie in (0, 1), got {self.r!r}")
 
     def alpha(self, n: int) -> float:
@@ -94,9 +94,9 @@ class PowerLawTailRadius(RadiusModel):
     n0: int = 1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and self.c > 0.0):
+        if not check_float("c", self.c) > 0.0:
             raise ValidationError(f"c must be positive, got {self.c!r}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+        if not check_float("gamma", self.gamma) > 0.0:
             raise ValidationError(f"gamma must be positive, got {self.gamma!r}")
         if self.n0 < 1:
             raise ValidationError(f"n0 must be >= 1, got {self.n0!r}")
@@ -136,10 +136,10 @@ class FiniteTableRadius(RadiusModel):
     p: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
+        object.__setattr__(self, "p", tuple(check_float("pmf entry", v) for v in self.p))
         if len(self.p) == 0:
             raise ValidationError("finite radius table needs at least one entry")
-        if any(not (math.isfinite(v) and v >= 0.0) for v in self.p):
+        if any(v < 0.0 for v in self.p):
             raise ValidationError("pmf entries must be nonnegative")
         if abs(sum(self.p) - 1.0) > 1e-9:
             raise ValidationError(f"pmf must sum to 1, got {sum(self.p)!r}")

@@ -29,7 +29,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_float, check_int
 
 # Climb probabilities are capped strictly below 1 so the chain cannot get
 # absorbed (q_i = 1 would make T defective, which the model excludes).
@@ -37,8 +37,8 @@ Q_CAP = 1.0 - 1e-12
 
 
 def _check_probability(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
+    value = check_float(name, value)
+    if not 0.0 <= value <= 1.0:
         raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
     return value
 
@@ -138,7 +138,7 @@ class PolynomialMonotoneQ(QSequence):
     i0: int = 2
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
+        if not check_float("beta", self.beta) > 0.0:
             raise ValidationError(f"beta must be positive, got {self.beta!r}")
         if self.i0 < 2:
             raise ValidationError(f"i0 must be at least 2, got {self.i0!r}")
@@ -179,9 +179,9 @@ class TableQ(QSequence):
     def __post_init__(self) -> None:
         if len(self.values) == 0:
             raise ValidationError("table needs at least one q value")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        for v in self.values:
-            _check_probability("table entry", v)
+        object.__setattr__(
+            self, "values", tuple(_check_probability("table entry", v) for v in self.values)
+        )
         if isinstance(self.tail, str) and self.tail != REPEAT_LAST:
             raise ValidationError(f"unknown tail rule {self.tail!r}")
 

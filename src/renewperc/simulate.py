@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .radius import RadiusModel
 from .renewal import QSequence
 
@@ -191,7 +191,7 @@ def coalescence_times(
     its own height), so chains that meet stay merged.  Returns 0 for
     replicates still uncoalesced at the horizon (censored).
     """
-    delays = tuple(int(d) for d in delays)
+    delays = tuple(check_int("delays", d) for d in delays)
     if len(delays) == 0:
         raise ValidationError("delays must be nonempty")
     if any(d < 0 for d in delays):
@@ -225,7 +225,7 @@ def simulate_coupling(
     {0..k} it is the joint time whose squared partial survival sum the
     constant C_k dominates.
     """
-    delays = tuple(int(d) for d in delays)
+    delays = tuple(check_int("delays", d) for d in delays)
     taus = coalescence_times(spec, delays, horizon, reps, seed)
     j_grid = tuple(range(1, horizon + 1))
     censored = taus == 0

@@ -1,9 +1,10 @@
 import csv
 import json
+import re
 
 import pytest
 
-from renewperc.cli import main
+from renewperc.cli import _build_parser, _resolve_config, main
 
 HAND_LAW = {
     "q": {"family": "markov", "q0": 0.3, "q1": 0.6},
@@ -34,12 +35,67 @@ def test_exact_command_outputs(tmp_path, capsys):
     assert printed["command"] == "exact"
 
 
-def test_exact_flags_override_config(tmp_path):
+# small valid configs, one per command
+_TINY = {
+    "exact": HAND_CONFIG,
+    "bounds": HAND_CONFIG,
+    "sweep": {**HAND_CONFIG, "classify_horizon": 100, "grid": {"q.q1": [0.6]}},
+    "simulate": {**HAND_LAW, "n": 2, "reps": 100},
+    "dual": {**HAND_LAW, "n": 2, "reps": 100},
+    "coupling": {"q": HAND_LAW["q"], "delays": [0, 1], "coupling_horizon": 4, "reps": 100},
+    "verify": {"configs": 1, "reps": 100},
+}
+
+
+# the flags each command reads, with values that differ from _FLAG_CONFIG
+READ_FLAGS = {
+    "exact": {"horizon": 7, "tail": "none", "out": "f.csv", "format": "jsonl"},
+    "bounds": {"horizon": 7, "out": "f.csv", "format": "jsonl"},
+    "simulate": {"seed": 7, "reps": 7, "out": "f.csv", "format": "jsonl"},
+    "dual": {"seed": 7, "reps": 7, "out": "f.csv", "format": "jsonl"},
+    "coupling": {"seed": 7, "reps": 7, "out": "f.csv", "format": "jsonl"},
+    "verify": {"seed": 7, "reps": 7, "out": "f.csv", "format": "jsonl", "configs": 7,
+               "exact_tol": 0.5},
+    "sweep": {"horizon": 7, "tail": "none", "out": "f.csv", "format": "jsonl", "workers": 7},
+}
+_FLAG_CONFIG = {"horizon": 9, "tail": "auto", "out": "c.csv", "format": "csv", "seed": 9,
+                "reps": 9, "configs": 9, "exact_tol": 0.25, "workers": 9}
+
+
+def test_exact_flags_override_config(tmp_path, capsys):
     cfg = _write_config(tmp_path, HAND_CONFIG)
     out = tmp_path / "short.csv"
     assert main(["exact", "--config", str(cfg), "--horizon", "5", "--out", str(out)]) == 0
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 6  # n = 0..5
+    parser = _build_parser()
+    for command, flags in READ_FLAGS.items():
+        payload = {**_TINY[command], **{k: _FLAG_CONFIG[k] for k in flags}}
+        cfg = _write_config(tmp_path, payload)
+        argv = [command, "--config", str(cfg)]
+        for key, value in flags.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        resolved = _resolve_config(command, parser.parse_args(argv))
+        assert {k: resolved[k] for k in flags} == flags, command
+        # --help lists exactly the flags the command reads
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = set(re.findall(r"(--[a-z-]+)", capsys.readouterr().out))
+        expected = {"--help", "--config"} | {"--" + k.replace("_", "-") for k in flags}
+        assert listed == expected, command
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, "--seed") for c in ("exact", "bounds", "sweep")]
+    + [(c, "--reps") for c in ("exact", "bounds", "sweep")]
+    + [(c, "--horizon") for c in ("simulate", "dual", "coupling", "verify")],
+)
+def test_unread_flags_are_usage_errors(tmp_path, command, flag):
+    cfg = _write_config(tmp_path, _TINY[command])
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o.csv"), flag, "3"]
+    assert main(argv) == 1
 
 
 def test_exact_renewal_endpoint_bracket(tmp_path):
@@ -188,6 +244,9 @@ def test_usage_and_validation_exit_codes(tmp_path):
     # unknown q family -> validation
     cfg2 = _write_config(tmp_path, {"q": {"family": "nope"}, "radius": {"family": "infinite"}})
     assert main(["exact", "--config", str(cfg2)]) == 2
+    # sweep reads no seed
+    cfg3 = _write_config(tmp_path, {**_TINY["sweep"], "seed": 1})
+    assert main(["sweep", "--config", str(cfg3), "--out", str(tmp_path / "s.csv")]) == 2
 
 
 def test_jsonl_format(tmp_path):
@@ -248,3 +307,56 @@ def test_integral_float_config_values_are_accepted(tmp_path):
     out = tmp_path / "exact.csv"
     assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(list(csv.DictReader(out.open()))) == 6
+    # float fields take any finite number
+    cfg = _write_config(tmp_path, {**_TINY["verify"], "exact_tol": 1.5})
+    assert main(["verify", "--config", str(cfg)]) == 0
+
+
+_BAD = ["abc", None, float("nan"), [3], True]
+_FIELD_CASES = [
+    ("verify", _TINY["verify"], ("exact_tol",), _BAD),
+    ("exact", HAND_CONFIG, ("out",), _BAD[1:]),  # any string names a path
+    ("exact", HAND_CONFIG, ("format",), _BAD),
+    ("exact", HAND_CONFIG, ("tail",), _BAD),
+    ("exact", {**HAND_CONFIG, "q": {"family": "constant", "q": 0.5}}, ("q", "q"), _BAD),
+    ("exact", {**HAND_CONFIG, "radius": _POWER_LAW}, ("radius", "c"), _BAD),
+    ("exact", {**HAND_CONFIG, "q": {"family": "table", "q": [0.5, 0.5]}}, ("q", "q", 1), _BAD),
+    ("exact", {**HAND_CONFIG, "radius": {"family": "table", "p": [0.5, 0.5]}},
+     ("radius", "p", 0), _BAD + ["0.5"]),
+    ("coupling", _TINY["coupling"], ("delays", 1), _BAD + [1.5]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, payload, path, bad",
+    [
+        pytest.param(c, payload, path, bad, id=f"{c}-{'.'.join(map(str, path))}-{bad!r}")
+        for c, payload, path, bads in _FIELD_CASES
+        for bad in bads
+    ],
+)
+def test_float_and_string_config_values_are_validation_errors(tmp_path, command, payload, path,
+                                                               bad):
+    payload = json.loads(json.dumps(payload))
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    cfg = _write_config(tmp_path, payload)
+    argv = [command, "--config", str(cfg)]
+    if path != ("out",):
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+
+
+def test_sweep_invalid_grid_value_gives_error_row(tmp_path):
+    cfg = _write_config(
+        tmp_path,
+        {"q": {"family": "constant", "q": 0.5}, "radius": _POWER_LAW, "horizon": 50,
+         "classify_horizon": 100, "grid": {"radius.c": ["x", 2]}},
+    )
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    bad, good = list(csv.DictReader(out.open()))
+    assert bad["error"].startswith("ValidationError") and bad["bracket_lo"] == ""
+    assert good["error"] == "" and float(good["bracket_lo"]) > 0.0

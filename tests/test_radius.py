@@ -17,9 +17,8 @@ from renewperc import (
     ValidationError,
     criterion_ratio,
     radius_from_config,
-    sample,
-    tail_sum,
 )
+from renewperc.radius import sample, tail_sum
 
 MODELS = [
     GeometricTailRadius(0.9),

@@ -16,12 +16,11 @@ from renewperc import (
     interarrival,
     markov_renewal_closed,
     q_sequence_from_config,
-    q_star,
     q_star_array,
     renewal_probabilities,
-    sample_path,
     survival_products,
 )
+from renewperc.renewal import q_star, sample_path
 
 SPECS = [
     ConstantQ(0.5),
