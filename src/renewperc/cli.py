@@ -15,7 +15,9 @@ The configuration is one JSON document (q-spec fragment, radius fragment,
 horizons, seed, command options); command-line flags override it.  Unknown
 keys, and flags the command does not read, are rejected.  Integer, float
 and string fields must match the type of their default (integral floats
-such as 1e4 count as integers).  ``verify`` writes a CSV only when given
+such as 1e4 count as integers); ``format`` and ``tail`` must be one of
+their choices and ``out`` must name a file in an existing directory, all
+checked before any computation.  ``verify`` writes a CSV only when given
 an ``out`` path.
 
 CSV output is RFC-4180 style (UTF-8, CRLF, mandatory header row) and
@@ -43,6 +45,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .engine import (
+    _TAIL_CHOICES,
     bounds_report,
     classify,
     dual_law,
@@ -61,6 +64,8 @@ _SUMMARY_SCHEMA = "renewperc.summary.v1"
 # A command gets --<key> for each of these keys among its defaults.
 _FLAGS = ("seed", "horizon", "reps", "out", "format", "tail", "configs", "exact_tol", "workers")
 _FORMATS = ("csv", "jsonl")
+# string fields restricted to a fixed set of values
+_CHOICES = {"format": _FORMATS, "tail": _TAIL_CHOICES}
 
 
 class _UsageError(Exception):
@@ -86,13 +91,11 @@ def _write_rows(path: str, fieldnames, rows, fmt: str) -> None:
             writer.writeheader()
             for row in rows:
                 writer.writerow({k: _fmt(row.get(k)) for k in fieldnames})
-    elif fmt == "jsonl":
+    else:
         with out.open("w", encoding="utf-8") as fh:
             for row in rows:
                 fh.write(json.dumps({k: row.get(k) for k in fieldnames}, sort_keys=True))
                 fh.write("\n")
-    else:
-        raise ValidationError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
 
 
 def _emit_summary(summary: dict, out_path: str) -> None:
@@ -139,6 +142,14 @@ def _resolve_config(command: str, args) -> dict:
         raise _UsageError(f"{command} requires config keys {missing}")
     for key, default in entry.defaults.items():
         merged[key] = _checked(key, default, merged[key])
+    for key, choices in _CHOICES.items():
+        if key in merged and merged[key] not in choices:
+            raise ValidationError(f"{key} must be one of {choices}, got {merged[key]!r}")
+    # an empty out is allowed only where it is the default (verify: no CSV)
+    if merged["out"] or entry.defaults["out"]:
+        out = Path(merged["out"])
+        if out.is_dir() or not out.parent.is_dir():
+            raise ValidationError(f"out must name a file in an existing directory, got {merged['out']!r}")
     if isinstance(merged.get("n"), list) and merged["n"]:
         merged["n"] = [check_int("n", v) for v in merged["n"]]
     elif "n" in merged:  # a scalar, or an empty list (rejected)
@@ -161,15 +172,20 @@ def _series_rows(gf, dual, schema: str) -> list:
     return rows
 
 
-def cmd_exact(cfg: dict, schema: str) -> int:
-    started = time.perf_counter()
+def _evaluate(cfg: dict, horizon: int, tail: str) -> tuple:
+    """Law, radius, series, bracket and bounds of the config's q and radius fragments."""
     spec = q_sequence_from_config(cfg["q"])
     model = radius_from_config(cfg["radius"])
-    horizon = cfg["horizon"]
     gf = gf_partial(spec, model, horizon)
+    bracket = percolation_probability(gf, spec, model, tail=tail)
+    return spec, model, gf, bracket, bounds_report(spec, model, horizon)
+
+
+def cmd_exact(cfg: dict, schema: str) -> int:
+    started = time.perf_counter()
+    horizon = cfg["horizon"]
+    spec, model, gf, bracket, bounds = _evaluate(cfg, horizon, cfg["tail"])
     dual = dual_law(gf, spec, model)
-    bracket = percolation_probability(gf, spec, model, tail=cfg["tail"])
-    bounds = bounds_report(spec, model, horizon)
     verdict = classify(spec, model, max(4, horizon))
     _write_rows(cfg["out"], ["schema", "n", "S_n", "f_n", "v_n"], _series_rows(gf, dual, schema), cfg["format"])
     _emit_summary(
@@ -195,12 +211,8 @@ def cmd_exact(cfg: dict, schema: str) -> int:
 
 def cmd_bounds(cfg: dict, schema: str) -> int:
     started = time.perf_counter()
-    spec = q_sequence_from_config(cfg["q"])
-    model = radius_from_config(cfg["radius"])
     horizon = cfg["horizon"]
-    gf = gf_partial(spec, model, horizon)
-    bracket = percolation_probability(gf, spec, model)
-    bounds = bounds_report(spec, model, horizon)
+    _, _, _, bracket, bounds = _evaluate(cfg, horizon, "auto")
     row = {
         "schema": schema,
         "horizon": horizon,
@@ -385,6 +397,11 @@ def _apply_override(cfg: dict, dotted: str, value):
     return out
 
 
+# a sweep row's columns after the grid keys
+_SWEEP_FIELDS = ("bracket_lo", "bracket_hi", "tail_method", "certified", "jensen_upper",
+                 "fkg_upper", "concentration_lower", "verdict", "error")
+
+
 def _sweep_point(payload) -> dict:
     base, overrides, horizon, tail, classify_horizon = payload
     row = dict(overrides)
@@ -392,11 +409,7 @@ def _sweep_point(payload) -> dict:
         cfg = base
         for dotted, value in overrides.items():
             cfg = _apply_override(cfg, dotted, value)
-        spec = q_sequence_from_config(cfg["q"])
-        model = radius_from_config(cfg["radius"])
-        gf = gf_partial(spec, model, horizon)
-        bracket = percolation_probability(gf, spec, model, tail=tail)
-        bounds = bounds_report(spec, model, horizon)
+        spec, model, _, bracket, bounds = _evaluate(cfg, horizon, tail)
         verdict = classify(spec, model, classify_horizon)
         row.update(
             {
@@ -412,14 +425,7 @@ def _sweep_point(payload) -> dict:
             }
         )
     except RenewpercError as exc:
-        row.update(
-            {
-                "bracket_lo": None, "bracket_hi": None, "tail_method": None,
-                "certified": None, "jensen_upper": None, "fkg_upper": None,
-                "concentration_lower": None, "verdict": None,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        )
+        row.update(dict.fromkeys(_SWEEP_FIELDS), error=f"{type(exc).__name__}: {exc}")
     return row
 
 
@@ -448,10 +454,7 @@ def cmd_sweep(cfg: dict, schema: str) -> int:
             rows = list(pool.map(_sweep_point, payloads))
     else:
         rows = [_sweep_point(p) for p in payloads]
-    fields = ["schema"] + keys + [
-        "bracket_lo", "bracket_hi", "tail_method", "certified",
-        "jensen_upper", "fkg_upper", "concentration_lower", "verdict", "error",
-    ]
+    fields = ["schema", *keys, *_SWEEP_FIELDS]
     for row in rows:
         row["schema"] = schema
     _write_rows(cfg["out"], fields, rows, cfg["format"])

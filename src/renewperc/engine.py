@@ -26,17 +26,20 @@ Sites with alpha_i = 0 annihilate the Jensen product and are excluded
 from the concentration exponent (alpha^xi <= 1 on those coordinates keeps
 the inequality valid); all exponent products are accumulated in log space.
 
-Tail certification: the bracket's lower endpoint is certified only when
-the concentration terms were summed to numerical exhaustion (explicit
-terms plus a geometric remainder below 1e-15 of the denominator).
-Geometric extrapolation of the last decade of S is reported with
-certified=False, except in the exact case S_N = 0, where the tail is
-identically zero because S is nonincreasing.
+The bracket's lo and concentration_lower share one tail bound (the
+concentration terms for n = N+1..secondary plus a geometric remainder)
+and are both (1 + head + tail)^(-1); they differ only in their head, the
+exact S_1..S_N against its per-term concentration bounds.  That tail is
+certified only when summed to numerical exhaustion (last term and
+remainder below 1e-15 of 1 + head).  Geometric extrapolation of the last
+decade of S is reported with certified=False, except in the exact case
+S_N = 0, where the tail is identically zero because S is nonincreasing.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -150,18 +153,28 @@ class PercolationBracket:
     notes: tuple = ()
 
 
-@functools.lru_cache(maxsize=16)
-def _law_tables(spec: QSequence, horizon: int, secondary: int) -> tuple:
-    """Read-only renewal probabilities u_0..u_N and coalescence constants C_0..C_secondary.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    Keyed by value, so the bracket and the bounds of one run, and the
-    sweep points that share a law, build each table once.
-    """
-    u = renewal_probabilities(spec, horizon).u
-    c = ck_sequence(spec, secondary).c
-    u.setflags(write=False)
-    c.setflags(write=False)
-    return u, c
+
+# Keyed by value, so the bracket and the bounds of one run, and the sweep
+# points that share a law, build each table once.
+@functools.lru_cache(maxsize=16)
+def _renewal_table(spec: QSequence, horizon: int) -> np.ndarray:
+    """Read-only renewal probabilities u_0..u_N."""
+    return _frozen(renewal_probabilities(spec, horizon).u)
+
+
+@functools.lru_cache(maxsize=16)
+def _ck_table(spec: QSequence, kmax: int) -> np.ndarray:
+    """Read-only coalescence constants C_0..C_kmax (C_0 = nan)."""
+    return _frozen(ck_sequence(spec, kmax).c)
+
+
+def _coverage(terms: np.ndarray) -> float:
+    """The coverage probability (1 + sum(terms))^(-1) of a series of S_n values or bounds."""
+    return 1.0 / (1.0 + float(terms.sum()))
 
 
 def _geometric_remainder(terms: np.ndarray) -> Optional[float]:
@@ -179,64 +192,58 @@ def _geometric_remainder(terms: np.ndarray) -> Optional[float]:
     return last * r / (1.0 - r)
 
 
-def _complete_tail(terms: np.ndarray, scale: float):
-    """Sum explicit tail terms and close with a geometric remainder.
-
-    Returns (tail, certified, notes) or None when the terms show no decay
-    at the end of the window (divergence evidence).
-    """
-    if not np.isfinite(terms).all():
-        return None
-    explicit = float(terms.sum())
-    last = float(terms[-1])
-    if last == 0.0:
-        return explicit, True, ("tail terms vanish within the secondary horizon",)
-    remainder = _geometric_remainder(terms)
-    if remainder is None:
-        return None
-    cutoff = 1e-15 * scale
-    certified = last < cutoff and remainder < cutoff
-    notes = ()
-    if not certified:
-        notes = ("tail completed geometrically beyond the secondary horizon",)
-    return explicit + remainder, certified, notes
-
-
-def _concentration_series(
+def _concentration_lower(
     spec: QSequence,
     model: RadiusModel,
     horizon: int,
     secondary: int,
+    head_sum: Optional[float] = None,
 ):
-    """Per-term concentration upper bounds on S_n.
+    """Returns (lower, certified, notes) for lower = (1 + head + tail)^(-1).
 
-    Returns (head, tail) with head[n-1] bounding S_n for n = 1..N and tail
-    bounding S_n for n = N+1..secondary, or None when every alpha within
-    the secondary horizon is zero (the exponent is undefined everywhere).
+    tail sums the per-term bounds S_n <= prod alpha_i^(u_{i+1}) *
+    exp(C_n sum_i (log alpha_i)^2) over n = N+1..secondary plus a geometric
+    remainder; head is ``head_sum`` (the bracket's exact partial sum) or,
+    when None, the same bounds summed over n = 1..N.  lower is None when
+    every alpha is zero (the exponent is undefined everywhere) and 0.0
+    when the terms overflow or show no decay.
 
     Beyond the computed renewal table the exponent uses a lower bound
     u_lb = min(window) - spread(window) for the renewal probabilities,
     which only weakens the bound; alpha_i = 0 coordinates are excluded.
     """
-    n2 = secondary
-    alph = model.alpha_array(n2)
+    alph = model.alpha_array(secondary)
     pos = alph > 0.0
     if not pos.any():
-        return None
-    log_a = np.zeros(n2)
+        return None, False, ("concentration bound unavailable: alpha identically zero",)
+    log_a = np.zeros(secondary)
     log_a[pos] = np.log(alph[pos])
-    u, c = _law_tables(spec, horizon, secondary)
+    u = _renewal_table(spec, horizon)
     window = u[max(1, horizon // 2) :]
     u_lb = max(0.0, float(window.min()) - float(window.max() - window.min()))
-    weights = np.empty(n2)
-    weights[:horizon] = u[1 : horizon + 1]
-    weights[horizon:] = u_lb
+    weights = np.full(secondary, u_lb)
+    weights[:horizon] = u[1:]
     lam = np.cumsum(weights * log_a)
     sig = np.cumsum(log_a * log_a)
     with np.errstate(over="ignore"):
-        head = np.exp(lam[:horizon] + c[1 : horizon + 1] * sig[:horizon])
-        tail = np.exp(lam[horizon:] + c[horizon + 1 :] * sig[horizon:])
-    return head, tail
+        terms = np.exp(lam + _ck_table(spec, secondary)[1:] * sig)
+        tail = terms[horizon:]
+        scale = 1.0 + (float(terms[:horizon].sum()) if head_sum is None else head_sum)
+        explicit = float(tail.sum())
+    if not math.isfinite(scale + explicit):
+        return 0.0, False, ("concentration terms overflow (exploding C_k)",)
+    last = float(tail[-1])
+    remainder = 0.0 if last == 0.0 else _geometric_remainder(tail)
+    if remainder is None:
+        return 0.0, False, ("concentration tail terms show no decay at the secondary horizon",)
+    cutoff = 1e-15 * scale
+    certified = last < cutoff and remainder < cutoff
+    notes = ()
+    if last == 0.0:
+        notes = ("tail terms vanish within the secondary horizon",)
+    elif not certified:
+        notes = ("tail completed geometrically beyond the secondary horizon",)
+    return 1.0 / (scale + (explicit + remainder)), certified, notes
 
 
 def _secondary_horizon(horizon: int, requested: Optional[int]) -> int:
@@ -268,9 +275,7 @@ def percolation_probability(
         raise ValidationError(f"tail must be one of {_TAIL_CHOICES}, got {tail!r}")
     n = gf.horizon
     secondary = _secondary_horizon(n, secondary_horizon)
-    partial = gf.partial_sum
-    hi = 1.0 / (1.0 + partial)
-    scale = 1.0 + partial
+    hi = _coverage(gf.S[1:])
     notes: list = []
 
     def bracket(lo: float, method: str, certified: bool) -> PercolationBracket:
@@ -288,17 +293,10 @@ def percolation_probability(
         return bracket(hi, TAIL_GEOMETRIC, True)
 
     if tail in ("auto", TAIL_CONCENTRATION):
-        series = _concentration_series(spec, model, n, secondary)
-        if series is None:
-            notes.append("concentration bound unavailable: alpha identically zero")
-        else:
-            completed = _complete_tail(series[1], scale)
-            if completed is None:
-                notes.append("concentration tail terms show no decay at the secondary horizon")
-            else:
-                tail_value, certified, extra = completed
-                notes.extend(extra)
-                return bracket(1.0 / (scale + tail_value), TAIL_CONCENTRATION, certified)
+        lower, certified, extra = _concentration_lower(spec, model, n, secondary, gf.partial_sum)
+        notes.extend(extra)
+        if lower:  # None or 0.0: unavailable or failed
+            return bracket(lower, TAIL_CONCENTRATION, certified)
         if tail == TAIL_CONCENTRATION:
             notes.append("warning: concentration tail failed; lower endpoint dropped to 0")
             return bracket(0.0, TAIL_NONE, False)
@@ -308,7 +306,12 @@ def percolation_probability(
         notes.append("warning: series not decaying at the horizon; lower endpoint dropped to 0")
         return bracket(0.0, TAIL_NONE, False)
     notes.append("tail extrapolated from the last decade of S")
-    return bracket(1.0 / (scale + remainder), TAIL_GEOMETRIC, False)
+    return bracket(1.0 / (1.0 + gf.partial_sum + remainder), TAIL_GEOMETRIC, False)
+
+
+def _iid_series(p: float, alph: np.ndarray) -> np.ndarray:
+    """S_1..S_N for i.i.d. marks of density p: prod_{i<n} [1 - p (1 - alpha_i)]."""
+    return np.cumprod(1.0 - p * (1.0 - alph))
 
 
 def iid_closed_form(
@@ -328,11 +331,7 @@ def iid_closed_form(
         raise ValidationError(f"p must lie in (0, 1], got {p!r}")
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    alph = model.alpha_array(horizon)
-    factors = 1.0 - p * (1.0 - alph)
-    S = np.empty(horizon + 1)
-    S[0] = 1.0
-    np.cumprod(factors, out=S[1:])
+    S = np.concatenate(([1.0], _iid_series(p, model.alpha_array(horizon))))
     gf = GfTable(S=S, horizon=horizon, partial_sum=float(S[1:].sum()))
     return percolation_probability(gf, ConstantQ(1.0 - p), model, tail=tail)
 
@@ -344,7 +343,7 @@ class BoundsReport:
     jensen_upper and fkg_upper truncate series of per-term lower bounds on
     S_n, so they are valid upper bounds at any horizon; concentration_lower
     needs its series summed to (near) convergence and is reported as 0.0
-    when the series shows no decay.  Optional entries are None when the
+    when its terms overflow or show no decay.  Optional entries are None when the
     bound does not apply (non-monotone law, all-zero alpha, non-constant q).
     """
 
@@ -374,49 +373,26 @@ def bounds_report(
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     n = horizon
     secondary = _secondary_horizon(n, secondary_horizon)
-    notes: list = []
-    u = _law_tables(spec, n, secondary)[0]
+    u = _renewal_table(spec, n)
     alph = model.alpha_array(n)
     pos = alph > 0.0
     with np.errstate(divide="ignore"):
         log_a_full = np.where(pos, np.log(np.where(pos, alph, 1.0)), -np.inf)
     with np.errstate(invalid="ignore"):
-        jensen_terms = np.exp(np.cumsum(u[1:] * log_a_full))
-    jensen_upper = 1.0 / (1.0 + float(jensen_terms.sum()))
+        jensen_upper = _coverage(np.exp(np.cumsum(u[1:] * log_a_full)))
 
     monotone = spec.is_monotone
     if fkg is True and not monotone:
         raise MonotonicityError("FKG bound requires a nondecreasing q sequence")
     fkg_upper = None
     if fkg is True or (fkg is None and monotone):
-        fkg_terms = np.cumprod(1.0 - u[1:] * (1.0 - alph))
-        fkg_upper = 1.0 / (1.0 + float(fkg_terms.sum()))
+        fkg_upper = _coverage(np.cumprod(1.0 - u[1:] * (1.0 - alph)))
 
-    concentration_lower = None
-    series = _concentration_series(spec, model, n, secondary)
-    if series is None:
-        notes.append("concentration bound skipped: alpha identically zero (log undefined)")
-    else:
-        head, tail_terms = series
-        if not np.isfinite(head).all():
-            concentration_lower = 0.0
-            notes.append("concentration terms overflow (exploding C_k); bound dropped to 0")
-        else:
-            completed = _complete_tail(tail_terms, 1.0 + float(head.sum()))
-            if completed is None:
-                concentration_lower = 0.0
-                notes.append("concentration series shows no decay; bound dropped to 0")
-            else:
-                tail_value, _, extra = completed
-                notes.extend(extra)
-                concentration_lower = 1.0 / (1.0 + float(head.sum()) + tail_value)
+    concentration_lower, _, notes = _concentration_lower(spec, model, n, secondary)
 
     iid_closed = None
-    if isinstance(spec, ConstantQ):
-        p = 1.0 - spec.q
-        if p > 0.0:
-            terms = np.cumprod(1.0 - p * (1.0 - alph))
-            iid_closed = 1.0 / (1.0 + float(terms.sum()))
+    if isinstance(spec, ConstantQ) and spec.q < 1.0:
+        iid_closed = _coverage(_iid_series(1.0 - spec.q, alph))
 
     return BoundsReport(
         jensen_upper=jensen_upper,
@@ -424,7 +400,7 @@ def bounds_report(
         concentration_lower=concentration_lower,
         iid_closed=iid_closed,
         horizon=n,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 

@@ -199,7 +199,13 @@ class InfiniteRadius(RadiusModel):
         return {"family": "infinite"}
 
 
-_R_FAMILIES = ("geometric_tail", "power_tail", "table", "infinite")
+# family -> (required keys, optional keys)
+_R_KEYS = {
+    "geometric_tail": (("r",), ()),
+    "power_tail": (("c", "gamma"), ("n0",)),
+    "table": (("p",), ()),
+    "infinite": ((), ()),
+}
 
 
 def radius_from_config(fragment: Mapping) -> RadiusModel:
@@ -215,17 +221,15 @@ def radius_from_config(fragment: Mapping) -> RadiusModel:
     if not isinstance(fragment, Mapping):
         raise ValidationError(f"radius fragment must be a mapping, got {type(fragment).__name__}")
     family = fragment.get("family")
-    if family not in _R_FAMILIES:
-        raise ValidationError(f"unknown radius family {family!r}; expected one of {_R_FAMILIES}")
-    expected = {
-        "geometric_tail": {"family", "r"},
-        "power_tail": {"family", "c", "gamma", "n0"},
-        "table": {"family", "p"},
-        "infinite": {"family"},
-    }[family]
-    extra = set(fragment) - expected
+    if family not in _R_KEYS:
+        raise ValidationError(f"unknown radius family {family!r}; expected one of {tuple(_R_KEYS)}")
+    required, optional = _R_KEYS[family]
+    extra = set(fragment) - {"family", *required, *optional}
     if extra:
         raise ValidationError(f"unknown keys in radius fragment: {sorted(extra)}")
+    missing = [key for key in required if key not in fragment]
+    if missing:
+        raise ValidationError(f"radius fragment for {family!r} is missing keys {missing}")
     if family == "geometric_tail":
         return GeometricTailRadius(r=fragment["r"])
     if family == "power_tail":
@@ -233,6 +237,8 @@ def radius_from_config(fragment: Mapping) -> RadiusModel:
             c=fragment["c"], gamma=fragment["gamma"], n0=check_int("n0", fragment.get("n0", 1))
         )
     if family == "table":
+        if not isinstance(fragment["p"], (list, tuple)):
+            raise ValidationError(f"table p must be a list, got {fragment['p']!r}")
         return FiniteTableRadius(p=tuple(fragment["p"]))
     return InfiniteRadius()
 

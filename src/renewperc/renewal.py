@@ -182,7 +182,7 @@ class TableQ(QSequence):
         object.__setattr__(
             self, "values", tuple(_check_probability("table entry", v) for v in self.values)
         )
-        if isinstance(self.tail, str) and self.tail != REPEAT_LAST:
+        if self.tail != REPEAT_LAST and not isinstance(self.tail, QSequence):
             raise ValidationError(f"unknown tail rule {self.tail!r}")
 
     def q_at(self, i: int) -> float:
@@ -219,7 +219,13 @@ class TableQ(QSequence):
         return {"family": "table", "q": list(self.values), "tail": tail}
 
 
-_Q_FAMILIES = ("constant", "markov", "poly_monotone", "table")
+# family -> (required keys, optional keys)
+_Q_KEYS = {
+    "constant": (("q",), ()),
+    "markov": (("q0", "q1"), ()),
+    "poly_monotone": (("beta",), ("i0",)),
+    "table": (("q",), ("tail",)),
+}
 
 
 def q_sequence_from_config(fragment: Mapping) -> QSequence:
@@ -237,23 +243,23 @@ def q_sequence_from_config(fragment: Mapping) -> QSequence:
     if not isinstance(fragment, Mapping):
         raise ValidationError(f"q-spec fragment must be a mapping, got {type(fragment).__name__}")
     family = fragment.get("family")
-    if family not in _Q_FAMILIES:
-        raise ValidationError(f"unknown q family {family!r}; expected one of {_Q_FAMILIES}")
-    expected = {
-        "constant": {"family", "q"},
-        "markov": {"family", "q0", "q1"},
-        "poly_monotone": {"family", "beta", "i0"},
-        "table": {"family", "q", "tail"},
-    }[family]
-    extra = set(fragment) - expected
+    if family not in _Q_KEYS:
+        raise ValidationError(f"unknown q family {family!r}; expected one of {tuple(_Q_KEYS)}")
+    required, optional = _Q_KEYS[family]
+    extra = set(fragment) - {"family", *required, *optional}
     if extra:
         raise ValidationError(f"unknown keys in q-spec fragment: {sorted(extra)}")
+    missing = [key for key in required if key not in fragment]
+    if missing:
+        raise ValidationError(f"q-spec fragment for {family!r} is missing keys {missing}")
     if family == "constant":
         return ConstantQ(q=fragment["q"])
     if family == "markov":
         return MarkovQ(q0=fragment["q0"], q1=fragment["q1"])
     if family == "poly_monotone":
         return PolynomialMonotoneQ(beta=fragment["beta"], i0=check_int("i0", fragment.get("i0", 2)))
+    if not isinstance(fragment["q"], (list, tuple)):
+        raise ValidationError(f"table q must be a list, got {fragment['q']!r}")
     tail = fragment.get("tail", REPEAT_LAST)
     if isinstance(tail, Mapping):
         tail = q_sequence_from_config(tail)

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from renewperc import cli
 from renewperc.cli import _build_parser, _resolve_config, main
 
 HAND_LAW = {
@@ -360,3 +361,56 @@ def test_sweep_invalid_grid_value_gives_error_row(tmp_path):
     bad, good = list(csv.DictReader(out.open()))
     assert bad["error"].startswith("ValidationError") and bad["bracket_lo"] == ""
     assert good["error"] == "" and float(good["bracket_lo"]) > 0.0
+
+
+# each family with exactly its required keys
+_REQUIRED_ONLY = {
+    "q": [{"family": "constant", "q": 0.5}, {"family": "markov", "q0": 0.3, "q1": 0.6},
+          {"family": "poly_monotone", "beta": 0.25}, {"family": "table", "q": [0.5]}],
+    "radius": [{"family": "geometric_tail", "r": 0.9}, {"family": "power_tail", "c": 3, "gamma": 1},
+               {"family": "table", "p": [0.5, 0.5]}],
+}
+_FRAGMENT_CASES = [
+    (root, {k: v for k, v in fragment.items() if k != key})
+    for root, fragments in _REQUIRED_ONLY.items()
+    for fragment in fragments
+    for key in fragment
+    if key != "family"
+] + [
+    ("q", {"family": "table", "q": 0.5}),
+    ("q", {"family": "table", "q": [0.5], "tail": 5}),
+    ("radius", {"family": "table", "p": 0.5}),
+]
+
+
+@pytest.mark.parametrize(
+    "root, fragment", _FRAGMENT_CASES, ids=[f"{r}-{json.dumps(f)}" for r, f in _FRAGMENT_CASES]
+)
+def test_missing_or_mistyped_fragment_keys_are_validation_errors(tmp_path, root, fragment):
+    cfg = _write_config(tmp_path, {**HAND_CONFIG, root: fragment})
+    assert main(["exact", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("exact", "format", "xml"),
+        ("sweep", "format", "xml"),
+        ("sweep", "tail", "abc"),
+        ("exact", "out", ""),
+        ("exact", "out", "{tmp}"),
+        ("bounds", "out", "{tmp}/missing/x.csv"),
+        ("verify", "out", "{tmp}"),
+    ],
+)
+def test_bad_choice_or_out_path_fails_before_computing(tmp_path, monkeypatch, command, key, value):
+    def compute(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr(cli, "gf_partial", compute)
+    monkeypatch.setattr(cli, "random_tiny_configs", compute)
+    cfg = _write_config(tmp_path, {**_TINY[command], key: value.format(tmp=tmp_path)})
+    argv = [command, "--config", str(cfg)]
+    if key != "out":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2

@@ -28,6 +28,7 @@ from renewperc import (
     random_tiny_configs,
     survival_products,
 )
+from renewperc import engine
 from renewperc.engine import (
     TAIL_CONCENTRATION,
     TAIL_GEOMETRIC,
@@ -332,6 +333,15 @@ def test_bounds_concentration_skipped_for_infinite_radius():
     report = bounds_report(ConstantQ(0.5), InfiniteRadius(), 50)
     assert report.concentration_lower is None
     assert any("alpha identically zero" in note for note in report.notes)
+
+
+def test_bounds_on_infinite_radius_never_builds_ck(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("C_k built for a bound that cannot use it")
+
+    monkeypatch.setattr(engine, "ck_sequence", build)
+    report = bounds_report(ConstantQ(0.4375), InfiniteRadius(), 321)
+    assert report.concentration_lower is None
 
 
 def test_bounds_fkg_gating():
