@@ -43,6 +43,8 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import __version__
 from .engine import (
     _TAIL_CHOICES,
@@ -83,19 +85,31 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write_rows(path: str, fieldnames, rows, fmt: str) -> None:
+def _cells(column):
+    """Lazy CSV text of one column; a float array skips the per-cell type test."""
+    if isinstance(column, np.ndarray):
+        return map("{:.17g}".format, column.tolist())
+    return map(_fmt, column)
+
+
+def _write_columns(path: str, fieldnames, columns, fmt: str) -> None:
+    """Write a table given as one list or float array per field."""
     out = Path(path)
     if fmt == "csv":
         with out.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _fmt(row.get(k)) for k in fieldnames})
+            writer = csv.writer(fh)
+            writer.writerow(fieldnames)
+            writer.writerows(zip(*map(_cells, columns)))
     else:
+        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
         with out.open("w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps({k: row.get(k) for k in fieldnames}, sort_keys=True))
+            for row in zip(*values):
+                fh.write(json.dumps(dict(zip(fieldnames, row)), sort_keys=True))
                 fh.write("\n")
+
+
+def _write_rows(path: str, fieldnames, rows, fmt: str) -> None:
+    _write_columns(path, fieldnames, [[row.get(k) for row in rows] for k in fieldnames], fmt)
 
 
 def _emit_summary(summary: dict, out_path: str) -> None:
@@ -157,21 +171,6 @@ def _resolve_config(command: str, args) -> dict:
     return merged
 
 
-def _series_rows(gf, dual, schema: str) -> list:
-    rows = []
-    for n in range(gf.horizon + 1):
-        rows.append(
-            {
-                "schema": schema,
-                "n": n,
-                "S_n": float(gf.S[n]),
-                "f_n": float(dual.f[n]),
-                "v_n": float(dual.v[n]),
-            }
-        )
-    return rows
-
-
 def _evaluate(cfg: dict, horizon: int, tail: str) -> tuple:
     """Law, radius, series, bracket and bounds of the config's q and radius fragments."""
     spec = q_sequence_from_config(cfg["q"])
@@ -187,7 +186,8 @@ def cmd_exact(cfg: dict, schema: str) -> int:
     spec, model, gf, bracket, bounds = _evaluate(cfg, horizon, cfg["tail"])
     dual = dual_law(gf, spec, model)
     verdict = classify(spec, model, max(4, horizon))
-    _write_rows(cfg["out"], ["schema", "n", "S_n", "f_n", "v_n"], _series_rows(gf, dual, schema), cfg["format"])
+    columns = [[schema] * (horizon + 1), list(range(horizon + 1)), gf.S, dual.f, dual.v]
+    _write_columns(cfg["out"], ["schema", "n", "S_n", "f_n", "v_n"], columns, cfg["format"])
     _emit_summary(
         {
             "command": "exact",

@@ -345,6 +345,7 @@ class BoundsReport:
     needs its series summed to (near) convergence and is reported as 0.0
     when its terms overflow or show no decay.  Optional entries are None when the
     bound does not apply (non-monotone law, all-zero alpha, non-constant q).
+    jensen_upper is the vacuous 1.0 when alpha_0 = 0, and notes say so.
     """
 
     jensen_upper: float
@@ -389,6 +390,8 @@ def bounds_report(
         fkg_upper = _coverage(np.cumprod(1.0 - u[1:] * (1.0 - alph)))
 
     concentration_lower, _, notes = _concentration_lower(spec, model, n, secondary)
+    if not pos[0]:  # alpha is a CDF: any zero alpha below N means alpha_0 = 0
+        notes = ("jensen_upper is vacuous (1.0): alpha_0 = 0 zeroes every Jensen term", *notes)
 
     iid_closed = None
     if isinstance(spec, ConstantQ) and spec.q < 1.0:

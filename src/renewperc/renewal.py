@@ -396,7 +396,10 @@ def markov_renewal_closed(q0: float, q1: float, i: int) -> float:
 # ---------------------------------------------------------------------------
 
 # Inner-sum terms prod_{i=k..k+j-1} q*_i are nonincreasing in j, so once a
-# term falls below this cutoff the remainder is at most k * cutoff.
+# term falls below this cutoff the remainder is at most k * cutoff; that
+# first term is still included.  As q* is nondecreasing, the j-th term is
+# nondecreasing in k, and so are its log-sums (rounding is monotone): the
+# rows k that ck_sequence still sums at step j form a suffix of k >= j.
 _CK_TERM_CUTOFF = 1e-18
 
 
@@ -448,6 +451,10 @@ class CoalescenceConstants:
 def ck_sequence(spec: QSequence, kmax: int) -> CoalescenceConstants:
     """All coalescence constants C_1..C_kmax plus the diagnostics C_k / k.
 
+    One sweep over j updates all k: the rows still summing form a suffix
+    lo..kmax, so a step is one slice add, one exp and one searchsorted,
+    and the total work equals that of summing each k on its own.
+
     C_k / k is the quantity whose boundedness separates the summable from
     the divergent regime in the concentration-based survival criterion.
     """
@@ -456,10 +463,18 @@ def ck_sequence(spec: QSequence, kmax: int) -> CoalescenceConstants:
     qs = q_star_array(spec, 2 * kmax)
     with np.errstate(divide="ignore"):
         log_qs = np.log(qs)
-    c = np.empty(kmax + 1)
+    limit = math.log(_CK_TERM_CUTOFF)
+    total = np.zeros(kmax + 1)
+    cum = np.zeros(kmax + 1)  # cum[k]: log of the j-th term of row k
+    term = np.empty(kmax + 1)
+    lo = j = 1
+    while lo <= kmax:
+        cum[lo:] += log_qs[lo + j - 1 : kmax + j]
+        total[lo:] += np.exp(cum[lo:], out=term[lo:])
+        j += 1
+        lo = max(lo + int(np.searchsorted(cum[lo:], limit, side="right")), j)
+    c = np.square(total, out=total)  # in place: a new array here grew peak RSS by ~4 MB
     c[0] = np.nan
-    for k in range(1, kmax + 1):
-        c[k] = _ck_inner_sum(log_qs, k) ** 2
     ratio = np.empty_like(c)
     ratio[0] = np.nan
     ratio[1:] = c[1:] / np.arange(1, kmax + 1)

@@ -335,6 +335,17 @@ def test_bounds_concentration_skipped_for_infinite_radius():
     assert any("alpha identically zero" in note for note in report.notes)
 
 
+@pytest.mark.parametrize(
+    "model, vacuous",
+    [(PowerLawTailRadius(3, 1, 1), True), (FiniteTableRadius((0.5, 0.5)), False)],
+    ids=repr,
+)
+def test_bounds_notes_say_when_jensen_is_vacuous(model, vacuous):
+    report = bounds_report(ConstantQ(0.5), model, 200)
+    assert (report.jensen_upper == 1.0) == vacuous
+    assert any("jensen_upper is vacuous" in note for note in report.notes) == vacuous
+
+
 def test_bounds_on_infinite_radius_never_builds_ck(monkeypatch):
     def build(*args, **kwargs):
         raise AssertionError("C_k built for a bound that cannot use it")

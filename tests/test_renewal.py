@@ -196,6 +196,31 @@ def test_ck_doeblin_family_is_bounded():
     assert np.all(table.c[1:] <= bound + 1e-12)
 
 
+CK_LAWS = [
+    ConstantQ(0.7),
+    MarkovQ(0.6, 0.3),  # raw q is not monotone
+    PolynomialMonotoneQ(0.25),
+    TableQ((0.9, 0.2, 0.5)),
+    TableQ((0.0, 0.0, 0.3)),  # log q* = -inf at the head
+    ConstantQ(0.999),  # no term reaches the cutoff: the j <= k cap binds
+]
+
+
+@pytest.mark.parametrize("kmax", [1, 2, 3000])
+@pytest.mark.parametrize("spec", CK_LAWS, ids=repr)
+def test_ck_sequence_matches_single_k(spec, kmax):
+    table = ck_sequence(spec, kmax)
+    assert table.c.shape == (kmax + 1,) and math.isnan(table.c[0])
+    for k in (1, 2, 3, 7, 128, 129, kmax):
+        if k <= kmax:
+            assert table.c[k] == pytest.approx(ck_at(spec, k), rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("spec", CK_LAWS, ids=repr)
+def test_ck_sequence_prefix_is_stable(spec):
+    assert np.array_equal(ck_sequence(spec, 500).c[1:], ck_sequence(spec, 3000).c[1:501])
+
+
 def test_sample_path_all_marks_when_q_zero():
     rng = np.random.default_rng(7)
     path = sample_path(TableQ((0.0,)), 500, rng)
