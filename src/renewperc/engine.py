@@ -6,12 +6,15 @@ The central object is the partial generating-function series
 
 computed exactly in renewal form: the weighted mass at house-of-cards
 height 0 solves g_n = alpha_{n-1} * sum_k P(T=k) g_{n-k} (``renewal_solve``,
-the kernel that also gives u and v), height s after site n holds
-g_{n-s} P(T > s), and so S = g * P(T > .).  The series has three faces:
+the blocked O(N K) kernel, K the last k with P(T=k) > 0 in floating point,
+that also gives u and v), height s after site n holds g_{n-s} P(T > s),
+and so S = g * P(T > .).  The series has three faces:
 
 * dual law: S_{n} is the survival function P(T_Y >= n+1) of the
   inter-arrival time of the dual relay process, so f_k = S_{k-1} - S_k is
-  its pmf and the dual occupancy v_n follows the renewal recursion;
+  its pmf, computed without the subtraction as (1 - alpha_{k-1}) times the
+  sum that g_k scales, and the dual occupancy v_n follows the renewal
+  recursion;
 * coverage probability: P(cover all of N) = (1 + sum_{n>=1} S_n)^(-1),
   so the truncated sum gives the rigorous upper endpoint
   hi = (1 + partial_sum)^(-1) for free, and any upper bound on the tail
@@ -76,9 +79,14 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class GfTable:
-    """The series S_0..S_N; S is nonincreasing with S_0 = 1."""
+    """The series S_0..S_N (nonincreasing, S_0 = 1) and the dual pmf f_0..f_N.
+
+    dual_pmf[n] = S_{n-1} - S_n for n >= 1 (dual_pmf[0] = 0), formed
+    without the subtraction (see gf_partial).
+    """
 
     S: np.ndarray
+    dual_pmf: np.ndarray
     horizon: int
     partial_sum: float
 
@@ -86,25 +94,40 @@ class GfTable:
 def gf_partial(spec: QSequence, model: RadiusModel, horizon: int) -> GfTable:
     """Exact S_1..S_N from the weighted renewal mass g and P(T > s).
 
-    g = renewal_solve(P(T = .), alpha) and S = g * P(T > .); O(N^2) time,
-    O(N) space, exact up to floating rounding.
+    g = renewal_solve(P(T = .), alpha) costs O(N K) for P(T = .)
+    supported on 1..K, and S = g * P(T > .) by direct convolution.  In
+    floating point P(T > s) is constant from some s0 on: 0 once the
+    products drain, or a stalled subnormal c where q > 0.5 (q * c rounds
+    back to c).  Only s < s0 is convolved and the constant tail adds
+    c * (g_0 + ... + g_{n-s0}) to S_n, so no term is dropped and the cost
+    is O(N s0).  The dual pmf is f_n = (1 - alpha_{n-1}) h_n with
+    h = P(T = .) * g, the sum that g_n = alpha_{n-1} h_n scales; unlike
+    S_{n-1} - S_n it is exactly 0 where S is flat.  O(N) space.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    g = renewal_solve(interarrival(spec, horizon).pmf, model.alpha_array(horizon))
+    pmf = interarrival(spec, horizon).pmf
+    alpha = model.alpha_array(horizon)
+    g = renewal_solve(pmf, alpha)
+    surv = survival_products(spec, horizon)
+    s0 = np.count_nonzero(surv > surv[-1])
     # direct summation: FFT convolution loses ~1e-7 relative accuracy on
     # the small S_n that the tail fits and the 1e-12 exact checks rely on
-    S = np.convolve(g, survival_products(spec, horizon))[: horizon + 1]
-    return GfTable(S=S, horizon=horizon, partial_sum=float(S[1:].sum()))
+    S = np.convolve(g, surv[:s0])[: horizon + 1]
+    S[s0:] += surv[-1] * np.cumsum(g[: horizon + 1 - s0])
+    f = np.convolve(g, pmf[: np.flatnonzero(pmf)[-1] + 1])[: horizon + 1]
+    f[1:] *= 1.0 - alpha
+    return GfTable(S=S, dual_pmf=f, horizon=horizon, partial_sum=float(S[1:].sum()))
 
 
 @dataclass(frozen=True)
 class DualLaw:
     """Inter-arrival pmf f and occupancy v of the dual relay process.
 
-    f[k] = P(T_Y = k) = S_{k-1} - S_k (f[0] is zero-padding) and v_n
-    solves the renewal recursion v_n = sum_k f_k v_{n-k} with v_0 = 1, so
-    v_n = P(site n is reached) equals the forward connectivity P(0 <-> n).
+    f[k] = P(T_Y = k) = S_{k-1} - S_k (f[0] is zero-padding; the table's
+    dual_pmf) and v_n solves the renewal recursion v_n = sum_k f_k v_{n-k}
+    with v_0 = 1, so v_n = P(site n is reached) equals the forward
+    connectivity P(0 <-> n).
     """
 
     f: np.ndarray
@@ -120,13 +143,7 @@ def dual_law(gf: GfTable, spec: QSequence, model: RadiusModel) -> DualLaw:
     closed form P(T_Y = 1) = (1 - q_0)(1 - alpha_0) is re-derived and any
     disagreement beyond 1e-10 raises.
     """
-    S = gf.S
-    f = np.empty_like(S)
-    f[0] = 0.0
-    np.subtract(S[:-1], S[1:], out=f[1:])
-    if f[1:].size and float(f[1:].min()) < -1e-12:
-        raise InternalConsistencyError("series is not nonincreasing: negative dual pmf mass")
-    np.maximum(f, 0.0, out=f)
+    f = gf.dual_pmf
     closed = (1.0 - spec.q_at(0)) * (1.0 - model.alpha(0))
     if abs(f[1] - closed) > 1e-10:
         raise InternalConsistencyError(
@@ -331,8 +348,10 @@ def iid_closed_form(
         raise ValidationError(f"p must lie in (0, 1], got {p!r}")
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    S = np.concatenate(([1.0], _iid_series(p, model.alpha_array(horizon))))
-    gf = GfTable(S=S, horizon=horizon, partial_sum=float(S[1:].sum()))
+    alph = model.alpha_array(horizon)
+    S = np.concatenate(([1.0], _iid_series(p, alph)))
+    f = np.concatenate(([0.0], S[:-1] * p * (1.0 - alph)))
+    gf = GfTable(S=S, dual_pmf=f, horizon=horizon, partial_sum=float(S[1:].sum()))
     return percolation_probability(gf, ConstantQ(1.0 - p), model, tail=tail)
 
 

@@ -60,10 +60,14 @@ def test_gf_point_interval_radius():
     assert np.allclose(gf.S[1:], 0.5, atol=1e-14)
 
 
-def test_gf_infinite_radius_gives_pure_products():
-    spec = MarkovQ(0.3, 0.6)
-    gf = gf_partial(spec, InfiniteRadius(), 30)
-    assert np.allclose(gf.S, survival_products(spec, 30), atol=1e-14)
+# at 5000 the products of MarkovQ(0.3, 0.6) have stalled at the smallest
+# subnormal for thousands of terms, and those of ConstantQ(0.4) are 0
+@pytest.mark.parametrize(
+    "spec, horizon", [(MarkovQ(0.3, 0.6), 30), (MarkovQ(0.3, 0.6), 5000), (ConstantQ(0.4), 5000)]
+)
+def test_gf_infinite_radius_gives_pure_products(spec, horizon):
+    gf = gf_partial(spec, InfiniteRadius(), horizon)
+    assert np.array_equal(gf.S, survival_products(spec, horizon))
 
 
 def test_gf_nonincreasing_on_random_configs():
@@ -134,6 +138,30 @@ def test_dual_dies_when_radius_zero():
     assert np.allclose(dual.f[1:], 0.0, atol=1e-15)
     assert np.allclose(dual.v[1:], 0.0, atol=1e-15)
     assert dual.v[0] == 1.0
+
+
+def test_dual_pmf_is_exactly_zero_where_the_series_is_flat():
+    # alpha_i = 1 for i >= 2, so S_2 = S_3 = ... and f_k = 0 for k >= 3
+    spec = TableQ((0.9, 0.2, 0.5))
+    gf = gf_partial(spec, HAND_MODEL, 200)
+    dual = dual_law(gf, spec, HAND_MODEL)
+    assert dual.f[1] > 0.0 and dual.f[2] > 0.0
+    assert np.all(dual.f[3:] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "spec, model",
+    [
+        (HAND_SPEC, GeometricTailRadius(0.9)),
+        (PolynomialMonotoneQ(0.25), PowerLawTailRadius(3.0, 1.0, 1)),
+        (ConstantQ(0.6), PowerLawTailRadius(2.0, 1.0, 1)),
+    ],
+)
+def test_dual_pmf_matches_series_differences(spec, model):
+    gf = gf_partial(spec, model, 3000)
+    assert gf.dual_pmf[0] == 0.0
+    diff = gf.S[:-1] - gf.S[1:]
+    assert np.all(np.abs(gf.dual_pmf[1:] - diff) <= 1e-14 * gf.S[:-1] + 1e-300)
 
 
 def test_dual_hand_value():

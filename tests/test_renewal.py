@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renewperc import (
     ConstantQ,
+    InfiniteRadius,
     MarkovQ,
     PolynomialMonotoneQ,
     TableQ,
@@ -20,7 +21,7 @@ from renewperc import (
     renewal_probabilities,
     survival_products,
 )
-from renewperc.renewal import q_star, sample_path
+from renewperc.renewal import q_star, renewal_solve, sample_path
 
 SPECS = [
     ConstantQ(0.5),
@@ -115,6 +116,84 @@ def test_interarrival_mass_conservation(spec, horizon):
     assert math.fsum(summary.pmf[1:]) + leftover == pytest.approx(1.0, abs=5e-13)
 
 
+def _running_sum_mean(spec, horizon, tol):
+    """The mean as a running sum 1 + P(T>1) + ..., stopping after the first term below tol."""
+    surv = survival_products(spec, horizon)
+    mean = 1.0
+    for n in range(1, horizon + 1):
+        mean += surv[n]
+        if surv[n] < tol:
+            return mean, True
+    return mean, False
+
+
+@pytest.mark.parametrize("horizon,tol", [(50, 1e-12), (1000, 1e-15), (5000, 1e-12), (20_000, 1e-14)])
+@pytest.mark.parametrize(
+    "spec", SPECS + [ConstantQ(0.999), ConstantQ(1.0), TableQ((0.0,))], ids=repr
+)
+def test_interarrival_mean_is_the_running_sum(spec, horizon, tol):
+    summary = interarrival(spec, horizon, tol)
+    assert (summary.mean, summary.converged) == _running_sum_mean(spec, horizon, tol)
+
+
+def _reference_solve(f, mult=None):
+    """g_0 = 1, g_n = mult[n-1] * sum_{k=1..n} f_k g_{n-k}, each sum by math.fsum."""
+    g = np.zeros(len(f))
+    g[0] = 1.0
+    for n in range(1, len(f)):
+        h = math.fsum((f[1 : n + 1] * g[n - 1 :: -1]).tolist())
+        g[n] = h if mult is None else mult[n - 1] * h
+    return g
+
+
+def _assert_matches_reference(f, mult=None):
+    got, want = renewal_solve(f, mult), _reference_solve(f, mult)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-300)
+
+
+# f with support 1..3, support up to ~600 (drains to exact zeros), full
+# support, no mass at all, and all mass at 1
+KERNEL_LAWS = {
+    "short": TableQ((0.3, 0.6, 0.0)),
+    "drains": ConstantQ(0.3),
+    "full": PolynomialMonotoneQ(0.25),
+    "unit": TableQ((0.0,)),
+}
+
+
+@pytest.mark.parametrize("mult_kind", ["none", "random", "zeros"])
+@pytest.mark.parametrize("kind", [*KERNEL_LAWS, "zeros"])
+@pytest.mark.parametrize("horizon", [1, 127, 128, 129, 257, 3000])
+def test_renewal_solve_matches_reference(horizon, kind, mult_kind):
+    f = np.zeros(horizon + 1) if kind == "zeros" else interarrival(KERNEL_LAWS[kind], horizon).pmf
+    mult = {
+        "none": None,
+        "random": np.random.default_rng(horizon).random(horizon),
+        "zeros": InfiniteRadius().alpha_array(horizon),
+    }[mult_kind]
+    _assert_matches_reference(f, mult)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 400),
+    st.integers(1, 400),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_renewal_solve_random_kernels(horizon, support, mass, scaled, seed):
+    rng = np.random.default_rng(seed)
+    f = np.zeros(horizon + 1)
+    k = min(support, horizon)
+    f[1 : k + 1] = rng.random(k) * (rng.random(k) < 0.7)
+    total = f.sum()
+    if total > 0.0:
+        f *= mass / total
+    _assert_matches_reference(f, rng.random(horizon) if scaled else None)
+
+
 def test_renewal_probabilities_constant():
     table = renewal_probabilities(ConstantQ(0.5), 40)
     assert table.u[0] == 1.0
@@ -154,6 +233,24 @@ def test_renewal_recursion_recheck_by_direct_convolution(spec):
     for n in range(1, horizon + 1):
         direct = math.fsum(pmf[k] * table.u[n - k] for k in range(1, n + 1))
         assert table.u[n] == pytest.approx(direct, abs=1e-12)
+
+
+LARGE_N = 20_000
+
+
+@pytest.mark.parametrize("q", [round(0.05 * i, 2) for i in range(1, 20)])
+def test_renewal_probabilities_constant_large_horizon(q):
+    u = renewal_probabilities(ConstantQ(q), LARGE_N).u
+    assert u[0] == 1.0
+    assert np.max(np.abs(u[1:] - (1.0 - q))) <= 1e-11 * (1.0 - q)
+
+
+@pytest.mark.parametrize("q1", [0.2, 0.6, 0.9])
+@pytest.mark.parametrize("q0", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_renewal_probabilities_markov_large_horizon(q0, q1):
+    u = renewal_probabilities(MarkovQ(q0, q1), LARGE_N).u
+    closed = np.array([markov_renewal_closed(q0, q1, i) for i in range(LARGE_N + 1)])
+    assert np.max(np.abs(u - closed) / closed) <= 1e-11
 
 
 def test_markov_closed_examples():
