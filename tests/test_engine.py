@@ -60,14 +60,18 @@ def test_gf_point_interval_radius():
     assert np.allclose(gf.S[1:], 0.5, atol=1e-14)
 
 
+def test_gf_infinite_radius_gives_pure_products():
+    spec = MarkovQ(0.3, 0.6)
+    gf = gf_partial(spec, InfiniteRadius(), 30)
+    assert np.allclose(gf.S, survival_products(spec, 30), atol=1e-14)
+
+
 # at 5000 the products of MarkovQ(0.3, 0.6) have stalled at the smallest
 # subnormal for thousands of terms, and those of ConstantQ(0.4) are 0
-@pytest.mark.parametrize(
-    "spec, horizon", [(MarkovQ(0.3, 0.6), 30), (MarkovQ(0.3, 0.6), 5000), (ConstantQ(0.4), 5000)]
-)
-def test_gf_infinite_radius_gives_pure_products(spec, horizon):
-    gf = gf_partial(spec, InfiniteRadius(), horizon)
-    assert np.array_equal(gf.S, survival_products(spec, horizon))
+@pytest.mark.parametrize("spec", [MarkovQ(0.3, 0.6), ConstantQ(0.4)], ids=repr)
+def test_gf_keeps_the_constant_tail_of_the_products(spec):
+    gf = gf_partial(spec, InfiniteRadius(), 5000)
+    assert np.array_equal(gf.S, survival_products(spec, 5000))
 
 
 def test_gf_nonincreasing_on_random_configs():
