@@ -16,15 +16,18 @@ horizons, seed, command options); command-line flags override it.  Unknown
 keys, and flags the command does not read, are rejected.  Integer, float
 and string fields must match the type of their default (integral floats
 such as 1e4 count as integers); ``format`` and ``tail`` must be one of
-their choices and ``out`` must name a file in an existing directory, all
+their choices, bounded numbers (``horizon``, ``workers``, ``n_max`` ...) at
+least their minimum and ``out`` a file in an existing directory, all
 checked before any computation.  ``verify`` writes a CSV only when given
 an ``out`` path.
 
-CSV output is RFC-4180 style (UTF-8, CRLF, mandatory header row) and
-carries a schema-id column; randomized commands embed the seed in every
-row.  Runs are deterministic: the same config file yields a byte-identical
-CSV, so wall-clock runtime is reported only in the JSON summary, never in
-CSV rows.
+CSV output is RFC-4180 style (UTF-8, CRLF after every row, header row).
+The writer fills the first column with the schema id (a ``schema`` key in
+jsonl), floats as ``%.17g`` and None as empty cells, and quotes a cell
+holding a comma, quote, CR or LF as csv.writer's QUOTE_MINIMAL does.
+Randomized commands embed the seed in every row.  Runs are deterministic:
+the same config file yields a byte-identical CSV, so wall-clock runtime is
+reported only in the JSON summary, never in CSV rows.
 
 Exit codes: 0 ok, 1 usage, 2 validation, 3 verification failure.
 """
@@ -32,7 +35,6 @@ Exit codes: 0 ok, 1 usage, 2 validation, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -68,6 +70,9 @@ _FLAGS = ("seed", "horizon", "reps", "out", "format", "tail", "configs", "exact_
 _FORMATS = ("csv", "jsonl")
 # string fields restricted to a fixed set of values
 _CHOICES = {"format": _FORMATS, "tail": _TAIL_CHOICES}
+# number fields with a lower bound (tiny configs need n >= 2 sites and radius support >= 1)
+_MINIMUMS = {"horizon": 1, "classify_horizon": 4, "workers": 1, "n_max": 2, "support_max": 1,
+             "exact_tol": 0.0}
 
 
 class _UsageError(Exception):
@@ -79,37 +84,43 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value) -> str:
+def _cell(value) -> str:
+    """CSV text of one value: floats as %.17g, None empty, quoted as QUOTE_MINIMAL."""
     if isinstance(value, float):
         return format(value, ".17g")
-    return "" if value is None else str(value)
+    text = "" if value is None else str(value)
+    if set(text).isdisjoint(',"\r\n'):
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _cells(column):
-    """Lazy CSV text of one column; a float array skips the per-cell type test."""
+    """Lazy CSV text of one column; an array's numbers need no type test or quoting."""
     if isinstance(column, np.ndarray):
-        return map("{:.17g}".format, column.tolist())
-    return map(_fmt, column)
+        return map("{:.17g}".format if column.dtype.kind == "f" else str, column.tolist())
+    return map(_cell, column)
 
 
-def _write_columns(path: str, fieldnames, columns, fmt: str) -> None:
-    """Write a table given as one list or float array per field."""
-    out = Path(path)
+def _write_columns(path: str, schema: str, fieldnames, columns, fmt: str) -> None:
+    """Write a table given as one list or array per field, after a constant schema column."""
+    keys = ["schema", *fieldnames]
+    nrows = len(columns[0])
     if fmt == "csv":
-        with out.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(fieldnames)
-            writer.writerows(zip(*map(_cells, columns)))
+        cells = zip(itertools.repeat(_cell(schema), nrows), *map(_cells, columns))
+        text = "\r\n".join([",".join(map(_cell, keys)), *map(",".join, cells), ""])
+        with Path(path).open("w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     else:
         values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-        with out.open("w", encoding="utf-8") as fh:
-            for row in zip(*values):
-                fh.write(json.dumps(dict(zip(fieldnames, row)), sort_keys=True))
+        with Path(path).open("w", encoding="utf-8") as fh:
+            for row in zip(itertools.repeat(schema, nrows), *values):
+                fh.write(json.dumps(dict(zip(keys, row)), sort_keys=True))
                 fh.write("\n")
 
 
-def _write_rows(path: str, fieldnames, rows, fmt: str) -> None:
-    _write_columns(path, fieldnames, [[row.get(k) for row in rows] for k in fieldnames], fmt)
+def _write_rows(path: str, schema: str, fieldnames, rows, fmt: str) -> None:
+    columns = [[row.get(k) for row in rows] for k in fieldnames]
+    _write_columns(path, schema, fieldnames, columns, fmt)
 
 
 def _emit_summary(summary: dict, out_path: str) -> None:
@@ -159,6 +170,9 @@ def _resolve_config(command: str, args) -> dict:
     for key, choices in _CHOICES.items():
         if key in merged and merged[key] not in choices:
             raise ValidationError(f"{key} must be one of {choices}, got {merged[key]!r}")
+    for key, low in _MINIMUMS.items():
+        if key in merged and merged[key] < low:
+            raise ValidationError(f"{key} must be >= {low}, got {merged[key]!r}")
     # an empty out is allowed only where it is the default (verify: no CSV)
     if merged["out"] or entry.defaults["out"]:
         out = Path(merged["out"])
@@ -186,8 +200,8 @@ def cmd_exact(cfg: dict, schema: str) -> int:
     spec, model, gf, bracket, bounds = _evaluate(cfg, horizon, cfg["tail"])
     dual = dual_law(gf, spec, model)
     verdict = classify(spec, model, max(4, horizon))
-    columns = [[schema] * (horizon + 1), list(range(horizon + 1)), gf.S, dual.f, dual.v]
-    _write_columns(cfg["out"], ["schema", "n", "S_n", "f_n", "v_n"], columns, cfg["format"])
+    columns = [np.arange(horizon + 1), gf.S, dual.f, dual.v]
+    _write_columns(cfg["out"], schema, ["n", "S_n", "f_n", "v_n"], columns, cfg["format"])
     _emit_summary(
         {
             "command": "exact",
@@ -214,7 +228,6 @@ def cmd_bounds(cfg: dict, schema: str) -> int:
     horizon = cfg["horizon"]
     _, _, _, bracket, bounds = _evaluate(cfg, horizon, "auto")
     row = {
-        "schema": schema,
         "horizon": horizon,
         "bracket_lo": bracket.lo,
         "bracket_hi": bracket.hi,
@@ -223,7 +236,7 @@ def cmd_bounds(cfg: dict, schema: str) -> int:
         "concentration_lower": bounds.concentration_lower,
         "iid_closed": bounds.iid_closed,
     }
-    _write_rows(cfg["out"], list(row.keys()), [row], cfg["format"])
+    _write_rows(cfg["out"], schema, list(row.keys()), [row], cfg["format"])
     _emit_summary(
         {
             "command": "bounds",
@@ -237,10 +250,9 @@ def cmd_bounds(cfg: dict, schema: str) -> int:
     return 0
 
 
-def _sim_rows(schema: str, reports) -> list:
+def _sim_rows(reports) -> list:
     return [
         {
-            "schema": schema,
             "version": __version__,
             "seed": rep.seed,
             "target": rep.target,
@@ -261,9 +273,9 @@ def _cmd_sim(command: str, cfg: dict, schema: str, runner) -> int:
     model = radius_from_config(cfg["radius"])
     sites = cfg["n"] if isinstance(cfg["n"], list) else [cfg["n"]]
     reports = [runner(spec, model, n, cfg["reps"], cfg["seed"]) for n in sites]
-    fields = ["schema", "version", "seed", "target", "n", "reps", "estimate", "stderr",
-              "wilson_low", "wilson_high"]
-    _write_rows(cfg["out"], fields, _sim_rows(schema, reports), cfg["format"])
+    fields = ["version", "seed", "target", "n", "reps", "estimate", "stderr", "wilson_low",
+              "wilson_high"]
+    _write_rows(cfg["out"], schema, fields, _sim_rows(reports), cfg["format"])
     _emit_summary(
         {
             "command": command,
@@ -295,7 +307,6 @@ def cmd_coupling(cfg: dict, schema: str) -> int:
     report = simulate_coupling(spec, delays, cfg["coupling_horizon"], cfg["reps"], cfg["seed"])
     rows = [
         {
-            "schema": schema,
             "version": __version__,
             "seed": report.seed,
             "target": report.target,
@@ -308,9 +319,9 @@ def cmd_coupling(cfg: dict, schema: str) -> int:
         }
         for i, j in enumerate(report.j_grid)
     ]
-    fields = ["schema", "version", "seed", "target", "delays", "j", "survival", "stderr",
-              "wilson_low", "wilson_high"]
-    _write_rows(cfg["out"], fields, rows, cfg["format"])
+    fields = ["version", "seed", "target", "delays", "j", "survival", "stderr", "wilson_low",
+              "wilson_high"]
+    _write_rows(cfg["out"], schema, fields, rows, cfg["format"])
     _emit_summary(
         {
             "command": "coupling",
@@ -358,7 +369,6 @@ def cmd_verify(cfg: dict, schema: str) -> int:
         )
         rows.append(
             {
-                "schema": schema,
                 "version": __version__,
                 "seed": seed,
                 "config_index": idx,
@@ -374,10 +384,9 @@ def cmd_verify(cfg: dict, schema: str) -> int:
             }
         )
     if cfg["out"]:
-        fields = ["schema", "version", "seed", "config_index", "n", "oracle_connectivity",
-                  "oracle_dual", "forward_dp", "dual_v", "mc_connectivity", "mc_dual",
-                  "exact_max_diff", "status"]
-        _write_rows(cfg["out"], fields, rows, cfg["format"])
+        fields = ["version", "seed", "config_index", "n", "oracle_connectivity", "oracle_dual",
+                  "forward_dp", "dual_v", "mc_connectivity", "mc_dual", "exact_max_diff", "status"]
+        _write_rows(cfg["out"], schema, fields, rows, cfg["format"])
     runtime = time.perf_counter() - started
     print(
         f"verify: {len(configs) - failures}/{len(configs)} configs passed "
@@ -454,10 +463,7 @@ def cmd_sweep(cfg: dict, schema: str) -> int:
             rows = list(pool.map(_sweep_point, payloads))
     else:
         rows = [_sweep_point(p) for p in payloads]
-    fields = ["schema", *keys, *_SWEEP_FIELDS]
-    for row in rows:
-        row["schema"] = schema
-    _write_rows(cfg["out"], fields, rows, cfg["format"])
+    _write_rows(cfg["out"], schema, [*keys, *_SWEEP_FIELDS], rows, cfg["format"])
     _emit_summary(
         {
             "command": "sweep",

@@ -1,10 +1,16 @@
 import csv
+import io
 import json
 import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from renewperc import cli
+from renewperc import cli, dual_law, gf_partial, q_sequence_from_config, radius_from_config
 from renewperc.cli import _build_parser, _resolve_config, main
 
 HAND_LAW = {
@@ -401,6 +407,13 @@ def test_missing_or_mistyped_fragment_keys_are_validation_errors(tmp_path, root,
         ("exact", "out", "{tmp}"),
         ("bounds", "out", "{tmp}/missing/x.csv"),
         ("verify", "out", "{tmp}"),
+        ("sweep", "horizon", 0),
+        ("sweep", "classify_horizon", 3),
+        ("sweep", "workers", 0),
+        ("sweep", "workers", -2),
+        ("verify", "n_max", 1),
+        ("verify", "support_max", 0),
+        ("verify", "exact_tol", -1e-12),
     ],
 )
 def test_bad_choice_or_out_path_fails_before_computing(tmp_path, monkeypatch, command, key, value):
@@ -409,8 +422,74 @@ def test_bad_choice_or_out_path_fails_before_computing(tmp_path, monkeypatch, co
 
     monkeypatch.setattr(cli, "gf_partial", compute)
     monkeypatch.setattr(cli, "random_tiny_configs", compute)
-    cfg = _write_config(tmp_path, {**_TINY[command], key: value.format(tmp=tmp_path)})
+    if isinstance(value, str):
+        value = value.format(tmp=tmp_path)
+    cfg = _write_config(tmp_path, {**_TINY[command], key: value})
     argv = [command, "--config", str(cfg)]
     if key != "out":
         argv += ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
+
+
+def _csv_writer_bytes(schema, fieldnames, columns) -> bytes:
+    """Reference rendering: csv.writer rows of (schema, *cells), floats as %.17g."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["schema", *fieldnames])
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    for row in zip(*values):
+        writer.writerow([schema, *(format(v, ".17g") if isinstance(v, float) else v for v in row)])
+    return buf.getvalue().encode("utf-8")
+
+
+_CELL_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é", "\u2028"]), max_size=6)
+_SPECIAL_FLOATS = st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324])
+_CELL = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _SPECIAL_FLOATS,
+                  _CELL_TEXT, st.text(st.characters(codec="utf-8"), max_size=4))
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(0, 6))
+    width = draw(st.integers(1, 4))
+
+    def sized(elements):
+        return st.lists(elements, min_size=rows, max_size=rows)
+
+    column = st.one_of(
+        sized(_CELL),
+        sized(st.one_of(st.floats(), _SPECIAL_FLOATS)).map(lambda xs: np.array(xs, dtype=float)),
+        sized(st.integers(-2**63, 2**63 - 1)).map(lambda xs: np.array(xs, dtype=np.int64)),
+    )
+    fieldnames = draw(st.lists(_CELL_TEXT, min_size=width, max_size=width))
+    return draw(_CELL_TEXT), fieldnames, [draw(column) for _ in range(width)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_csv_writer_matches_csv_module(table):
+    schema, fieldnames, columns = table
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "table.csv"
+        cli._write_columns(str(out), schema, fieldnames, columns, "csv")
+        assert out.read_bytes() == _csv_writer_bytes(schema, fieldnames, columns)
+
+
+@pytest.mark.parametrize("q", [{"family": "constant", "q": 0.4}, HAND_LAW["q"]])
+def test_exact_table_is_the_csv_writer_rendering(tmp_path, q):
+    horizon = 300
+    spec, model = q_sequence_from_config(q), radius_from_config(_POWER_LAW)
+    gf = gf_partial(spec, model, horizon)
+    dual = dual_law(gf, spec, model)
+    cfg = _write_config(tmp_path, {"q": q, "radius": _POWER_LAW, "horizon": horizon})
+    out = tmp_path / "exact.csv"
+    assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 0
+    columns = [list(range(horizon + 1)), gf.S, dual.f, dual.v]
+    assert out.read_bytes() == _csv_writer_bytes("renewperc.exact.v1", ["n", "S_n", "f_n", "v_n"],
+                                                 columns)
+    out = tmp_path / "exact.jsonl"
+    assert main(["exact", "--config", str(cfg), "--out", str(out), "--format", "jsonl"]) == 0
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert [r["schema"] for r in records] == ["renewperc.exact.v1"] * (horizon + 1)
+    assert [r["n"] for r in records] == list(range(horizon + 1))
+    assert [r["S_n"] for r in records] == gf.S.tolist()
