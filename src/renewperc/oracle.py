@@ -193,6 +193,9 @@ def random_tiny_configs(
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
+    for key, value, low in (("n_max", n_max, 2), ("support_max", support_max, 1)):
+        if value < low:
+            raise ValidationError(f"{key} must be >= {low}, got {value!r}")
     configs = []
     for idx in range(count):
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))

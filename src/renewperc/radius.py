@@ -122,8 +122,14 @@ class PowerLawTailRadius(RadiusModel):
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        v = np.floor((self.c / (1.0 - u)) ** (1.0 / self.gamma)) + 1.0
-        return np.maximum(float(self.n0), v)
+        v = np.subtract(1.0, u, out=np.empty_like(u))
+        np.divide(self.c, v, out=v)
+        if self.gamma != 1.0:  # x ** 1.0 == x, so skipping it keeps the bits
+            np.power(v, 1.0 / self.gamma, out=v)
+        np.floor(v, out=v)
+        v += 1.0
+        np.maximum(v, float(self.n0), out=v)
+        return v[()]  # a scalar for a scalar u
 
     def to_config(self) -> dict:
         return {"family": "power_tail", "c": self.c, "gamma": self.gamma, "n0": self.n0}

@@ -7,6 +7,11 @@ a pure function of (seed, config, reps) regardless of scheduling.  Radii
 are realized through the model's inverse CDF on the dedicated uniform
 block, which makes stochastic dominance between radius models hold
 pathwise under a shared seed.
+
+The kernels read that stream into buffers allocated once per call and
+walk it site-major, ``(sites, replicates)``, so each step of a path is a
+few in-place ufuncs on contiguous rows.  The layout ids (``conn-v1``,
+``dual-v1``, ``coupling-v1``) name the stream, not the memory layout.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from .radius import RadiusModel
 from .renewal import QSequence
 
 CHUNK = 8192
+_STEP_BLOCK = 64  # coupling steps drawn per rng call
+_TILE = 512  # replicates per cache-sized piece of a transpose
 
 _Z95 = 1.959963984540054
 
@@ -84,67 +91,120 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
 
 
+def _site_major_chunks(model: RadiusModel, seed: int, reps: int, n: int, n_rad: int):
+    """Yield ``(rows, marks, radii)`` for every chunk, site-major.
+
+    The draws fill one row-major buffer exactly as ``rng.random((size, n))``
+    and then ``rng.random((size, n_rad))`` would.  Row s of ``marks`` holds
+    the mark uniforms of site s + 1 and row s of ``radii`` the radii of the
+    s-th radius column; the next chunk overwrites both.  Radii are capped
+    at n: no check on a path of n sites tells a radius of n from a longer
+    one, and the cap keeps ``inf * 0`` (an unmarked infinite radius) finite.
+    """
+    width = min(reps, CHUNK)
+    raw = np.empty(width * max(n, n_rad))
+    marks = np.empty((n, width))
+    radii = np.empty((n_rad, width))
+    for ci, size in _chunks(reps):
+        rng = _chunk_rng(seed, ci)
+        chunk_marks, chunk_radii = marks[:, :size], radii[:, :size]
+        block = raw[: size * n].reshape(size, n)
+        rng.random(out=block)
+        for r in range(0, size, _TILE):
+            np.copyto(chunk_marks[:, r : r + _TILE], block[r : r + _TILE].T)
+        block = raw[: size * n_rad].reshape(size, n_rad)
+        rng.random(out=block)
+        block = np.asarray(model.quantile(block), dtype=float)
+        for r in range(0, size, _TILE):
+            np.minimum(block[r : r + _TILE].T, n, out=chunk_radii[:, r : r + _TILE])
+        yield slice(ci * CHUNK, ci * CHUNK + size), chunk_marks, chunk_radii
+
+
+def _renewals(qtab: np.ndarray, marks: np.ndarray):
+    """Yield, site by site, which replicates' house-of-cards chain renews.
+
+    ``marks`` holds the mark uniforms site-major; the chain at height
+    zeta climbs when its uniform is <= q_zeta and renews (drops to 0, the
+    site is marked) otherwise.  The yielded vector is overwritten by the
+    next step.
+    """
+    size = marks.shape[1]
+    zeta = np.zeros(size, dtype=np.intp)
+    qz = np.empty(size)
+    climb = np.empty(size, dtype=bool)
+    mark = np.empty(size, dtype=bool)
+    for row in marks:
+        qtab.take(zeta, out=qz)
+        np.less_equal(row, qz, out=climb)
+        zeta += 1
+        zeta *= climb
+        yield np.logical_not(climb, out=mark)
+
+
 def connectivity_successes(
     spec: QSequence, model: RadiusModel, n: int, reps: int, seed: int
 ) -> np.ndarray:
     """Per-replicate success indicators of the event {0 <-> n}.
 
-    One pass per replicate: evolve the house-of-cards chain, track the
-    frontier excess (furthest interval endpoint minus current site), and
-    require the excess to stay >= 1 at every site entered.
+    Walk the path across a chunk and keep ``reach``, the furthest endpoint
+    s + R_s of the intervals opened so far; site s is covered when
+    ``reach >= s`` on entry, and the event needs every site covered and
+    site n marked.  Each step adds ``R_s * mark_s + s``: an unmarked site
+    gives s, which cannot raise a reach that covered it, and the radius
+    cap at n keeps ``R_s * 0`` finite for an infinite radius.
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     if n < 0:
         raise ValidationError("site index must be nonnegative")
+    out = np.ones(reps, dtype=bool)
+    if n == 0:
+        return out
     qtab = spec.q_array(n + 1)
-    out = np.empty(reps, dtype=bool)
-    for ci, size in _chunks(reps):
-        rng = _chunk_rng(seed, ci)
-        u_xi = rng.random((size, n))
-        u_rad = rng.random((size, n + 1))
-        radii = np.asarray(model.quantile(u_rad), dtype=float)
-        if n == 0:
-            out[ci * CHUNK : ci * CHUNK + size] = True
-            continue
-        zeta = np.zeros(size, dtype=np.int64)
-        excess = radii[:, 0].copy()
+    for rows, marks, radii in _site_major_chunks(model, seed, reps, n, n + 1):
+        size = marks.shape[1]
+        reach = radii[0].copy()
         alive = np.ones(size, dtype=bool)
-        for s in range(1, n + 1):
-            alive &= excess >= 1.0
-            climb = u_xi[:, s - 1] <= qtab[zeta]
-            zeta = np.where(climb, zeta + 1, 0)
-            excess = np.where(~climb, np.maximum(excess - 1.0, radii[:, s]), excess - 1.0)
-        out[ci * CHUNK : ci * CHUNK + size] = alive & (zeta == 0)
+        covered = np.empty(size, dtype=bool)
+        tip = np.empty(size)
+        for s, mark in enumerate(_renewals(qtab, marks), start=1):
+            alive &= np.greater_equal(reach, s, out=covered)
+            np.multiply(radii[s], mark, out=tip)
+            tip += s
+            np.maximum(reach, tip, out=reach)
+        np.logical_and(alive, mark, out=out[rows])
     return out
 
 
 def dual_successes(
     spec: QSequence, model: RadiusModel, n: int, reps: int, seed: int
 ) -> np.ndarray:
-    """Per-replicate indicators of {Y_n = 1} under the relay gap rule."""
+    """Per-replicate indicators of {Y_n = 1} under the relay gap rule.
+
+    ``last`` is the last informed site; site i is informed when it is
+    marked and its radius reaches back to ``last``, i.e. when
+    ``last + R * mark_i >= i``, and then ``last = max(last, i * informed)``.
+    """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     if n < 0:
         raise ValidationError("site index must be nonnegative")
+    out = np.ones(reps, dtype=bool)
+    if n == 0:
+        return out
     qtab = spec.q_array(n + 1)
-    out = np.empty(reps, dtype=bool)
-    for ci, size in _chunks(reps):
-        rng = _chunk_rng(seed, ci)
-        u_xi = rng.random((size, n))
-        u_rad = rng.random((size, n))
-        if n == 0:
-            out[ci * CHUNK : ci * CHUNK + size] = True
-            continue
-        radii = np.asarray(model.quantile(u_rad), dtype=float)
-        zeta = np.zeros(size, dtype=np.int64)
-        last = np.zeros(size, dtype=np.int64)
-        for i in range(1, n + 1):
-            climb = u_xi[:, i - 1] <= qtab[zeta]
-            zeta = np.where(climb, zeta + 1, 0)
-            informed = (~climb) & (radii[:, i - 1] >= (i - last))
-            last = np.where(informed, i, last)
-        out[ci * CHUNK : ci * CHUNK + size] = last == n
+    for rows, marks, radii in _site_major_chunks(model, seed, reps, n, n):
+        size = marks.shape[1]
+        last = np.zeros(size)
+        informed = np.empty(size, dtype=bool)
+        tip = np.empty(size)
+        for i, mark in enumerate(_renewals(qtab, marks), start=1):
+            np.multiply(radii[i - 1], mark, out=tip)
+            tip += last
+            np.greater_equal(tip, i, out=informed)
+            np.multiply(informed, i, out=tip)
+            np.maximum(last, tip, out=last)
+        np.equal(last, n, out=out[rows])
     return out
 
 
@@ -189,7 +249,10 @@ def coalescence_times(
 
     All chains share one uniform per step (chain d climbs iff U <= q at
     its own height), so chains that meet stay merged.  Returns 0 for
-    replicates still uncoalesced at the horizon (censored).
+    replicates still uncoalesced at the horizon (censored).  Chains are
+    stored delay-major, ``(delays, replicates)``; a chunk stops drawing
+    once all its replicates have coalesced, since the rest of its stream
+    cannot change tau.
     """
     delays = tuple(check_int("delays", d) for d in delays)
     if len(delays) == 0:
@@ -201,18 +264,34 @@ def coalescence_times(
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     qtab = spec.q_array(horizon + max(delays) + 1)
-    out = np.empty(reps, dtype=np.int64)
+    out = np.zeros(reps, dtype=np.int64)
+    width = min(reps, CHUNK)
+    steps = np.empty(min(horizon, _STEP_BLOCK) * width)
+    start = np.array(delays, dtype=np.intp)[:, None]
     for ci, size in _chunks(reps):
         rng = _chunk_rng(seed, ci)
-        Z = np.tile(np.array(delays, dtype=np.int64), (size, 1))
-        tau = np.zeros(size, dtype=np.int64)
+        tau = out[ci * CHUNK : ci * CHUNK + size]
+        Z = np.repeat(start, size, axis=1)
+        qz = np.empty(Z.shape)
+        climb = np.empty(Z.shape, dtype=bool)
+        fresh = np.empty(size, dtype=bool)
+        done = np.zeros(size, dtype=bool)
         for step in range(1, horizon + 1):
-            u = rng.random(size)
-            climb = u[:, None] <= qtab[Z]
-            Z = np.where(climb, Z + 1, 0)
-            fresh = (~climb.any(axis=1)) & (tau == 0)
+            row = (step - 1) % _STEP_BLOCK
+            if row == 0:
+                block = steps[: min(_STEP_BLOCK, horizon + 1 - step) * size].reshape(-1, size)
+                rng.random(out=block)
+            qtab.take(Z, out=qz)
+            np.less_equal(block[row], qz, out=climb)
+            Z += 1
+            Z *= climb
+            np.logical_or.reduce(climb, axis=0, out=fresh)
+            fresh |= done
+            np.logical_not(fresh, out=fresh)
             tau[fresh] = step
-        out[ci * CHUNK : ci * CHUNK + size] = tau
+            done |= fresh
+            if done.all():
+                break
     return out
 
 
@@ -228,13 +307,14 @@ def simulate_coupling(
     delays = tuple(check_int("delays", d) for d in delays)
     taus = coalescence_times(spec, delays, horizon, reps, seed)
     j_grid = tuple(range(1, horizon + 1))
-    censored = taus == 0
+    counts = np.bincount(taus, minlength=horizon + 1)
+    # censored replicates (tau = 0) survive every j; the rest survive j <= tau
+    at_least = counts[0] + np.cumsum(counts[:0:-1])[::-1]
     survival = np.empty(len(j_grid))
     lo = np.empty_like(survival)
     hi = np.empty_like(survival)
     se = np.empty_like(survival)
-    for idx, j in enumerate(j_grid):
-        k = int((censored | (taus >= j)).sum())
+    for idx, k in enumerate(at_least.tolist()):
         survival[idx] = k / reps
         se[idx] = math.sqrt(survival[idx] * (1.0 - survival[idx]) / reps)
         lo[idx], hi[idx] = wilson_interval(k, reps)

@@ -107,3 +107,14 @@ def test_random_battery_is_reproducible():
     assert a == b
     assert all(cfg.n <= 8 for cfg in a)
     assert all(cfg.model.support_bound <= 4 for cfg in a)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"n_max": 1}, "n_max must be >= 2"), ({"support_max": 0}, "support_max must be >= 1")],
+)
+def test_random_battery_rejects_empty_ranges(kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        random_tiny_configs(3, seed=1, **kwargs)
+    # the smallest legal bounds still draw a battery
+    assert all(cfg.n == 2 for cfg in random_tiny_configs(3, seed=1, n_max=2, support_max=1))
