@@ -8,6 +8,16 @@ the gap rule directly.  Radii are enumerated only at marked sites (they
 are irrelevant elsewhere) and only through their endpoint truncated at
 the last site that can matter, with the truncated outcome carrying the
 aggregated tail probability; both reductions are exact.
+
+For each mark vector the radius assignments are held as one numpy product
+array, built one marked site at a time in the order of
+``itertools.product``: the weights multiply in site order, the coverage
+union is a literal OR of interval bit sets (radius r at site s sets bits
+s+1..s+r), and the hits are summed sequentially, so every value equals
+that of a per-assignment loop.  The truncation at site s allows at most
+n-s+1 (coverage) or s+1 (relay) outcomes, so with n <= 8 a product holds
+at most (n+1)! = 362,880 entries.  The cap budget is charged before an
+array is built.
 """
 
 from __future__ import annotations
@@ -76,20 +86,18 @@ def enumerate_gf(cfg: TinyConfig) -> np.ndarray:
     return S
 
 
-def _marked_outcomes(model: RadiusModel, truncate_at: int):
-    """Radius outcomes (value, probability) with the top value aggregated.
+def _marked_outcomes(model: RadiusModel, truncate_at: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radius outcomes (values, probabilities) with the top value aggregated.
 
     Values above ``truncate_at`` act exactly like ``truncate_at`` for the
     event being enumerated, so they are merged into one outcome carrying
-    P(R >= truncate_at).
+    P(R >= truncate_at).  Outcomes of probability zero are dropped.
     """
-    m = model.support_bound
-    t = min(m, truncate_at)
-    pmf = model.pmf_array()
-    outcomes = [(v, float(pmf[v])) for v in range(t)]
+    t = min(model.support_bound, truncate_at)
     top = 1.0 - (model.alpha(t - 1) if t >= 1 else 0.0)
-    outcomes.append((t, top))
-    return [(v, p) for v, p in outcomes if p > 0.0]
+    probs = np.append(model.pmf_array()[:t], top)
+    keep = probs > 0.0
+    return np.arange(t + 1, dtype=np.int64)[keep], probs[keep]
 
 
 def _check_support(cfg: TinyConfig) -> int:
@@ -101,43 +109,66 @@ def _check_support(cfg: TinyConfig) -> int:
     return m
 
 
-def enumerate_connectivity(cfg: TinyConfig) -> float:
-    """P(0 <-> n): full enumeration of mark vectors and radius assignments.
+def _enumerate(cfg: TinyConfig, sites, outcomes: dict, step, hit) -> float:
+    """Sum P(marks, radii) over the assignments whose final state is a hit.
 
-    For each mark vector the radii at marked sites left of n are
-    enumerated and each assignment is tested for coverage of {1..n} by a
-    literal union of the opened intervals.
+    ``sites(bits)`` lists the sites whose radius is enumerated for a mark
+    vector; ``outcomes[site]`` holds that site's (labels, probabilities).
+    The product over those sites is held as arrays built one site at a
+    time in the order of ``itertools.product``: the weights by
+    ``multiply.outer`` (each term multiplied in site order) and the state
+    by ``step(state[:, None], site, labels)``.  The hits are added to the
+    total one by one in that order, so the sum is the sequential one.
     """
-    _check_support(cfg)
-    n = cfg.n
-    if n == 0:
-        return 1.0
-    target = set(range(1, n + 1))
     total = 0.0
     budget = cfg.cap
-    for bits in itertools.product((0, 1), repeat=n):
+    for bits in itertools.product((0, 1), repeat=cfg.n):
         if bits[-1] != 1:
             continue
         p_marks = _path_probability(cfg.spec, bits)
         if p_marks == 0.0:
             continue
-        marked = [0] + [i for i in range(1, n) if bits[i - 1]]
-        outcome_lists = [_marked_outcomes(cfg.model, n - site) for site in marked]
+        marked = sites(bits)
         size = 1
-        for lst in outcome_lists:
-            size *= len(lst)
+        for site in marked:
+            size *= len(outcomes[site][1])
         budget -= size
         if budget < 0:
             raise EnumerationCapError(f"enumeration exceeds the cap {cfg.cap}")
-        for assignment in itertools.product(*outcome_lists):
-            covered = set()
-            weight = p_marks
-            for site, (radius, p) in zip(marked, assignment):
-                weight *= p
-                covered.update(range(site + 1, site + radius + 1))
-            if target <= covered:
-                total += weight
+        weight = np.array([p_marks])
+        state = np.zeros(1, dtype=np.int64)
+        for site in marked:
+            labels, probs = outcomes[site]
+            weight = np.multiply.outer(weight, probs).ravel()
+            state = step(state[:, None], site, labels).ravel()
+        total = float(np.cumsum(np.append(total, weight[hit(state)]))[-1])
     return total
+
+
+def enumerate_connectivity(cfg: TinyConfig) -> float:
+    """P(0 <-> n): full enumeration of mark vectors and radius assignments.
+
+    For each mark vector the radii at site 0 and the marked sites left of
+    n are enumerated, and each assignment is tested for coverage of
+    {1..n} by a literal union of the opened intervals, held as bit sets:
+    radius r at site s opens the bits s+1..s+r.
+    """
+    _check_support(cfg)
+    n = cfg.n
+    if n == 0:
+        return 1.0
+    intervals = {}
+    for site in range(n):
+        radii, probs = _marked_outcomes(cfg.model, n - site)
+        intervals[site] = (((1 << radii) - 1) << (site + 1), probs)
+    target = ((1 << n) - 1) << 1
+    return _enumerate(
+        cfg,
+        lambda bits: [0] + [i for i in range(1, n) if bits[i - 1]],
+        intervals,
+        lambda covered, site, opened: covered | opened,
+        lambda covered: covered & target == target,
+    )
 
 
 def enumerate_dual(cfg: TinyConfig) -> float:
@@ -151,32 +182,13 @@ def enumerate_dual(cfg: TinyConfig) -> float:
     n = cfg.n
     if n == 0:
         return 1.0
-    total = 0.0
-    budget = cfg.cap
-    for bits in itertools.product((0, 1), repeat=n):
-        if bits[-1] != 1:
-            continue
-        p_marks = _path_probability(cfg.spec, bits)
-        if p_marks == 0.0:
-            continue
-        marked = [i for i in range(1, n + 1) if bits[i - 1]]
-        outcome_lists = [_marked_outcomes(cfg.model, site) for site in marked]
-        size = 1
-        for lst in outcome_lists:
-            size *= len(lst)
-        budget -= size
-        if budget < 0:
-            raise EnumerationCapError(f"enumeration exceeds the cap {cfg.cap}")
-        for assignment in itertools.product(*outcome_lists):
-            weight = p_marks
-            last = 0
-            for site, (radius, p) in zip(marked, assignment):
-                weight *= p
-                if radius >= site - last:
-                    last = site
-            if last == n:
-                total += weight
-    return total
+    return _enumerate(
+        cfg,
+        lambda bits: [i for i in range(1, n + 1) if bits[i - 1]],
+        {site: _marked_outcomes(cfg.model, site) for site in range(1, n + 1)},
+        lambda last, site, radii: np.where(radii >= site - last, site, last),
+        lambda last: last == n,
+    )
 
 
 def random_tiny_configs(

@@ -75,7 +75,12 @@ class GeometricTailRadius(RadiusModel):
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        return np.floor(np.log1p(-u) / math.log(self.r)) + 1.0
+        v = np.negative(u, out=np.empty_like(u))
+        np.log1p(v, out=v)
+        v /= math.log(self.r)
+        np.floor(v, out=v)
+        v += 1.0
+        return v[()]  # a scalar for a scalar u
 
     def to_config(self) -> dict:
         return {"family": "geometric_tail", "r": self.r}
@@ -169,10 +174,13 @@ class FiniteTableRadius(RadiusModel):
         return np.array(self.p, dtype=float)
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
+        # For u in [0, 1) the radius is the number of CDF entries <= u; the
+        # last entry is 1 up to rounding and is never counted.
         u = np.asarray(u, dtype=float)
-        cdf = np.cumsum(self.p)
-        cdf[-1] = 1.0
-        return np.searchsorted(cdf, u, side="right").astype(float)
+        out = np.zeros(u.shape)
+        for c in np.cumsum(self.p)[:-1].tolist():
+            out += u >= c
+        return out[()]  # a scalar for a scalar u
 
     def to_config(self) -> dict:
         return {"family": "table", "p": list(self.p)}

@@ -9,6 +9,7 @@ from renewperc import (
     EnumerationCapError,
     FiniteTableRadius,
     MarkovQ,
+    PolynomialMonotoneQ,
     TableQ,
     TinyConfig,
     UnboundedRadiusError,
@@ -118,3 +119,110 @@ def test_random_battery_rejects_empty_ranges(kwargs, message):
         random_tiny_configs(3, seed=1, **kwargs)
     # the smallest legal bounds still draw a battery
     assert all(cfg.n == 2 for cfg in random_tiny_configs(3, seed=1, n_max=2, support_max=1))
+
+
+# The per-assignment loops the product-array oracles replaced, kept as
+# references: the arithmetic is unchanged, so the results must be equal.
+def _ref_marked_outcomes(model, truncate_at):
+    m = model.support_bound
+    t = min(m, truncate_at)
+    pmf = model.pmf_array()
+    outcomes = [(v, float(pmf[v])) for v in range(t)]
+    top = 1.0 - (model.alpha(t - 1) if t >= 1 else 0.0)
+    outcomes.append((t, top))
+    return [(v, p) for v, p in outcomes if p > 0.0]
+
+
+def _ref_mark_vectors(cfg):
+    for bits in itertools.product((0, 1), repeat=cfg.n):
+        if bits[-1] != 1:
+            continue
+        p_marks = _path_probability(cfg.spec, bits)
+        if p_marks == 0.0:
+            continue
+        yield bits, p_marks
+
+
+def _ref_connectivity(cfg):
+    n = cfg.n
+    if n == 0:
+        return 1.0
+    target = set(range(1, n + 1))
+    total = 0.0
+    for bits, p_marks in _ref_mark_vectors(cfg):
+        marked = [0] + [i for i in range(1, n) if bits[i - 1]]
+        outcome_lists = [_ref_marked_outcomes(cfg.model, n - site) for site in marked]
+        for assignment in itertools.product(*outcome_lists):
+            covered = set()
+            weight = p_marks
+            for site, (radius, p) in zip(marked, assignment):
+                weight *= p
+                covered.update(range(site + 1, site + radius + 1))
+            if target <= covered:
+                total += weight
+    return total
+
+
+def _ref_dual(cfg):
+    n = cfg.n
+    if n == 0:
+        return 1.0
+    total = 0.0
+    for bits, p_marks in _ref_mark_vectors(cfg):
+        marked = [i for i in range(1, n + 1) if bits[i - 1]]
+        outcome_lists = [_ref_marked_outcomes(cfg.model, site) for site in marked]
+        for assignment in itertools.product(*outcome_lists):
+            weight = p_marks
+            last = 0
+            for site, (radius, p) in zip(marked, assignment):
+                weight *= p
+                if radius >= site - last:
+                    last = site
+            if last == n:
+                total += weight
+    return total
+
+
+def _assignment_count(cfg, dual):
+    """The number of (mark vector, radius assignment) pairs an oracle enumerates."""
+    n = cfg.n
+    count = 0
+    for bits, _ in _ref_mark_vectors(cfg):
+        if dual:
+            truncations = [i for i in range(1, n + 1) if bits[i - 1]]
+        else:
+            truncations = [n] + [n - i for i in range(1, n) if bits[i - 1]]
+        count += math.prod(len(_ref_marked_outcomes(cfg.model, t)) for t in truncations)
+    return count
+
+
+GAPPED_MODEL = FiniteTableRadius((0.0, 0.5, 0.0, 0.5))
+EDGE_CONFIGS = [
+    TinyConfig(spec, model, n)
+    for spec in (HAND_SPEC, TableQ((0.0, 0.7)))
+    for model in (GAPPED_MODEL, FiniteTableRadius((0.1, 0.0, 0.2, 0.0, 0.7)), HAND_MODEL)
+    for n in range(9)
+]
+
+
+@pytest.mark.parametrize("oracle, reference", [
+    (enumerate_connectivity, _ref_connectivity),
+    (enumerate_dual, _ref_dual),
+])
+def test_product_arrays_match_the_assignment_loops(oracle, reference):
+    configs = random_tiny_configs(64, seed=5, n_max=8, support_max=4) + EDGE_CONFIGS
+    assert {type(cfg.spec) for cfg in configs} >= {ConstantQ, MarkovQ, TableQ, PolynomialMonotoneQ}
+    for cfg in configs:
+        assert oracle(cfg) == reference(cfg), cfg
+
+
+@pytest.mark.parametrize("oracle, dual", [(enumerate_connectivity, False), (enumerate_dual, True)])
+@pytest.mark.parametrize("model, n", [(GAPPED_MODEL, 5), (HAND_MODEL, 6), (FiniteTableRadius((1.0,)), 3)])
+def test_cap_counts_every_enumerated_assignment(oracle, dual, model, n):
+    cfg = TinyConfig(HAND_SPEC, model, n)
+    needed = _assignment_count(cfg, dual)
+    assert needed >= 2 ** (n - 1)
+    value = oracle(cfg)
+    assert oracle(TinyConfig(HAND_SPEC, model, n, cap=needed)) == value
+    with pytest.raises(EnumerationCapError):
+        oracle(TinyConfig(HAND_SPEC, model, n, cap=needed - 1))

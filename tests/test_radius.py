@@ -116,6 +116,41 @@ def test_sampling_matches_cdf(model):
         assert abs((draws <= n).mean() - p) <= 4 * se + 1e-9
 
 
+def _searchsorted_table_quantile(p, u):
+    cdf = np.cumsum(p)
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, np.asarray(u, dtype=float), side="right").astype(float)
+
+
+def _temporaries_geometric_quantile(r, u):
+    return np.floor(np.log1p(-np.asarray(u, dtype=float)) / math.log(r)) + 1.0
+
+
+@pytest.mark.parametrize(
+    "model",
+    [FiniteTableRadius((0.1, 0.4, 0.3, 0.2)), FiniteTableRadius((0.0, 0.5, 0.0, 0.5)),
+     FiniteTableRadius((1.0,)), FiniteTableRadius((0.1,) * 10),
+     GeometricTailRadius(0.9), GeometricTailRadius(0.05)],
+)
+def test_in_place_quantiles_match_the_allocating_formulas(model):
+    if isinstance(model, FiniteTableRadius):
+        def reference(u):
+            return _searchsorted_table_quantile(model.p, u)
+        edges = np.cumsum(model.p)[:-1]
+    else:
+        def reference(u):
+            return _temporaries_geometric_quantile(model.r, u)
+        edges = model.alpha_array(6)
+    rng = np.random.default_rng(17)
+    for u in (rng.random((300, 7)), rng.random(1001)[::3], np.concatenate([[0.0], edges])):
+        got, want = model.quantile(u), reference(u)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    for u in (0.0, *edges[-1:].tolist(), 0.37):
+        got = model.quantile(u)
+        assert isinstance(got, np.float64) and got == reference(u)
+
+
 def test_sampling_mean_matches_survival_sum_oracle():
     model = GeometricTailRadius(0.9)
     # oracle: E R = sum_n P(R > n), summed from the model's own CDF
