@@ -94,26 +94,38 @@ def _cell(value) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-def _cells(column):
-    """Lazy CSV text of one column; an array's numbers need no type test or quoting."""
-    if isinstance(column, np.ndarray):
-        return map("{:.17g}".format if column.dtype.kind == "f" else str, column.tolist())
-    return map(_cell, column)
+def _template_and_values(column) -> tuple:
+    """The %-directive of one column and its values; an array's numbers need no quoting."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        return ("%.17g" if column.dtype.kind == "f" else "%d"), column.tolist()
+    return "%s", list(map(_cell, column))
+
+
+def _fresh(path: Path) -> Path:
+    """``path`` with an existing regular file removed first (a symlink is written through).
+
+    Writing 1.8 MB over an existing file took 85-96 ms on an ext4 volume
+    mounted with ``discard``, against 0.2 ms for a new file.
+    """
+    if path.is_file() and not path.is_symlink():
+        path.unlink()
+    return path
 
 
 def _write_columns(path: str, schema: str, fieldnames, columns, fmt: str) -> None:
     """Write a table given as one list or array per field, after a constant schema column."""
     keys = ["schema", *fieldnames]
-    nrows = len(columns[0])
+    out = _fresh(Path(path))
     if fmt == "csv":
-        cells = zip(itertools.repeat(_cell(schema), nrows), *map(_cells, columns))
-        text = "\r\n".join([",".join(map(_cell, keys)), *map(",".join, cells), ""])
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        directives, values = zip(*map(_template_and_values, columns))
+        row = ",".join([_cell(schema).replace("%", "%%"), *directives])
+        text = "\r\n".join([",".join(map(_cell, keys)), *map(row.__mod__, zip(*values)), ""])
+        with out.open("w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-        with Path(path).open("w", encoding="utf-8") as fh:
-            for row in zip(itertools.repeat(schema, nrows), *values):
+        with out.open("w", encoding="utf-8") as fh:
+            for row in zip(itertools.repeat(schema, len(values[0])), *values):
                 fh.write(json.dumps(dict(zip(keys, row)), sort_keys=True))
                 fh.write("\n")
 
@@ -127,8 +139,7 @@ def _emit_summary(summary: dict, out_path: str) -> None:
     summary = {"schema": _SUMMARY_SCHEMA, "version": __version__, **summary}
     text = json.dumps(summary, sort_keys=True, default=str)
     out = Path(out_path)
-    sidecar = out.with_name(out.stem + ".summary.json")
-    sidecar.write_text(text + "\n", encoding="utf-8")
+    _fresh(out.with_name(out.stem + ".summary.json")).write_text(text + "\n", encoding="utf-8")
     print(text)
 
 

@@ -4,11 +4,16 @@ The central object is the partial generating-function series
 
     S_0 = 1,   S_n = E prod_{i=0..n-1} alpha_i^(xi_{i+1}),   n >= 1,
 
-computed exactly in renewal form: the weighted mass at house-of-cards
-height 0 solves g_n = alpha_{n-1} * sum_k P(T=k) g_{n-k} (``renewal_solve``,
-the blocked O(N K) kernel, K the last k with P(T=k) > 0 in floating point,
-that also gives u and v), height s after site n holds g_{n-s} P(T > s),
-and so S = g * P(T > .).  The series has three faces:
+computed exactly.  A law with q_i constant for i >= 1 (ConstantQ, MarkovQ,
+a repeat_last TableQ whose values after the first agree) lumps to the two
+mark states, so S and the dual pmf follow in one O(N) forward pass (the
+i.i.d. product when q_0 = q_1) and u in closed form.  Every other law is
+computed in renewal form: the weighted mass at house-of-cards height 0
+solves g_n = alpha_{n-1} * sum_k P(T=k) g_{n-k} (``renewal_solve``, the
+blocked O(N K) kernel, K the last k with P(T=k) > 0 in floating point,
+that also gives u), height s after site n holds g_{n-s} P(T > s), and so
+S = g * P(T > .).  The dual occupancy v always comes from the kernel.
+The series has three faces:
 
 * dual law: S_{n} is the survival function P(T_Y >= n+1) of the
   inter-arrival time of the dual relay process, so f_k = S_{k-1} - S_k is
@@ -56,11 +61,15 @@ from .errors import (
 )
 from .radius import RadiusModel
 from .renewal import (
+    REPEAT_LAST,
     ConstantQ,
+    MarkovQ,
     QSequence,
+    TableQ,
     ck_at,
     ck_sequence,
     interarrival,
+    markov_renewal_closed,
     renewal_probabilities,
     renewal_solve,
     survival_products,
@@ -91,23 +100,89 @@ class GfTable:
     partial_sum: float
 
 
-def gf_partial(spec: QSequence, model: RadiusModel, horizon: int) -> GfTable:
-    """Exact S_1..S_N from the weighted renewal mass g and P(T > s).
+def _gf_table(S: np.ndarray, f: np.ndarray) -> GfTable:
+    return GfTable(S=S, dual_pmf=f, horizon=S.size - 1, partial_sum=float(S[1:].sum()))
 
-    g = renewal_solve(P(T = .), alpha) costs O(N K) for P(T = .)
-    supported on 1..K, and S = g * P(T > .) by direct convolution.  In
-    floating point P(T > s) is constant from some s0 on: 0 once the
-    products drain, or a stalled subnormal c where q > 0.5 (q * c rounds
-    back to c).  Only s < s0 is convolved and the constant tail adds
-    c * (g_0 + ... + g_{n-s0}) to S_n, so no term is dropped and the cost
-    is O(N s0).  The dual pmf is f_n = (1 - alpha_{n-1}) h_n with
+
+def _two_state(spec: QSequence) -> Optional[tuple]:
+    """(q_0, q_1), clamped, for a law with q_i = q_1 at every i >= 1; else None.
+
+    The house-of-cards chain of such a law lumps to the two mark states:
+    a marked site is followed by a mark with probability 1 - q_0, an
+    unmarked one with probability 1 - q_1.
+    """
+    if isinstance(spec, TableQ):
+        if spec.tail != REPEAT_LAST or len(set(spec.values[1:])) > 1:
+            return None
+    elif not isinstance(spec, (ConstantQ, MarkovQ)):
+        return None
+    return spec.q_at(0), spec.q_at(1)
+
+
+def _iid_series(q: float, p: float, alph: np.ndarray) -> np.ndarray:
+    """S_1..S_N for i.i.d. marks of density p = 1 - q: prod_{i<n} [q + p alpha_i].
+
+    q + p alpha_i is 1 - p (1 - alpha_i) without the subtraction, which
+    would round a small q + p alpha_i to 0.
+    """
+    return np.cumprod(q + p * alph)
+
+
+def _iid_table(q: float, p: float, alph: np.ndarray) -> GfTable:
+    """Series and dual pmf of i.i.d. marks: f_n = p (1 - alpha_{n-1}) S_{n-1}."""
+    S = np.empty(alph.size + 1)
+    S[0] = 1.0
+    S[1:] = _iid_series(q, p, alph)
+    f = np.zeros_like(S)
+    f[1:] = p * (1.0 - alph) * S[:-1]
+    return _gf_table(S, f)
+
+
+def _two_state_table(q0: float, q1: float, alph: np.ndarray) -> GfTable:
+    """Series and dual pmf of a two-state law with q0 != q1, in one forward pass.
+
+    (a, b) is the weight of the paths whose site i is marked / unmarked;
+    h, the weight sent to a mark at site i + 1, scales to alpha_i h.
+    """
+    S = [1.0]
+    f = [0.0]
+    a, b = 1.0, 0.0
+    p0, p1 = 1.0 - q0, 1.0 - q1
+    for al, miss in zip(alph.tolist(), (1.0 - alph).tolist()):
+        h = p0 * a + p1 * b
+        b = q0 * a + q1 * b
+        a = al * h
+        S.append(a + b)
+        f.append(miss * h)
+    return _gf_table(np.array(S), np.array(f))
+
+
+def gf_partial(spec: QSequence, model: RadiusModel, horizon: int) -> GfTable:
+    """Exact S_1..S_N and the dual pmf, lumped for two-state laws.
+
+    A law with q_i constant for i >= 1 (ConstantQ, MarkovQ, and a
+    repeat_last TableQ whose values after the first agree) is a two-state
+    mark chain, and S follows in O(N): the i.i.d. product when q_0 = q_1,
+    else one forward pass over the (marked, unmarked) weights.
+
+    Every other law goes through g = renewal_solve(P(T = .), alpha), at
+    O(N K) for P(T = .) supported on 1..K, and S = g * P(T > .) by direct
+    convolution.  In floating point P(T > s) is constant from some s0 on:
+    0 once the products drain, or a stalled subnormal c where q > 0.5
+    (q * c rounds back to c).  Only s < s0 is convolved and the constant
+    tail adds c * (g_0 + ... + g_{n-s0}) to S_n, so no term is dropped and
+    the cost is O(N s0).  The dual pmf is f_n = (1 - alpha_{n-1}) h_n with
     h = P(T = .) * g, the sum that g_n = alpha_{n-1} h_n scales; unlike
     S_{n-1} - S_n it is exactly 0 where S is flat.  O(N) space.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    pmf = interarrival(spec, horizon).pmf
     alpha = model.alpha_array(horizon)
+    lumped = _two_state(spec)
+    if lumped is not None:
+        q0, q1 = lumped
+        return _iid_table(q0, 1.0 - q0, alpha) if q0 == q1 else _two_state_table(q0, q1, alpha)
+    pmf = interarrival(spec, horizon).pmf
     g = renewal_solve(pmf, alpha)
     surv = survival_products(spec, horizon)
     s0 = np.count_nonzero(surv > surv[-1])
@@ -117,7 +192,7 @@ def gf_partial(spec: QSequence, model: RadiusModel, horizon: int) -> GfTable:
     S[s0:] += surv[-1] * np.cumsum(g[: horizon + 1 - s0])
     f = np.convolve(g, pmf[: np.flatnonzero(pmf)[-1] + 1])[: horizon + 1]
     f[1:] *= 1.0 - alpha
-    return GfTable(S=S, dual_pmf=f, horizon=horizon, partial_sum=float(S[1:].sum()))
+    return _gf_table(S, f)
 
 
 @dataclass(frozen=True)
@@ -179,8 +254,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 # points that share a law, build each table once.
 @functools.lru_cache(maxsize=16)
 def _renewal_table(spec: QSequence, horizon: int) -> np.ndarray:
-    """Read-only renewal probabilities u_0..u_N."""
-    return _frozen(renewal_probabilities(spec, horizon).u)
+    """Read-only renewal probabilities u_0..u_N, in closed form for two-state laws."""
+    lumped = _two_state(spec)
+    if lumped is None:
+        return _frozen(renewal_probabilities(spec, horizon).u)
+    q0, q1 = lumped
+    if q0 == q1:
+        u = np.full(horizon + 1, 1.0 - q0)
+    else:
+        u = markov_renewal_closed(q0, q1, np.arange(horizon + 1))
+    u[0] = 1.0
+    return _frozen(u)
 
 
 @functools.lru_cache(maxsize=16)
@@ -326,11 +410,6 @@ def percolation_probability(
     return bracket(1.0 / (1.0 + gf.partial_sum + remainder), TAIL_GEOMETRIC, False)
 
 
-def _iid_series(p: float, alph: np.ndarray) -> np.ndarray:
-    """S_1..S_N for i.i.d. marks of density p: prod_{i<n} [1 - p (1 - alpha_i)]."""
-    return np.cumprod(1.0 - p * (1.0 - alph))
-
-
 def iid_closed_form(
     p: float,
     model: RadiusModel,
@@ -348,10 +427,7 @@ def iid_closed_form(
         raise ValidationError(f"p must lie in (0, 1], got {p!r}")
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    alph = model.alpha_array(horizon)
-    S = np.concatenate(([1.0], _iid_series(p, alph)))
-    f = np.concatenate(([0.0], S[:-1] * p * (1.0 - alph)))
-    gf = GfTable(S=S, dual_pmf=f, horizon=horizon, partial_sum=float(S[1:].sum()))
+    gf = _iid_table(1.0 - p, p, model.alpha_array(horizon))
     return percolation_probability(gf, ConstantQ(1.0 - p), model, tail=tail)
 
 
@@ -414,7 +490,7 @@ def bounds_report(
 
     iid_closed = None
     if isinstance(spec, ConstantQ) and spec.q < 1.0:
-        iid_closed = _coverage(_iid_series(1.0 - spec.q, alph))
+        iid_closed = _coverage(_iid_series(spec.q, 1.0 - spec.q, alph))
 
     return BoundsReport(
         jensen_upper=jensen_upper,

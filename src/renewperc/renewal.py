@@ -401,7 +401,7 @@ def renewal_probabilities(spec: QSequence, horizon: int) -> RenewalProbTable:
     return RenewalProbTable(u=renewal_solve(pmf), horizon=horizon)
 
 
-def markov_renewal_closed(q0: float, q1: float, i: int) -> float:
+def markov_renewal_closed(q0: float, q1: float, i):
     """Closed-form u_i for the Markov family, via the spectral decomposition.
 
     The two-state mark chain has stationary mark probability
@@ -410,12 +410,15 @@ def markov_renewal_closed(q0: float, q1: float, i: int) -> float:
         u_i = pi + (1 - pi) * (q1 - q0)^i,
 
     which matches the renewal recursion (u_0 = 1, geometric relaxation).
+    ``i`` may be an integer array, which gives the array of u_i.  For
+    q1 < q0 the odd terms subtract, so the error is about 1e-16 absolute,
+    not relative, where u_i is small (q0 near 1, q1 near 0).
     """
     q0 = _check_probability("q0", q0)
     q1 = _check_probability("q1", q1)
     if q0 >= 1.0 or q1 >= 1.0:
         raise ValidationError("q0 and q1 must be < 1 for the closed form")
-    if i < 0:
+    if np.any(np.asarray(i) < 0):
         raise ValidationError("index must be nonnegative")
     denom = 1.0 - q1 + q0
     pi = (1.0 - q1) / denom

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renewperc import (
     ValidationError,
@@ -26,9 +28,11 @@ from renewperc import (
     iid_closed_form,
     percolation_probability,
     random_tiny_configs,
+    renewal_probabilities,
     survival_products,
 )
 from renewperc import engine
+from renewperc.renewal import Q_CAP, interarrival, renewal_solve
 from renewperc.engine import (
     TAIL_CONCENTRATION,
     TAIL_GEOMETRIC,
@@ -121,6 +125,89 @@ def test_gf_markov_matches_transfer_product_at_large_horizon(q0, q1):
     expected = _markov_transfer_series(q0, q1, model.alpha_array(n))
     got = gf_partial(MarkovQ(q0, q1), model, n).S
     assert np.max(np.abs(got - expected) / expected) <= 1e-12
+
+
+def _kernel_series(spec, model, n):
+    """S and the dual pmf from g = renewal_solve(P(T = .), alpha) and full convolutions."""
+    pmf = interarrival(spec, n).pmf
+    alpha = model.alpha_array(n)
+    g = renewal_solve(pmf, alpha)
+    S = np.convolve(g, survival_products(spec, n))[: n + 1]
+    f = np.convolve(g, pmf)[: n + 1]
+    f[1:] *= 1.0 - alpha
+    return S, f
+
+
+def _assert_close_above(got, want, rtol):
+    """got within rtol of want where want >= 1e-290; below that, within 1e-290 * rtol."""
+    assert np.all(np.abs(got - want) <= rtol * np.maximum(want, 1e-290))
+
+
+_Q = st.one_of(st.sampled_from([0.0, 0.5, Q_CAP, 1.0]), st.floats(0.0, 1.0))
+_TWO_STATE_LAWS = st.one_of(
+    st.builds(ConstantQ, _Q),
+    st.builds(MarkovQ, _Q, _Q),
+    st.lists(_Q, min_size=1, max_size=2).map(lambda v: TableQ(tuple(v))),
+    st.tuples(_Q, _Q, st.integers(2, 4)).map(lambda t: TableQ((t[0],) + (t[1],) * t[2])),
+)
+_RADII = st.one_of(
+    st.builds(PowerLawTailRadius, st.floats(0.1, 5.0), st.floats(0.2, 2.0), st.integers(1, 3)),
+    st.builds(GeometricTailRadius, st.floats(0.01, 0.99)),
+    st.lists(st.integers(0, 4), min_size=1, max_size=5)
+    .filter(any)
+    .map(lambda w: FiniteTableRadius(tuple(x / sum(w) for x in w))),
+    st.just(InfiniteRadius()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TWO_STATE_LAWS, _RADII, st.integers(1, 400))
+def test_two_state_laws_are_lumped_and_match_the_kernel(spec, model, horizon):
+    assert engine._two_state(spec) is not None
+    gf = gf_partial(spec, model, horizon)
+    S, f = _kernel_series(spec, model, horizon)
+    _assert_close_above(gf.S, S, 1e-12)
+    _assert_close_above(gf.dual_pmf, f, 1e-12)
+    assert gf.S[0] == 1.0 and gf.dual_pmf[0] == 0.0
+    # the closed u subtracts at odd n when q_1 < q_0, so its error is absolute there
+    u, want = engine._renewal_table(spec, horizon), renewal_probabilities(spec, horizon).u
+    assert u[0] == 1.0
+    assert np.all(np.abs(u - want) <= 1e-11)
+    q0, q1 = engine._two_state(spec)
+    if q1 >= q0:
+        _assert_close_above(u, want, 1e-11)
+
+
+@pytest.mark.parametrize(
+    "spec, lumped",
+    [
+        (ConstantQ(0.4), True),
+        (MarkovQ(0.3, 0.6), True),
+        (TableQ((0.3,)), True),
+        (TableQ((0.9, 0.2)), True),
+        (TableQ((0.9, 0.2, 0.5)), False),
+        (TableQ((0.9, 0.2), tail=ConstantQ(0.2)), False),
+        (PolynomialMonotoneQ(0.25), False),
+    ],
+    ids=repr,
+)
+def test_only_two_state_laws_skip_the_kernel(monkeypatch, spec, lumped):
+    calls = []
+
+    def solve(*args):
+        calls.append("mult" if len(args) == 2 else "plain")
+        return renewal_solve(*args)
+
+    def probabilities(*args):
+        calls.append("u")
+        return renewal_probabilities(*args)
+
+    monkeypatch.setattr(engine, "renewal_solve", solve)
+    monkeypatch.setattr(engine, "renewal_probabilities", probabilities)
+    engine._renewal_table.cache_clear()
+    gf_partial(spec, GeometricTailRadius(0.9), 200)
+    engine._renewal_table(spec, 200)
+    assert calls == ([] if lumped else ["mult", "u"])
 
 
 # ---------------------------------------------------------------------------
