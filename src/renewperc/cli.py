@@ -101,30 +101,18 @@ def _template_and_values(column) -> tuple:
     return "%s", list(map(_cell, column))
 
 
-def _fresh(path: Path) -> Path:
-    """``path`` with an existing regular file removed first (a symlink is written through).
-
-    Writing 1.8 MB over an existing file took 85-96 ms on an ext4 volume
-    mounted with ``discard``, against 0.2 ms for a new file.
-    """
-    if path.is_file() and not path.is_symlink():
-        path.unlink()
-    return path
-
-
 def _write_columns(path: str, schema: str, fieldnames, columns, fmt: str) -> None:
     """Write a table given as one list or array per field, after a constant schema column."""
     keys = ["schema", *fieldnames]
-    out = _fresh(Path(path))
     if fmt == "csv":
         directives, values = zip(*map(_template_and_values, columns))
         row = ",".join([_cell(schema).replace("%", "%%"), *directives])
         text = "\r\n".join([",".join(map(_cell, keys)), *map(row.__mod__, zip(*values)), ""])
-        with out.open("w", encoding="utf-8", newline="") as fh:
+        with Path(path).open("w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-        with out.open("w", encoding="utf-8") as fh:
+        with Path(path).open("w", encoding="utf-8") as fh:
             for row in zip(itertools.repeat(schema, len(values[0])), *values):
                 fh.write(json.dumps(dict(zip(keys, row)), sort_keys=True))
                 fh.write("\n")
@@ -139,7 +127,8 @@ def _emit_summary(summary: dict, out_path: str) -> None:
     summary = {"schema": _SUMMARY_SCHEMA, "version": __version__, **summary}
     text = json.dumps(summary, sort_keys=True, default=str)
     out = Path(out_path)
-    _fresh(out.with_name(out.stem + ".summary.json")).write_text(text + "\n", encoding="utf-8")
+    sidecar = out.with_name(out.stem + ".summary.json")
+    sidecar.write_text(text + "\n", encoding="utf-8")
     print(text)
 
 

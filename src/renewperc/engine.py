@@ -258,11 +258,7 @@ def _renewal_table(spec: QSequence, horizon: int) -> np.ndarray:
     lumped = _two_state(spec)
     if lumped is None:
         return _frozen(renewal_probabilities(spec, horizon).u)
-    q0, q1 = lumped
-    if q0 == q1:
-        u = np.full(horizon + 1, 1.0 - q0)
-    else:
-        u = markov_renewal_closed(q0, q1, np.arange(horizon + 1))
+    u = markov_renewal_closed(*lumped, np.arange(horizon + 1))
     u[0] = 1.0
     return _frozen(u)
 

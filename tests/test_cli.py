@@ -160,33 +160,6 @@ def test_simulate_byte_identical_reruns(tmp_path):
     assert row["schema"] == "renewperc.sim.v1"
 
 
-def _summary_without_runtime(path):
-    summary = json.loads(path.read_text(encoding="utf-8"))
-    del summary["runtime_s"]
-    return summary
-
-
-def test_exact_rerun_over_the_same_out_is_identical(tmp_path):
-    cfg = _write_config(tmp_path, HAND_CONFIG)
-    out, sidecar = tmp_path / "exact.csv", tmp_path / "exact.summary.json"
-    assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 0
-    first, first_summary = out.read_bytes(), _summary_without_runtime(sidecar)
-    assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 0
-    assert out.read_bytes() == first
-    assert _summary_without_runtime(sidecar) == first_summary
-
-
-def test_exact_writes_through_a_symlinked_out(tmp_path):
-    cfg = _write_config(tmp_path, HAND_CONFIG)
-    target = tmp_path / "target.csv"
-    target.write_text("old", encoding="utf-8")
-    link = tmp_path / "link.csv"
-    link.symlink_to(target)
-    assert main(["exact", "--config", str(cfg), "--out", str(link)]) == 0
-    assert link.is_symlink()
-    assert target.read_bytes().startswith(b"schema,n,S_n,f_n,v_n\r\n")
-
-
 def test_dual_command_matches_simulate_roughly(tmp_path):
     cfg = _write_config(tmp_path, {**HAND_LAW, "n": 2, "reps": 50_000, "seed": 4})
     out_c = tmp_path / "conn.csv"
