@@ -45,7 +45,6 @@ from .radius import (
     InfiniteRadius,
     PowerLawTailRadius,
     RadiusModel,
-    TailDiagnosis,
     criterion_ratio,
     radius_from_config,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "RenewpercError",
     "SimReport",
     "TableQ",
-    "TailDiagnosis",
     "TinyConfig",
     "UnboundedRadiusError",
     "ValidationError",

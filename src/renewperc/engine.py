@@ -595,9 +595,8 @@ def classify(spec: QSequence, model: RadiusModel, horizon: int) -> ClassifyRepor
 
     mean = summary.mean
     grid = sorted({max(2, int(horizon * g)) for g in (0.5, 0.62, 0.75, 0.88, 1.0)})
-    ratio_window = tuple(
-        (k, k * (1.0 - model.alpha(k)) / mean) for k in grid
-    )
+    alph = model.alpha_array(grid[-1] + 1)
+    ratio_window = tuple((k, k * (1.0 - float(alph[k])) / mean) for k in grid)
     ck_window = tuple((k, ck_at(spec, k) / k) for k in grid)
     ratios = [r for _, r in ratio_window]
     rmin, rmax = min(ratios), max(ratios)

@@ -1,13 +1,15 @@
 """Exhaustive enumeration oracles for tiny instances.
 
 Ground truth against the exact engine and the simulator.  The code here
-deliberately shares no arithmetic kernels with the engine: path
-probabilities come from a scalar walk of the house-of-cards chain, the
-coverage test unions intervals site by site, and the relay test applies
-the gap rule directly.  Radii are enumerated only at marked sites (they
-are irrelevant elsewhere) and only through their endpoint truncated at
-the last site that can matter, with the truncated outcome carrying the
-aggregated tail probability; both reductions are exact.
+deliberately shares no arithmetic kernels with the engine, only the laws,
+which each enumeration reads once through ``q_array`` and ``alpha_array``:
+path probabilities come from a scalar walk of the house-of-cards chain
+over those q values, the coverage test unions intervals site by site, and
+the relay test applies the gap rule directly.  Radii are enumerated only
+at marked sites (they are irrelevant elsewhere) and only through their
+endpoint truncated at the last site that can matter, with the truncated
+outcome carrying the aggregated tail probability; both reductions are
+exact.
 
 For each mark vector the radius assignments are held as one numpy product
 array, built one marked site at a time in the order of
@@ -49,12 +51,12 @@ class TinyConfig:
             raise ValidationError("site index must be nonnegative")
 
 
-def _path_probability(spec: QSequence, bits) -> float:
-    """P(xi_1..xi_k = bits | xi_0 = 1) by walking the chain."""
+def _path_probability(qs: list, bits) -> float:
+    """P(xi_1..xi_k = bits | xi_0 = 1) by walking the chain; qs holds q_0..q_{k-1}."""
     prob = 1.0
     state = 0
     for b in bits:
-        q = spec.q_at(state)
+        q = qs[state]
         if b:
             prob *= 1.0 - q
             state = 0
@@ -71,13 +73,14 @@ def enumerate_gf(cfg: TinyConfig) -> np.ndarray:
         raise ValidationError(f"series enumeration is limited to n <= {_GF_SITE_LIMIT}")
     if 2 ** (n + 1) > cfg.cap:
         raise EnumerationCapError(f"2^{n + 1} terms exceed the cap {cfg.cap}")
-    alph = [cfg.model.alpha(i) for i in range(max(n, 1))]
+    qs = cfg.spec.q_array(n).tolist()
+    alph = cfg.model.alpha_array(n).tolist()
     S = np.empty(n + 1)
     S[0] = 1.0
     for k in range(1, n + 1):
         total = 0.0
         for bits in itertools.product((0, 1), repeat=k):
-            term = _path_probability(cfg.spec, bits)
+            term = _path_probability(qs, bits)
             for i, b in enumerate(bits):
                 if b:
                     term *= alph[i]
@@ -122,10 +125,11 @@ def _enumerate(cfg: TinyConfig, sites, outcomes: dict, step, hit) -> float:
     """
     total = 0.0
     budget = cfg.cap
+    qs = cfg.spec.q_array(cfg.n).tolist()
     for bits in itertools.product((0, 1), repeat=cfg.n):
         if bits[-1] != 1:
             continue
-        p_marks = _path_probability(cfg.spec, bits)
+        p_marks = _path_probability(qs, bits)
         if p_marks == 0.0:
             continue
         marked = sites(bits)

@@ -1,14 +1,13 @@
 """Radius laws: the lengths of the intervals opened at marked sites.
 
-A radius model exposes the CDF alpha_n = P(R <= n), inverse-CDF sampling,
-and tail diagnostics.  R = 0 is legal (it opens an empty interval); a
-defective law with all mass at infinity is admitted behind an explicit
-model for degenerate checks.
+A radius model exposes the CDF alpha_n = P(R <= n) and inverse-CDF
+sampling; the module adds the tail-criterion ratio.  R = 0 is legal (it
+opens an empty interval); a defective law with all mass at infinity is
+admitted behind an explicit model for degenerate checks.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -21,14 +20,28 @@ from .renewal import QSequence, interarrival
 
 @dataclass(frozen=True)
 class RadiusModel:
-    """Base class: a radius law specified through its CDF alpha."""
+    """Base class: a radius law specified through its CDF alpha.
+
+    A built-in law defines its CDF once, as the hook ``_alpha(idx)`` that
+    evaluates alpha at every index of an integer array; ``alpha`` and
+    ``alpha_array`` are that hook on one index and on 0..n-1, so both give
+    the same bits.  A subclass may instead define only ``alpha``: the
+    default hook then loops over it.
+    """
+
+    def _alpha(self, idx: np.ndarray) -> np.ndarray:
+        if type(self).alpha is RadiusModel.alpha:
+            raise NotImplementedError(f"{type(self).__name__} defines neither _alpha nor alpha")
+        return np.array([self.alpha(n) for n in idx.tolist()], dtype=float)
 
     def alpha(self, n: int) -> float:
-        raise NotImplementedError
+        if n < 0:
+            raise ValidationError("index must be nonnegative")
+        return float(self._alpha(np.array([n], dtype=np.int64))[0])
 
     def alpha_array(self, n: int) -> np.ndarray:
         """alpha_0 .. alpha_{n-1} as a float array."""
-        return np.array([self.alpha(i) for i in range(n)], dtype=float)
+        return self._alpha(np.arange(n))
 
     @property
     def support_bound(self) -> Optional[int]:
@@ -61,13 +74,8 @@ class GeometricTailRadius(RadiusModel):
         if not 0.0 < check_float("r", self.r) < 1.0:
             raise ValidationError(f"r must lie in (0, 1), got {self.r!r}")
 
-    def alpha(self, n: int) -> float:
-        if n < 0:
-            raise ValidationError("index must be nonnegative")
-        return 1.0 - self.r**n
-
-    def alpha_array(self, n: int) -> np.ndarray:
-        return 1.0 - self.r ** np.arange(n, dtype=float)
+    def _alpha(self, idx: np.ndarray) -> np.ndarray:
+        return 1.0 - self.r ** idx.astype(float)
 
     @property
     def support_bound(self) -> Optional[int]:
@@ -106,19 +114,11 @@ class PowerLawTailRadius(RadiusModel):
         if self.n0 < 1:
             raise ValidationError(f"n0 must be >= 1, got {self.n0!r}")
 
-    def alpha(self, n: int) -> float:
-        if n < 0:
-            raise ValidationError("index must be nonnegative")
-        if n < self.n0:
-            return 0.0
-        return 1.0 - min(1.0, self.c / n**self.gamma)
-
-    def alpha_array(self, n: int) -> np.ndarray:
-        idx = np.arange(n, dtype=float)
+    def _alpha(self, idx: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            tail = np.minimum(1.0, self.c / idx**self.gamma)
+            tail = np.minimum(1.0, self.c / idx.astype(float) ** self.gamma)
         out = 1.0 - tail
-        out[: min(self.n0, n)] = 0.0
+        out[idx < self.n0] = 0.0
         return out
 
     @property
@@ -155,16 +155,10 @@ class FiniteTableRadius(RadiusModel):
         if abs(sum(self.p) - 1.0) > 1e-9:
             raise ValidationError(f"pmf must sum to 1, got {sum(self.p)!r}")
 
-    def alpha(self, n: int) -> float:
-        if n < 0:
-            raise ValidationError("index must be nonnegative")
-        return min(1.0, math.fsum(self.p[: n + 1]))
-
-    def alpha_array(self, n: int) -> np.ndarray:
-        cdf = np.minimum(np.cumsum(self.p), 1.0)
-        if n <= len(self.p):
-            return cdf[:n].copy()
-        return np.concatenate([cdf, np.ones(n - len(self.p))])
+    def _alpha(self, idx: np.ndarray) -> np.ndarray:
+        # exactly 1 beyond the support, whatever the cumsum rounds to
+        cdf = np.append(np.minimum(np.cumsum(self.p), 1.0), 1.0)
+        return cdf[np.minimum(idx, len(self.p))]
 
     @property
     def support_bound(self) -> Optional[int]:
@@ -194,13 +188,8 @@ class InfiniteRadius(RadiusModel):
     endpoint where the coverage probability collapses to 1 / E T.
     """
 
-    def alpha(self, n: int) -> float:
-        if n < 0:
-            raise ValidationError("index must be nonnegative")
-        return 0.0
-
-    def alpha_array(self, n: int) -> np.ndarray:
-        return np.zeros(n)
+    def _alpha(self, idx: np.ndarray) -> np.ndarray:
+        return np.zeros(idx.shape)
 
     @property
     def support_bound(self) -> Optional[int]:
@@ -260,39 +249,6 @@ def radius_from_config(fragment: Mapping) -> RadiusModel:
 # ---------------------------------------------------------------------------
 # Diagnostics
 # ---------------------------------------------------------------------------
-
-
-class TailDiagnosis(str, enum.Enum):
-    SUMMABLE = "summable-evidence"
-    DIVERGENT = "divergent-evidence"
-    INCONCLUSIVE = "inconclusive"
-
-
-def tail_sum(model: RadiusModel, horizon: int) -> tuple[float, TailDiagnosis]:
-    """Partial sum of 1 - alpha_k up to the horizon, with a decay diagnosis.
-
-    The diagnosis compares the local power exponent of 1 - alpha between
-    horizon/2 and horizon against 1 (the summability threshold).  It is
-    finite-horizon evidence, never a proof.
-    """
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    tail = 1.0 - model.alpha_array(horizon + 1)
-    partial = float(tail.sum())
-    d_end = tail[horizon]
-    if d_end == 0.0:
-        return partial, TailDiagnosis.SUMMABLE
-    if horizon < 4:
-        return partial, TailDiagnosis.INCONCLUSIVE
-    d_mid = tail[horizon // 2]
-    if d_mid <= 0.0:
-        return partial, TailDiagnosis.INCONCLUSIVE
-    rho = math.log(d_mid / d_end) / math.log(horizon / (horizon // 2))
-    if rho <= 1.02:
-        return partial, TailDiagnosis.DIVERGENT
-    if rho >= 1.10:
-        return partial, TailDiagnosis.SUMMABLE
-    return partial, TailDiagnosis.INCONCLUSIVE
 
 
 def _mean_interarrival(spec: QSequence, horizon: int = 100_000, tol: float = 1e-14) -> float:

@@ -47,16 +47,26 @@ def _check_probability(name: str, value: float) -> float:
 class QSequence:
     """A renewal law specified by its climb probabilities q_i.
 
-    Subclasses implement ``q_at`` (and usually a vectorized ``q_array``).
-    All values are clamped to [0, Q_CAP].
+    A built-in law defines its formula once, as the hook ``_q(idx)`` that
+    evaluates q at every index of an integer array; ``q_at`` and
+    ``q_array`` are that hook on one index and on 0..n-1, so both give the
+    same bits.  A subclass may instead define only ``q_at``: the default
+    hook then loops over it.  All values are clamped to [0, Q_CAP].
     """
 
+    def _q(self, idx: np.ndarray) -> np.ndarray:
+        if type(self).q_at is QSequence.q_at:
+            raise NotImplementedError(f"{type(self).__name__} defines neither _q nor q_at")
+        return np.array([self.q_at(i) for i in idx.tolist()], dtype=float)
+
     def q_at(self, i: int) -> float:
-        raise NotImplementedError
+        if i < 0:
+            raise ValidationError("index must be nonnegative")
+        return float(self._q(np.array([i], dtype=np.int64))[0])
 
     def q_array(self, n: int) -> np.ndarray:
         """Values q_0 .. q_{n-1} as a float array."""
-        return np.array([self.q_at(i) for i in range(n)], dtype=float)
+        return self._q(np.arange(n))
 
     @property
     def is_monotone(self) -> bool:
@@ -76,13 +86,8 @@ class ConstantQ(QSequence):
     def __post_init__(self) -> None:
         _check_probability("q", self.q)
 
-    def q_at(self, i: int) -> float:
-        if i < 0:
-            raise ValidationError("index must be nonnegative")
-        return min(self.q, Q_CAP)
-
-    def q_array(self, n: int) -> np.ndarray:
-        return np.full(n, min(self.q, Q_CAP), dtype=float)
+    def _q(self, idx: np.ndarray) -> np.ndarray:
+        return np.full(idx.shape, min(self.q, Q_CAP), dtype=float)
 
     @property
     def is_monotone(self) -> bool:
@@ -107,16 +112,8 @@ class MarkovQ(QSequence):
         _check_probability("q0", self.q0)
         _check_probability("q1", self.q1)
 
-    def q_at(self, i: int) -> float:
-        if i < 0:
-            raise ValidationError("index must be nonnegative")
-        return min(self.q0 if i == 0 else self.q1, Q_CAP)
-
-    def q_array(self, n: int) -> np.ndarray:
-        out = np.full(n, min(self.q1, Q_CAP), dtype=float)
-        if n > 0:
-            out[0] = min(self.q0, Q_CAP)
-        return out
+    def _q(self, idx: np.ndarray) -> np.ndarray:
+        return np.where(idx == 0, float(min(self.q0, Q_CAP)), float(min(self.q1, Q_CAP)))
 
     @property
     def is_monotone(self) -> bool:
@@ -143,15 +140,9 @@ class PolynomialMonotoneQ(QSequence):
         if self.i0 < 2:
             raise ValidationError(f"i0 must be at least 2, got {self.i0!r}")
 
-    def q_at(self, i: int) -> float:
-        if i < 0:
-            raise ValidationError("index must be nonnegative")
-        j = max(i, self.i0)
-        return min(1.0 - j ** (-self.beta), Q_CAP)
-
-    def q_array(self, n: int) -> np.ndarray:
-        idx = np.maximum(np.arange(n, dtype=float), float(self.i0))
-        return np.minimum(1.0 - idx ** (-self.beta), Q_CAP)
+    def _q(self, idx: np.ndarray) -> np.ndarray:
+        j = np.maximum(idx.astype(float), float(self.i0))
+        return np.minimum(1.0 - j ** (-self.beta), Q_CAP)
 
     @property
     def is_monotone(self) -> bool:
@@ -185,25 +176,13 @@ class TableQ(QSequence):
         if self.tail != REPEAT_LAST and not isinstance(self.tail, QSequence):
             raise ValidationError(f"unknown tail rule {self.tail!r}")
 
-    def q_at(self, i: int) -> float:
-        if i < 0:
-            raise ValidationError("index must be nonnegative")
-        if i < len(self.values):
-            return min(self.values[i], Q_CAP)
-        if self.tail == REPEAT_LAST:
-            return min(self.values[-1], Q_CAP)
-        return self.tail.q_at(i)
-
-    def q_array(self, n: int) -> np.ndarray:
+    def _q(self, idx: np.ndarray) -> np.ndarray:
         m = len(self.values)
-        if n <= m:
-            return np.minimum(np.array(self.values[:n], dtype=float), Q_CAP)
-        head = np.minimum(np.array(self.values, dtype=float), Q_CAP)
-        if self.tail == REPEAT_LAST:
-            tail = np.full(n - m, head[-1])
-        else:
-            tail = self.tail.q_array(n)[m:]
-        return np.concatenate([head, tail])
+        out = np.minimum(np.array(self.values, dtype=float), Q_CAP)[np.minimum(idx, m - 1)]
+        beyond = idx >= m
+        if self.tail != REPEAT_LAST and beyond.any():
+            out[beyond] = self.tail._q(idx[beyond])
+        return out
 
     @property
     def is_monotone(self) -> bool:
@@ -269,13 +248,6 @@ def q_sequence_from_config(fragment: Mapping) -> QSequence:
 # ---------------------------------------------------------------------------
 # Derived quantities
 # ---------------------------------------------------------------------------
-
-
-def q_star(spec: QSequence, i: int) -> float:
-    """Running maximum q*_i = max(q_0, ..., q_i)."""
-    if i < 0:
-        raise ValidationError("index must be nonnegative")
-    return float(spec.q_array(i + 1).max())
 
 
 def q_star_array(spec: QSequence, n: int) -> np.ndarray:
@@ -405,14 +377,18 @@ def markov_renewal_closed(q0: float, q1: float, i):
     """Closed-form u_i for the Markov family, via the spectral decomposition.
 
     The two-state mark chain has stationary mark probability
-    pi = (1-q1) / (1-q1+q0) and second eigenvalue q1-q0, giving
+    pi = (1-q1) / (1-q1+q0) and second eigenvalue s = q1-q0, giving
 
-        u_i = pi + (1 - pi) * (q1 - q0)^i,
+        u_i = pi + (1 - pi) * s^i,
 
     which matches the renewal recursion (u_0 = 1, geometric relaxation).
-    ``i`` may be an integer array, which gives the array of u_i.  For
-    q1 < q0 the odd terms subtract, so the error is about 1e-16 absolute,
-    not relative, where u_i is small (q0 near 1, q1 near 0).
+    For s < 0 the odd powers would subtract, so with i = 2j + r it is
+    evaluated as
+
+        u_i = s^(2j) u_r - pi * expm1(2j log|s|),   u_0 = 1, u_1 = 1 - q0,
+
+    where every term is nonnegative and the error stays relative.  ``i``
+    may be an integer array, which gives the array of u_i.
     """
     q0 = _check_probability("q0", q0)
     q1 = _check_probability("q1", q1)
@@ -422,7 +398,12 @@ def markov_renewal_closed(q0: float, q1: float, i):
         raise ValidationError("index must be nonnegative")
     denom = 1.0 - q1 + q0
     pi = (1.0 - q1) / denom
-    return pi + (q0 / denom) * (q1 - q0) ** i
+    s = q1 - q0
+    if s >= 0.0:
+        return pi + (q0 / denom) * s**i
+    r = np.asarray(i) % 2
+    e = (i - r) * math.log(-s)
+    return (np.exp(e) * np.where(r, 1.0 - q0, 1.0) - pi * np.expm1(e))[()]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ HAND_MODEL = FiniteTableRadius((0.0, 0.5, 0.5))
 def test_path_probabilities_sum_to_one():
     for k in (1, 4, 8):
         total = math.fsum(
-            _path_probability(HAND_SPEC, bits) for bits in itertools.product((0, 1), repeat=k)
+            _path_probability(HAND_SPEC.q_array(k).tolist(), bits)
+            for bits in itertools.product((0, 1), repeat=k)
         )
         assert total == pytest.approx(1.0, abs=1e-13)
 
@@ -137,7 +138,7 @@ def _ref_mark_vectors(cfg):
     for bits in itertools.product((0, 1), repeat=cfg.n):
         if bits[-1] != 1:
             continue
-        p_marks = _path_probability(cfg.spec, bits)
+        p_marks = _path_probability(cfg.spec.q_array(cfg.n).tolist(), bits)
         if p_marks == 0.0:
             continue
         yield bits, p_marks

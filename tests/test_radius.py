@@ -1,8 +1,9 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renewperc import (
@@ -13,12 +14,12 @@ from renewperc import (
     InfiniteRadius,
     PolynomialMonotoneQ,
     PowerLawTailRadius,
-    TailDiagnosis,
+    RadiusModel,
     ValidationError,
     criterion_ratio,
     radius_from_config,
 )
-from renewperc.radius import sample, tail_sum
+from renewperc.radius import sample
 
 MODELS = [
     GeometricTailRadius(0.9),
@@ -60,24 +61,48 @@ def test_alpha_nondecreasing_power_property(c, gamma):
     assert np.all(np.diff(values) >= -1e-15)
 
 
-def test_tail_sum_examples():
-    partial, diagnosis = tail_sum(GeometricTailRadius(0.9), 2000)
-    assert partial == pytest.approx(1.0 / (1.0 - 0.9), abs=1e-6)
-    assert diagnosis is TailDiagnosis.SUMMABLE
-
-    partial, diagnosis = tail_sum(PowerLawTailRadius(c=3.0, gamma=1.0, n0=1), 2000)
-    assert partial == pytest.approx(4 + 3 * (math.log(2000) - math.log(3)), rel=0.1)
-    assert diagnosis is TailDiagnosis.DIVERGENT
-
-    partial, diagnosis = tail_sum(FiniteTableRadius((0.0, 0.5, 0.5)), 100)
-    assert partial == pytest.approx(1.5, abs=1e-12)
-    assert diagnosis is TailDiagnosis.SUMMABLE
+_RADII = st.one_of(
+    st.builds(GeometricTailRadius, st.floats(0.01, 0.99)),
+    st.builds(PowerLawTailRadius, st.floats(0.1, 10.0), st.floats(0.2, 3.0), st.integers(1, 5)),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)
+    .filter(lambda w: sum(w) > 0.0)
+    .map(lambda w: FiniteTableRadius(tuple(x / math.fsum(w) for x in w)))
+    .filter(lambda m: abs(sum(m.p) - 1.0) <= 1e-9),
+    st.just(InfiniteRadius()),
+)
 
 
-def test_tail_sum_partial_sums_nondecreasing():
-    model = PowerLawTailRadius(c=2.0, gamma=1.2, n0=1)
-    partials = [tail_sum(model, n)[0] for n in (10, 50, 200, 1000)]
-    assert all(a <= b + 1e-15 for a, b in zip(partials, partials[1:]))
+@settings(max_examples=200, deadline=None)
+@given(_RADII, st.integers(0, 3000), st.integers(1, 3001))
+def test_alpha_is_alpha_array_bit_for_bit(model, k, extra):
+    values = model.alpha_array(k + extra)
+    assert model.alpha(k) == values[k]
+    assert type(model.alpha(k)) is float
+
+
+def _no_arange(*args, **kwargs):
+    raise AssertionError("a scalar lookup built an index range")
+
+
+def test_alpha_far_index_costs_one_entry(monkeypatch):
+    monkeypatch.setattr(np, "arange", _no_arange)
+    for model in MODELS:
+        assert 0.0 <= model.alpha(10**12) <= 1.0
+    # the cumsum of this pmf ends at 1 - 1.1e-16; beyond the support alpha is exactly 1
+    assert FiniteTableRadius((0.1,) * 10).alpha(10**12) == 1.0
+
+
+def test_scalar_only_subclass_gets_its_array():
+    @dataclass(frozen=True)
+    class HalfAtTwo(RadiusModel):
+        def alpha(self, n):
+            return 0.0 if n < 2 else 1.0 - 0.5 ** (n - 1)
+
+    model = HalfAtTwo()
+    assert model.alpha_array(5).tolist() == [0.0, 0.0, 0.5, 0.75, 0.875]
+    assert model.alpha_array(0).size == 0
+    with pytest.raises(NotImplementedError):
+        RadiusModel().alpha_array(3)
 
 
 def test_criterion_ratio_values():

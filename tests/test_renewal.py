@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from renewperc import (
     InfiniteRadius,
     MarkovQ,
     PolynomialMonotoneQ,
+    QSequence,
     TableQ,
     ValidationError,
     ck_at,
@@ -21,7 +24,7 @@ from renewperc import (
     renewal_probabilities,
     survival_products,
 )
-from renewperc.renewal import q_star, renewal_solve, sample_path
+from renewperc.renewal import Q_CAP, renewal_solve, sample_path
 
 SPECS = [
     ConstantQ(0.5),
@@ -39,6 +42,7 @@ def test_q_at_examples():
     mk = MarkovQ(0.3, 0.6)
     assert mk.q_at(0) == 0.3
     assert mk.q_at(5) == 0.6
+    assert MarkovQ(0, 0).q_array(2).dtype == float
 
 
 def test_q_at_rejects_bad_inputs():
@@ -54,13 +58,6 @@ def test_q_at_rejects_bad_inputs():
         ConstantQ(0.5).q_at(-1)
 
 
-def test_q_star_examples():
-    assert q_star(TableQ((0.9, 0.2, 0.5)), 2) == 0.9
-    assert q_star(ConstantQ(0.5), 17) == 0.5
-    spec = PolynomialMonotoneQ(0.25, 2)
-    assert q_star(spec, 10) == pytest.approx(1 - 10 ** -0.25, abs=1e-12)
-
-
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
 def test_q_star_is_running_max(values):
     spec = TableQ(tuple(values))
@@ -68,6 +65,51 @@ def test_q_star_is_running_max(values):
     assert stars[0] == spec.q_at(0)
     for i in range(1, len(values)):
         assert stars[i] == max(stars[i - 1], spec.q_at(i))
+
+
+_Q = st.floats(0.0, 1.0)
+_LAWS = st.one_of(
+    st.builds(ConstantQ, _Q),
+    st.builds(MarkovQ, _Q, _Q),
+    st.builds(PolynomialMonotoneQ, st.floats(0.05, 3.0), st.integers(2, 50)),
+    st.lists(_Q, min_size=1, max_size=6).map(lambda v: TableQ(tuple(v))),
+    st.tuples(st.lists(_Q, min_size=1, max_size=6), st.floats(0.05, 3.0)).map(
+        lambda t: TableQ(tuple(t[0]), tail=PolynomialMonotoneQ(t[1]))
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LAWS, st.integers(0, 3000), st.integers(1, 3001))
+def test_q_at_is_q_array_bit_for_bit(spec, i, extra):
+    values = spec.q_array(i + extra)
+    assert spec.q_at(i) == values[i]
+    assert type(spec.q_at(i)) is float
+
+
+def _no_arange(*args, **kwargs):
+    raise AssertionError("a scalar lookup built an index range")
+
+
+def test_q_at_far_index_costs_one_entry(monkeypatch):
+    monkeypatch.setattr(np, "arange", _no_arange)
+    for spec in SPECS + [TableQ((0.1,), tail=PolynomialMonotoneQ(0.5))]:
+        assert 0.0 <= spec.q_at(10**12) <= Q_CAP
+    assert TableQ((0.9, 0.2, 0.5)).q_at(10**12) == 0.5
+
+
+def test_scalar_only_subclass_gets_its_array():
+    @dataclass(frozen=True)
+    class Alternating(QSequence):
+        def q_at(self, i):
+            return 0.25 if i % 2 else 0.75
+
+    spec = Alternating()
+    assert spec.q_array(4).tolist() == [0.75, 0.25, 0.75, 0.25]
+    assert survival_products(spec, 2).tolist() == [1.0, 0.75, 0.1875]
+    assert TableQ((0.5,), tail=spec).q_array(3).tolist() == [0.5, 0.25, 0.75]
+    with pytest.raises(NotImplementedError):
+        QSequence().q_array(3)
 
 
 def test_interarrival_constant_half():
@@ -256,6 +298,23 @@ def test_renewal_probabilities_markov_large_horizon(q0, q1):
 def test_markov_closed_examples():
     assert markov_renewal_closed(0.5, 0.5, 0) == pytest.approx(1.0, abs=1e-15)
     assert markov_renewal_closed(0.5, 0.5, 3) == pytest.approx(0.5, abs=1e-15)
+
+
+def _markov_u_exact(q0, q1, n):
+    """u_0..u_n of the two-state mark chain in exact rational arithmetic, rounded once."""
+    q0, q1 = Fraction(q0), Fraction(q1)
+    u = [Fraction(1)]
+    for _ in range(n):
+        u.append(u[-1] * (1 - q0) + (1 - u[-1]) * (1 - q1))
+    return np.array([float(x) for x in u])
+
+
+@pytest.mark.parametrize("q0", [Q_CAP, 1.0 - 1e-6])
+def test_markov_closed_is_relatively_accurate_when_q1_below_q0(q0):
+    # u_n is about 2e-12 at odd n here; s = q1 - q0 < 0 must not subtract
+    want = _markov_u_exact(q0, 0.0, 400)
+    got = markov_renewal_closed(q0, 0.0, np.arange(401))
+    assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
 def test_markov_closed_matches_recursion_grid():
