@@ -387,8 +387,11 @@ def markov_renewal_closed(q0: float, q1: float, i):
 
         u_i = s^(2j) u_r - pi * expm1(2j log|s|),   u_0 = 1, u_1 = 1 - q0,
 
-    where every term is nonnegative and the error stays relative.  ``i``
-    may be an integer array, which gives the array of u_i.
+    where every term is nonnegative and the error stays relative.  For
+    |s| > 1/2, log|s| is taken as log1p(-((1 - q0) + q1)), whose argument
+    is exact up to one rounding, as log(q0 - q1) would lose the relative
+    accuracy of s^(2j) - 1 when |s| is near 1.  ``i`` may be an integer
+    array, which gives the array of u_i.
     """
     q0 = _check_probability("q0", q0)
     q1 = _check_probability("q1", q1)
@@ -402,7 +405,8 @@ def markov_renewal_closed(q0: float, q1: float, i):
     if s >= 0.0:
         return pi + (q0 / denom) * s**i
     r = np.asarray(i) % 2
-    e = (i - r) * math.log(-s)
+    log_abs_s = math.log1p(-((1.0 - q0) + q1)) if s < -0.5 else math.log(-s)
+    e = (i - r) * log_abs_s
     return (np.exp(e) * np.where(r, 1.0 - q0, 1.0) - pi * np.expm1(e))[()]
 
 
