@@ -24,7 +24,10 @@ an ``out`` path.
 CSV output is RFC-4180 style (UTF-8, CRLF after every row, header row).
 The writer fills the first column with the schema id (a ``schema`` key in
 jsonl), floats as ``%.17g`` and None as empty cells, and quotes a cell
-holding a comma, quote, CR or LF as csv.writer's QUOTE_MINIMAL does.
+holding a comma, quote, CR or LF as csv.writer's QUOTE_MINIMAL does.  A
+float or integer array is rendered a whole column at a time in numpy, to
+the same bytes as ``format(x, ".17g")`` and ``str(i)``; the few floats the
+column kernel cannot decide exactly go through ``format`` itself.
 Randomized commands embed the seed in every row.  Runs are deterministic:
 the same config file yields a byte-identical CSV, so wall-clock runtime is
 reported only in the JSON summary, never in CSV rows.
@@ -35,12 +38,12 @@ Exit codes: 0 ok, 1 usage, 2 validation, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -94,22 +97,219 @@ def _cell(value) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-def _template_and_values(column) -> tuple:
-    """The %-directive of one column and its values; an array's numbers need no quoting."""
-    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
-        return ("%.17g" if column.dtype.kind == "f" else "%d"), column.tolist()
-    return "%s", list(map(_cell, column))
+# A CSV column is rendered as a (rows, width) byte matrix in which _PAD, a
+# byte that never occurs in UTF-8, may stand anywhere; the matrices are joined
+# with "," and CRLF, and the pad is deleted from the joined bytes in one pass.
+_PAD = b"\xff"
+# exponents k of the table of 10**k: the scales 10**(16 - E) that
+# 1e-270 <= |x| <= 1e270 needs, with a margin for E off by one
+_POW10_MIN, _POW10_MAX = -260, 290
+# a fraction of the scaled value this close to one half may be a rounding tie
+_TIE = 1e-6
+# A float's source row is 7 words of 4 bytes: "000" and its leading digit,
+# its other 16 digits, its exponent's sign and 3 digits, then "-.e0"; digit
+# i is byte i + 3.  _F_LAYOUTS layouts per sign: fixed notation for
+# exponents -4..16, exponent notation with 2 or 3 exponent digits, each for
+# 1..17 significant digits.
+_F_MINUS, _F_DOT, _F_E, _F_ZERO = range(24, 28)
+_F_LAYOUTS = 23 * 17
+# The source bytes any layout prints, in order: sign, "0.000" (exponents
+# -1..-4), the digits with a point after each, then "e", sign and 3 digits.
+_F_TEMPLATE = np.array([_F_MINUS, _F_ZERO, _F_DOT, _F_ZERO, _F_ZERO, _F_ZERO,
+                        *[b for i in range(17) for b in (i + 3, _F_DOT)][:-1],
+                        _F_E, 20, 21, 22, 23])
+
+
+def _text_bytes(cells: list, width=None) -> np.ndarray:
+    """The UTF-8 bytes of each string as a row, padded to ``width`` (default: the longest)."""
+    data = [cell.encode() for cell in cells]
+    if width is None:
+        width = max(map(len, data), default=0)
+    joined = b"".join(d.ljust(width, _PAD) for d in data)
+    return np.frombuffer(joined, np.uint8).reshape(len(data), width)
+
+
+@functools.cache
+def _digit_tables() -> tuple:
+    """The ASCII digits of 0..9999 as one 4-byte word each, and for each of
+    a float's four groups of four digits after its first the number of
+    significant digits that end in the group's last nonzero digit (1 for 0)."""
+    digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1)
+    last = 4 - (digits[3] == 0) * (1 + (digits[2] == 0) * (1 + (digits[1] == 0)))
+    ends = np.where(digits.any(axis=0), 4 * np.arange(4)[:, None] + 1 + last, 1)
+    return (digits.T + ord("0")).copy().view(np.uint32).ravel(), ends.astype(np.uint8)
+
+
+@functools.cache
+def _float_tables() -> tuple:
+    """Per exponent E, indexed by ``16 - E - _POW10_MIN``: 10**(16 - E) as a
+    double-double (hi, lo), the exponent's sign and digits as a word, and
+    the first layout id; then each layout's mask over _F_TEMPLATE (0 prints
+    a byte, 0xFF pads it).
+
+    For k >= 0, hi is 10**k rounded to a double and lo the remainder
+    rounded, both from exact integers, so hi + lo is 10**k to 2**-106
+    relative.  10**-k is the double-double reciprocal q + q r of that, with
+    r = 1 - q (hi + lo) formed exactly but for its last rounding, to about
+    2**-104 relative.  Layout ``(E + 4) * 17 + k - 1`` prints k significant
+    digits in fixed notation (E in [-4, 16]), layout
+    ``357 + 17 * (|E| >= 100) + k - 1`` in exponent notation, and
+    ``_F_LAYOUTS`` more add a minus sign.
+    """
+    his, los, power = [], [], 1
+    for _ in range(max(_POW10_MAX, -_POW10_MIN) + 1):
+        his.append(float(power))  # int -> float rounds correctly
+        los.append(float(power - int(his[-1])))
+        power *= 10
+    hi, lo = np.array(his), np.array(los)
+    q = 1 / hi
+    p = q * hi
+    r = (1 - p) - _product_error(q, hi, p) - q * lo  # 1 - p is exact: p is near 1
+    hi = np.concatenate([q[-_POW10_MIN:0:-1], hi[: _POW10_MAX + 1]])
+    lo = np.concatenate([(q * r)[-_POW10_MIN:0:-1], lo[: _POW10_MAX + 1]])
+    exp = 16 - np.arange(_POW10_MIN, _POW10_MAX + 1)
+    mag = np.abs(exp)
+    tail = np.empty((len(exp), 4), np.uint8)
+    tail[:, 0] = np.where(exp < 0, ord("-"), ord("+"))
+    tail[:, 1:] = mag[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+    base = np.where((exp >= -4) & (exp < 17), (exp + 4) * 17, 357 + 17 * (mag >= 100))
+    neg, form = np.divmod(np.arange(2 * _F_LAYOUTS)[:, None], _F_LAYOUTS)
+    form, k = np.divmod(form, 17)
+    k, e = k + 1, form - 4
+    fixed = form < 21
+    point, whole = fixed & (e < 0), fixed & (e >= 0)
+    middle = np.empty((len(form), 33), bool)
+    # the integer part keeps its zeros
+    middle[:, 0::2] = np.arange(17) < np.where(whole, np.maximum(k, e + 1), k)
+    middle[:, 1::2] = np.arange(16) == np.where(whole & (k > e + 1), e, np.where(~fixed & (k > 1), 0, -1))
+    zeros = point & (np.arange(3) < -e - 1)
+    keep = np.concatenate([neg == 1, point, point, zeros, middle, ~fixed, ~fixed, form == 22, ~fixed, ~fixed],
+                          axis=1)
+    masks = np.where(keep, 0, 0xFF).astype(np.uint8)
+    return hi, lo, tail.view(np.uint32).ravel(), base, masks
+
+
+def _split(a: np.ndarray) -> tuple:
+    """Veltkamp's split of each double into two 26-bit halves."""
+    c = a * 134217729.0
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _product_error(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``a * b - p`` exactly for p the rounded product (Dekker's two-product)."""
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+
+
+def _divmod(a: np.ndarray, d: int) -> tuple:
+    """``np.divmod`` of nonnegative integers by a constant, through the faster floor division."""
+    q = a // d
+    return q, a - q * d
+
+
+def _float_bytes(x: np.ndarray) -> np.ndarray:
+    """``format(v, ".17g")`` of each float64 as a padded byte matrix.
+
+    With E = floor(log10 |x|), y = |x| 10**(16 - E) is formed as a
+    double-double: Dekker's exact product of |x| with the rounded power of
+    ten, plus |x| times its remainder.  That is about 2**-103 relative, or
+    about 1e-14 on y, so the integer part of y and its rounding half-even
+    are exact unless the fraction lies within _TIE of one half.  Those
+    near-ties, values whose truncated y lies outside [1e16, 1e17) (E off by
+    one next to a power of ten) or whose rounded y is 1e17, and zeros,
+    infinities, nans and |x| outside [1e-270, 1e270] are formatted one at a
+    time.
+    """
+    p10_hi, p10_lo, tails, bases, masks = _float_tables()
+    quads, ends = _digit_tables()
+    a = np.abs(x)
+    fast = (a >= 1e-270) & (a <= 1e270)
+    a[~fast] = 1.0
+    row = 16 - _POW10_MIN - np.floor(np.log10(a)).astype(np.intp)
+    scale = p10_hi.take(row)
+    prod = a * scale
+    tail = _product_error(a, scale, prod) + a * p10_lo.take(row)
+    whole = np.floor(tail)
+    frac = tail - whole
+    sig = prod.astype(np.int64) + whole.astype(np.int64)  # prod >= 2**53 is an integer
+    fast &= (sig >= 10**16) & (sig < 10**17) & (np.abs(frac - 0.5) > _TIE)
+    sig += frac > 0.5
+    fast &= sig < 10**17
+    high, low = _divmod(sig, 10**8)
+    lead, high = _divmod(high.astype(np.uint32), 10**8)
+    groups = [*_divmod(high, 10**4), *_divmod(low.astype(np.uint32), 10**4)]
+    words = np.empty((len(x), 7), np.uint32)
+    words[:, 0] = quads.take(lead)
+    for j, group in enumerate(groups):
+        words[:, j + 1] = quads.take(group)
+    words[:, 5] = tails.take(row)
+    words[:, 6] = np.frombuffer(b"-.e0", np.uint32)
+    sig_digits = np.maximum.reduce([ends[j].take(g) for j, g in enumerate(groups)])
+    ids = bases.take(row) + sig_digits - 1 + _F_LAYOUTS * np.signbit(x)
+    slow = np.flatnonzero(~fast)
+    texts = [format(v, ".17g") for v in x[slow].tolist()]
+    # the template bytes some row prints, and as many more (all pad) as the
+    # longest text needs
+    used = (masks[np.bincount(ids, minlength=len(masks)) > 0] == 0).any(axis=0)
+    extra = max([0, *map(len, texts)]) - used.sum()
+    cols = np.flatnonzero(used | (np.cumsum(~used) <= extra))
+    out = masks[:, cols].take(ids, axis=0)
+    out |= words.view(np.uint8)[:, _F_TEMPLATE[cols]]
+    if texts:
+        out[slow] = _text_bytes(texts, out.shape[1])
+    return out
+
+
+def _int_bytes(x: np.ndarray) -> np.ndarray:
+    """``str(v)`` of each integer as a padded byte matrix."""
+    quads, _ = _digit_tables()
+    neg = x < 0
+    mag = x.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # modulo 2**64, so -2**63 gives 2**63
+    ndig = len(str(mag.max(initial=0)))
+    groups = -(-ndig // 4)
+    words = np.empty((len(x), groups), np.uint32)
+    rest = mag
+    for j in range(groups - 1, -1, -1):
+        rest, group = _divmod(rest, 10**4)
+        words[:, j] = quads.take(group)
+    # the zeros before a row's first significant digit are padded
+    zeros = ndig - 1 - np.searchsorted(10 ** np.arange(1, ndig, dtype=np.uint64), mag, side="right")
+    pads = np.where(np.arange(ndig) < np.arange(ndig)[:, None], 0xFF, 0).astype(np.uint8)
+    out = words.view(np.uint8)[:, 4 * groups - ndig :] | pads.take(zeros, axis=0)
+    if neg.any():
+        out = np.concatenate([np.where(neg, ord("-"), 0xFF).astype(np.uint8)[:, None], out], axis=1)
+    return out
+
+
+def _column_bytes(column) -> np.ndarray:
+    """A column's CSV cells as a padded byte matrix; an array's numbers need no quoting."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return _float_bytes(column.astype(np.float64, copy=False))
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return _int_bytes(column)
+    return _text_bytes(list(map(_cell, column)))
 
 
 def _write_columns(path: str, schema: str, fieldnames, columns, fmt: str) -> None:
     """Write a table given as one list or array per field, after a constant schema column."""
     keys = ["schema", *fieldnames]
     if fmt == "csv":
-        directives, values = zip(*map(_template_and_values, columns))
-        row = ",".join([_cell(schema).replace("%", "%%"), *directives])
-        text = "\r\n".join([",".join(map(_cell, keys)), *map(row.__mod__, zip(*values)), ""])
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        cells = [_column_bytes(column) for column in columns]
+        # every row is this line with its cells written over the pads
+        head = _cell(schema).encode()
+        line = b"".join([head, *(b"," + _PAD * cell.shape[1] for cell in cells), b"\r\n"])
+        buf = bytearray(line) * len(cells[0])
+        table = np.frombuffer(buf, np.uint8).reshape(-1, len(line))
+        end = len(head)
+        for cell in cells:
+            start, end = end + 1, end + 1 + cell.shape[1]
+            table[:, start:end] = cell
+        with Path(path).open("wb") as fh:
+            fh.write((",".join(map(_cell, keys)) + "\r\n").encode())
+            fh.write(buf.translate(None, _PAD))
     else:
         values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
         with Path(path).open("w", encoding="utf-8") as fh:
@@ -459,6 +659,8 @@ def cmd_sweep(cfg: dict, schema: str) -> int:
     ]
     workers = cfg["workers"]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, payloads))
     else:

@@ -27,7 +27,7 @@ from .renewal import QSequence
 
 CHUNK = 8192
 _STEP_BLOCK = 64  # coupling steps drawn per rng call
-_TILE = 512  # replicates per cache-sized piece of a transpose
+_TILE = 512  # replicates drawn and transposed at a time
 
 _Z95 = 1.959963984540054
 
@@ -94,30 +94,32 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 def _site_major_chunks(model: RadiusModel, seed: int, reps: int, n: int, n_rad: int):
     """Yield ``(rows, marks, radii)`` for every chunk, site-major.
 
-    The draws fill one row-major buffer exactly as ``rng.random((size, n))``
-    and then ``rng.random((size, n_rad))`` would.  Row s of ``marks`` holds
-    the mark uniforms of site s + 1 and row s of ``radii`` the radii of the
-    s-th radius column; the next chunk overwrites both.  Radii are capped
-    at n: no check on a path of n sites tells a radius of n from a longer
-    one, and the cap keeps ``inf * 0`` (an unmarked infinite radius) finite.
+    The draws read the stream of ``rng.random((size, n))`` and then
+    ``rng.random((size, n_rad))``: consecutive fills of _TILE replicates
+    give the same numbers, and each tile is transposed into ``marks``, or
+    through the quantile and the cap into ``radii``, before the next is
+    drawn.  Row s of ``marks`` holds the mark uniforms of site s + 1 and
+    row s of ``radii`` the radii of the s-th radius column; the next chunk
+    overwrites both.  Radii are capped at n: no check on a path of n sites
+    tells a radius of n from a longer one, and the cap keeps ``inf * 0`` (an
+    unmarked infinite radius) finite.
     """
     width = min(reps, CHUNK)
-    raw = np.empty(width * max(n, n_rad))
+    tile = np.empty(min(width, _TILE) * max(n, n_rad))
     marks = np.empty((n, width))
     radii = np.empty((n_rad, width))
     for ci, size in _chunks(reps):
         rng = _chunk_rng(seed, ci)
-        chunk_marks, chunk_radii = marks[:, :size], radii[:, :size]
-        block = raw[: size * n].reshape(size, n)
-        rng.random(out=block)
         for r in range(0, size, _TILE):
-            np.copyto(chunk_marks[:, r : r + _TILE], block[r : r + _TILE].T)
-        block = raw[: size * n_rad].reshape(size, n_rad)
-        rng.random(out=block)
-        block = np.asarray(model.quantile(block), dtype=float)
+            block = tile[: min(_TILE, size - r) * n].reshape(-1, n)
+            rng.random(out=block)
+            marks[:, r : r + len(block)] = block.T
         for r in range(0, size, _TILE):
-            np.minimum(block[r : r + _TILE].T, n, out=chunk_radii[:, r : r + _TILE])
-        yield slice(ci * CHUNK, ci * CHUNK + size), chunk_marks, chunk_radii
+            block = tile[: min(_TILE, size - r) * n_rad].reshape(-1, n_rad)
+            rng.random(out=block)
+            quantiles = np.asarray(model.quantile(block), dtype=float)
+            np.minimum(quantiles.T, n, out=radii[:, r : r + len(block)])
+        yield slice(ci * CHUNK, ci * CHUNK + size), marks[:, :size], radii[:, :size]
 
 
 def _renewals(qtab: np.ndarray, marks: np.ndarray):

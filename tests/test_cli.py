@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -208,7 +211,7 @@ def test_sweep_deterministic_and_flips_verdict(tmp_path):
     out1 = tmp_path / "s1.csv"
     out2 = tmp_path / "s2.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(out2), "--workers", "2"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     rows = list(csv.DictReader(out1.open()))
     verdicts = [row["verdict"] for row in rows]
@@ -473,6 +476,80 @@ def test_csv_writer_matches_csv_module(table):
         out = Path(tmp) / "table.csv"
         cli._write_columns(str(out), schema, fieldnames, columns, "csv")
         assert out.read_bytes() == _csv_writer_bytes(schema, fieldnames, columns)
+
+
+def _texts(matrix) -> list:
+    """The rows of a padded byte matrix as strings."""
+    return [row.tobytes().replace(cli._PAD, b"").decode() for row in matrix]
+
+
+_BIT_FLOATS = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(_BIT_FLOATS, st.floats()), max_size=40))
+def test_float_text_matches_format(values):
+    x = np.array(values, dtype=float)
+    assert _texts(cli._float_bytes(x)) == [format(v, ".17g") for v in values]
+
+
+def test_float_text_matches_format_on_hard_cases():
+    powers = 10.0 ** np.arange(-323, 309)
+    # powers of ten and up to 4 ulps either side, where floor(log10 |x|) may be off by one
+    steps = [powers]
+    for direction in (np.inf, -np.inf):
+        x = powers
+        for _ in range(4):
+            x = np.nextafter(x, direction)
+            steps.append(x)
+    # small odd mantissas times powers of two: 2**-25 * 10**24 and the like end in exactly .5
+    ties = np.ldexp(np.arange(1, 2**13, 2, dtype=float)[:, None], np.arange(-90, 70)).ravel()
+    bits = np.random.default_rng(12).integers(0, 2**64, 400_000, dtype=np.uint64).view(np.float64)
+    named = [5e-324, 0.0, -0.0, np.inf, -np.inf, np.nan, 9.9999999999999995e-07, 783900.0, 1e16,
+             1e17, 2.0**-25, 1e-270, 1e270, 2.2250738585072014e-308, 1.7976931348623157e308]
+    x = np.concatenate([*steps, ties, -ties[::7], bits, named])
+    assert len(x) >= 10**6
+    assert _texts(cli._float_bytes(x)) == [format(v, ".17g") for v in x.tolist()]
+
+
+@pytest.mark.parametrize("value, text", [
+    (9.9999999999999995e-07, "9.9999999999999995e-07"),  # y truncates to 16 digits at E = -6
+    (783900.0, "783900"),  # the integer part keeps its zeros
+    (2.0**-25, "2.9802322387695312e-08"),  # exact ties at 17 digits round half to even,
+    (3 * 2.0**-25, "8.9406967163085938e-08"),  # once down and once up
+    (-0.0001, "-0.0001"),
+    (1e16, "10000000000000000"),
+    (1e17, "1e+17"),
+    (1.5e-300, "1.5000000000000001e-300"),
+])
+def test_float_text_named_cases(value, text):
+    assert format(value, ".17g") == text
+    assert _texts(cli._float_bytes(np.array([0.5, value, -3e-200])))[1] == text
+
+
+_INT_EDGES = [0, 1, -1, 2**63 - 1, -2**63, *[s * (10**k + d) for k in range(19) for d in (-1, 0)
+                                             for s in (1, -1)]]
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(_INT_EDGES)), max_size=40))
+def test_int_text_matches_str(values):
+    assert _texts(cli._int_bytes(np.array(values, dtype=np.int64))) == [str(v) for v in values]
+
+
+def test_int_text_covers_int64_and_uint64_ranges():
+    assert _texts(cli._int_bytes(np.array(_INT_EDGES, dtype=np.int64))) == list(map(str, _INT_EDGES))
+    unsigned = [0, 9, 10, 2**63, 10**19 - 1, 10**19, 2**64 - 1]
+    assert _texts(cli._int_bytes(np.array(unsigned, dtype=np.uint64))) == list(map(str, unsigned))
+
+
+def test_importing_cli_leaves_multiprocessing_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, renewperc.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("q", [{"family": "constant", "q": 0.4}, HAND_LAW["q"]])
