@@ -17,9 +17,17 @@ keys, and flags the command does not read, are rejected.  Integer, float
 and string fields must match the type of their default (integral floats
 such as 1e4 count as integers); ``format`` and ``tail`` must be one of
 their choices, bounded numbers (``horizon``, ``workers``, ``n_max`` ...) at
-least their minimum and ``out`` a file in an existing directory, all
-checked before any computation.  ``verify`` writes a CSV only when given
-an ``out`` path.
+least their minimum, ``n_max`` at most the oracles' 8 sites and ``out`` a
+file in an existing directory, all checked before any computation.
+
+``main`` is the one pipeline.  It parses with a parser built once per
+process, resolves the config, starts the clock, and calls the command's
+handler, which only computes: it returns its table (one column per field)
+and its own summary fields.  ``main`` writes the table, then prints and
+writes ``<out stem>.summary.json`` with ``command``, ``config`` and
+``runtime_s`` added; ``runtime_s`` covers the computation and the table
+write.  ``verify`` instead prints one line per config and a closing line,
+writes a CSV only when given an ``out`` path, and writes no summary.
 
 CSV output is RFC-4180 style (UTF-8, CRLF after every row, header row).
 The writer fills the first column with the schema id (a ``schema`` key in
@@ -318,11 +326,6 @@ def _write_columns(path: str, schema: str, fieldnames, columns, fmt: str) -> Non
                 fh.write("\n")
 
 
-def _write_rows(path: str, schema: str, fieldnames, rows, fmt: str) -> None:
-    columns = [[row.get(k) for row in rows] for k in fieldnames]
-    _write_columns(path, schema, fieldnames, columns, fmt)
-
-
 def _emit_summary(summary: dict, out_path: str) -> None:
     summary = {"schema": _SUMMARY_SCHEMA, "version": __version__, **summary}
     text = json.dumps(summary, sort_keys=True, default=str)
@@ -394,150 +397,101 @@ def _evaluate(cfg: dict, horizon: int, tail: str) -> tuple:
     return spec, model, gf, bracket, bounds_report(spec, model, horizon)
 
 
-def cmd_exact(cfg: dict, schema: str) -> int:
-    started = time.perf_counter()
+def _repeated(rows: int, **values) -> dict:
+    """Columns that hold the same value in each of ``rows`` rows."""
+    return {key: [value] * rows for key, value in values.items()}
+
+
+def cmd_exact(cfg: dict) -> tuple:
     horizon = cfg["horizon"]
     spec, model, gf, bracket, bounds = _evaluate(cfg, horizon, cfg["tail"])
     dual = dual_law(gf, spec, model)
     verdict = classify(spec, model, max(4, horizon))
-    columns = [np.arange(horizon + 1), gf.S, dual.f, dual.v]
-    _write_columns(cfg["out"], schema, ["n", "S_n", "f_n", "v_n"], columns, cfg["format"])
-    _emit_summary(
-        {
-            "command": "exact",
-            "config": cfg,
-            "horizon": horizon,
-            "bracket": asdict(bracket),
-            "bounds": asdict(bounds),
-            "classify": {
-                "verdict": verdict.verdict,
-                "mean": verdict.mean,
-                "mean_converged": verdict.mean_converged,
-                "notes": list(verdict.notes),
-            },
-            "dual_mean_partial": dual.mean_partial,
-            "runtime_s": time.perf_counter() - started,
+    table = {"n": np.arange(horizon + 1), "S_n": gf.S, "f_n": dual.f, "v_n": dual.v}
+    return table, {
+        "horizon": horizon,
+        "bracket": asdict(bracket),
+        "bounds": asdict(bounds),
+        "classify": {
+            "verdict": verdict.verdict,
+            "mean": verdict.mean,
+            "mean_converged": verdict.mean_converged,
+            "notes": list(verdict.notes),
         },
-        cfg["out"],
-    )
-    return 0
+        "dual_mean_partial": dual.mean_partial,
+    }
 
 
-def cmd_bounds(cfg: dict, schema: str) -> int:
-    started = time.perf_counter()
+def cmd_bounds(cfg: dict) -> tuple:
     horizon = cfg["horizon"]
     _, _, _, bracket, bounds = _evaluate(cfg, horizon, "auto")
-    row = {
-        "horizon": horizon,
-        "bracket_lo": bracket.lo,
-        "bracket_hi": bracket.hi,
-        "jensen_upper": bounds.jensen_upper,
-        "fkg_upper": bounds.fkg_upper,
-        "concentration_lower": bounds.concentration_lower,
-        "iid_closed": bounds.iid_closed,
+    table = {
+        "horizon": [horizon],
+        "bracket_lo": [bracket.lo],
+        "bracket_hi": [bracket.hi],
+        "jensen_upper": [bounds.jensen_upper],
+        "fkg_upper": [bounds.fkg_upper],
+        "concentration_lower": [bounds.concentration_lower],
+        "iid_closed": [bounds.iid_closed],
     }
-    _write_rows(cfg["out"], schema, list(row.keys()), [row], cfg["format"])
-    _emit_summary(
-        {
-            "command": "bounds",
-            "config": cfg,
-            "bracket": asdict(bracket),
-            "bounds": asdict(bounds),
-            "runtime_s": time.perf_counter() - started,
-        },
-        cfg["out"],
-    )
-    return 0
+    return table, {"bracket": asdict(bracket), "bounds": asdict(bounds)}
 
 
-def _sim_rows(reports) -> list:
-    return [
-        {
-            "version": __version__,
-            "seed": rep.seed,
-            "target": rep.target,
-            "n": rep.n,
-            "reps": rep.reps,
-            "estimate": rep.estimate,
-            "stderr": rep.stderr,
-            "wilson_low": rep.wilson_low,
-            "wilson_high": rep.wilson_high,
-        }
-        for rep in reports
-    ]
+# the columns of a simulation row after its version, one field of the report each
+_SIM_FIELDS = ("seed", "target", "n", "reps", "estimate", "stderr", "wilson_low", "wilson_high")
 
 
-def _cmd_sim(command: str, cfg: dict, schema: str, runner) -> int:
-    started = time.perf_counter()
+def _cmd_sim(cfg: dict, runner) -> tuple:
     spec = q_sequence_from_config(cfg["q"])
     model = radius_from_config(cfg["radius"])
     sites = cfg["n"] if isinstance(cfg["n"], list) else [cfg["n"]]
     reports = [runner(spec, model, n, cfg["reps"], cfg["seed"]) for n in sites]
-    fields = ["version", "seed", "target", "n", "reps", "estimate", "stderr", "wilson_low",
-              "wilson_high"]
-    _write_rows(cfg["out"], schema, fields, _sim_rows(reports), cfg["format"])
-    _emit_summary(
-        {
-            "command": command,
-            "config": cfg,
-            "seed": cfg["seed"],
-            "layout": reports[0].layout,
-            "estimates": {str(r.n): r.estimate for r in reports},
-            "runtime_s": time.perf_counter() - started,
-        },
-        cfg["out"],
-    )
-    return 0
+    table = {**_repeated(len(reports), version=__version__),
+             **{key: [getattr(r, key) for r in reports] for key in _SIM_FIELDS}}
+    return table, {
+        "seed": cfg["seed"],
+        "layout": reports[0].layout,
+        "estimates": {str(r.n): r.estimate for r in reports},
+    }
 
 
-def cmd_simulate(cfg: dict, schema: str) -> int:
-    return _cmd_sim("simulate", cfg, schema, simulate_connectivity)
+def cmd_simulate(cfg: dict) -> tuple:
+    return _cmd_sim(cfg, simulate_connectivity)
 
 
-def cmd_dual(cfg: dict, schema: str) -> int:
-    return _cmd_sim("dual", cfg, schema, simulate_dual)
+def cmd_dual(cfg: dict) -> tuple:
+    return _cmd_sim(cfg, simulate_dual)
 
 
-def cmd_coupling(cfg: dict, schema: str) -> int:
-    started = time.perf_counter()
+def cmd_coupling(cfg: dict) -> tuple:
     spec = q_sequence_from_config(cfg["q"])
     delays = cfg["delays"]
     if not isinstance(delays, list) or not delays:
         raise ValidationError("coupling needs a nonempty 'delays' list")
     report = simulate_coupling(spec, delays, cfg["coupling_horizon"], cfg["reps"], cfg["seed"])
-    rows = [
-        {
-            "version": __version__,
-            "seed": report.seed,
-            "target": report.target,
-            "delays": "|".join(str(d) for d in report.delays),
-            "j": j,
-            "survival": float(report.survival[i]),
-            "stderr": float(report.stderr[i]),
-            "wilson_low": float(report.wilson_low[i]),
-            "wilson_high": float(report.wilson_high[i]),
-        }
-        for i, j in enumerate(report.j_grid)
-    ]
-    fields = ["version", "seed", "target", "delays", "j", "survival", "stderr", "wilson_low",
-              "wilson_high"]
-    _write_rows(cfg["out"], schema, fields, rows, cfg["format"])
-    _emit_summary(
-        {
-            "command": "coupling",
-            "config": cfg,
-            "seed": report.seed,
-            "layout": report.layout,
-            "coalescence_sum_sq": report.coalescence_sum_sq,
-            "runtime_s": time.perf_counter() - started,
-        },
-        cfg["out"],
-    )
-    return 0
+    table = {
+        **_repeated(len(report.j_grid), version=__version__, seed=report.seed, target=report.target,
+                    delays="|".join(str(d) for d in report.delays)),
+        "j": report.j_grid,
+        "survival": report.survival,
+        "stderr": report.stderr,
+        "wilson_low": report.wilson_low,
+        "wilson_high": report.wilson_high,
+    }
+    return table, {
+        "seed": report.seed,
+        "layout": report.layout,
+        "coalescence_sum_sq": report.coalescence_sum_sq,
+    }
 
 
-def cmd_verify(cfg: dict, schema: str) -> int:
-    started = time.perf_counter()
+# a verify row's columns after its version and seed
+_VERIFY_FIELDS = ("config_index", "n", "oracle_connectivity", "oracle_dual", "forward_dp", "dual_v",
+                  "mc_connectivity", "mc_dual", "exact_max_diff", "status")
+
+
+def cmd_verify(cfg: dict) -> tuple:
+    """The battery's table; ``main`` reports the passes from its status column."""
     reps = cfg["reps"]
     exact_tol = cfg["exact_tol"]
     seed = cfg["seed"]
@@ -545,7 +499,6 @@ def cmd_verify(cfg: dict, schema: str) -> int:
         cfg["configs"], seed, n_max=cfg["n_max"], support_max=cfg["support_max"]
     )
     rows = []
-    failures = 0
     for idx, tiny in enumerate(configs):
         e_conn = enumerate_connectivity(tiny)
         e_dual = enumerate_dual(tiny)
@@ -560,50 +513,17 @@ def cmd_verify(cfg: dict, schema: str) -> int:
         mc_c_diff = abs(mc_c.estimate - e_conn)
         mc_d_diff = abs(mc_d.estimate - e_dual)
         ok = exact_diff <= exact_tol and mc_c_diff <= 4 * se_c and mc_d_diff <= 4 * se_d
-        failures += 0 if ok else 1
         status = "pass" if ok else "FAIL"
         print(
             f"config {idx:3d} n={tiny.n} exact={e_conn:.12f} "
             f"exact_diff={exact_diff:.3e} mc_conn={mc_c_diff / se_c:.2f}se "
             f"mc_dual={mc_d_diff / se_d:.2f}se {status}"
         )
-        rows.append(
-            {
-                "version": __version__,
-                "seed": seed,
-                "config_index": idx,
-                "n": tiny.n,
-                "oracle_connectivity": e_conn,
-                "oracle_dual": e_dual,
-                "forward_dp": fwd,
-                "dual_v": v,
-                "mc_connectivity": mc_c.estimate,
-                "mc_dual": mc_d.estimate,
-                "exact_max_diff": exact_diff,
-                "status": status,
-            }
-        )
-    if cfg["out"]:
-        fields = ["version", "seed", "config_index", "n", "oracle_connectivity", "oracle_dual",
-                  "forward_dp", "dual_v", "mc_connectivity", "mc_dual", "exact_max_diff", "status"]
-        _write_rows(cfg["out"], schema, fields, rows, cfg["format"])
-    runtime = time.perf_counter() - started
-    print(
-        f"verify: {len(configs) - failures}/{len(configs)} configs passed "
-        f"(exact tol {exact_tol:g}, mc tol 4 SE, reps {reps}, {runtime:.1f}s)"
-    )
-    return 0 if failures == 0 else 3
-
-
-def _apply_override(cfg: dict, dotted: str, value):
-    root, _, key = dotted.partition(".")
-    if root not in ("q", "radius") or not key:
-        raise ValidationError(f"grid keys must look like 'q.<param>' or 'radius.<param>', got {dotted!r}")
-    fragment = dict(cfg[root])
-    fragment[key] = value
-    out = dict(cfg)
-    out[root] = fragment
-    return out
+        rows.append((idx, tiny.n, e_conn, e_dual, fwd, v, mc_c.estimate, mc_d.estimate, exact_diff,
+                     status))
+    table = {**_repeated(len(rows), version=__version__, seed=seed),
+             **dict(zip(_VERIFY_FIELDS, zip(*rows)))}
+    return table, {}
 
 
 # a sweep row's columns after the grid keys
@@ -611,51 +531,42 @@ _SWEEP_FIELDS = ("bracket_lo", "bracket_hi", "tail_method", "certified", "jensen
                  "fkg_upper", "concentration_lower", "verdict", "error")
 
 
-def _sweep_point(payload) -> dict:
-    base, overrides, horizon, tail, classify_horizon = payload
-    row = dict(overrides)
+def _sweep_point(payload) -> tuple:
+    """One sweep row: the point's grid values, then its _SWEEP_FIELDS."""
+    base, point, horizon, tail, classify_horizon = payload
     try:
         cfg = base
-        for dotted, value in overrides.items():
-            cfg = _apply_override(cfg, dotted, value)
+        for dotted, value in point:
+            root, _, key = dotted.partition(".")
+            cfg = {**cfg, root: {**cfg[root], key: value}}
         spec, model, _, bracket, bounds = _evaluate(cfg, horizon, tail)
         verdict = classify(spec, model, classify_horizon)
-        row.update(
-            {
-                "bracket_lo": bracket.lo,
-                "bracket_hi": bracket.hi,
-                "tail_method": bracket.tail_method,
-                "certified": bracket.certified,
-                "jensen_upper": bounds.jensen_upper,
-                "fkg_upper": bounds.fkg_upper,
-                "concentration_lower": bounds.concentration_lower,
-                "verdict": verdict.verdict,
-                "error": "",
-            }
-        )
+        result = (bracket.lo, bracket.hi, bracket.tail_method, bracket.certified,
+                  bounds.jensen_upper, bounds.fkg_upper, bounds.concentration_lower,
+                  verdict.verdict, "")
     except RenewpercError as exc:
-        row.update(dict.fromkeys(_SWEEP_FIELDS), error=f"{type(exc).__name__}: {exc}")
-    return row
+        result = (None,) * (len(_SWEEP_FIELDS) - 1) + (f"{type(exc).__name__}: {exc}",)
+    return tuple(value for _, value in point) + result
 
 
-def cmd_sweep(cfg: dict, schema: str) -> int:
-    started = time.perf_counter()
+def cmd_sweep(cfg: dict) -> tuple:
     grid = cfg["grid"]
     if not isinstance(grid, dict) or not grid:
         raise _UsageError("sweep needs a nonempty 'grid' mapping")
     keys = sorted(grid)
     for key in keys:
+        root, _, param = key.partition(".")
+        if root not in ("q", "radius") or not param:
+            raise ValidationError(f"grid keys must look like 'q.<param>' or 'radius.<param>', got {key!r}")
+        if not isinstance(cfg[root], dict):
+            raise ValidationError(f"{root} fragment must be a mapping to sweep {key!r}")
         values = grid[key]
         if not isinstance(values, list) or not values:
             raise _UsageError(f"sweep grid entry {key!r} must be a nonempty list")
-    horizon = cfg["horizon"]
-    classify_horizon = cfg["classify_horizon"]
-    points = [
-        dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))
-    ]
+    base = {"q": cfg["q"], "radius": cfg["radius"]}
     payloads = [
-        ({"q": cfg["q"], "radius": cfg["radius"]}, point, horizon, cfg["tail"], classify_horizon)
-        for point in points
+        (base, tuple(zip(keys, combo)), cfg["horizon"], cfg["tail"], cfg["classify_horizon"])
+        for combo in itertools.product(*(grid[k] for k in keys))
     ]
     workers = cfg["workers"]
     if workers > 1:
@@ -665,23 +576,15 @@ def cmd_sweep(cfg: dict, schema: str) -> int:
             rows = list(pool.map(_sweep_point, payloads))
     else:
         rows = [_sweep_point(p) for p in payloads]
-    _write_rows(cfg["out"], schema, [*keys, *_SWEEP_FIELDS], rows, cfg["format"])
-    _emit_summary(
-        {
-            "command": "sweep",
-            "config": cfg,
-            "points": len(rows),
-            "runtime_s": time.perf_counter() - started,
-        },
-        cfg["out"],
-    )
-    return 0
+    return dict(zip([*keys, *_SWEEP_FIELDS], zip(*rows))), {"points": len(rows)}
 
 
 # One entry per command; its allowed keys, flags and type checks follow
-# from the required keys and the defaults of the optional ones.
+# from the required keys and the defaults of the optional ones.  The handler
+# takes the resolved config and returns its table, a dict of columns in
+# field order, and its own summary fields.
 class _Command(NamedTuple):
-    handler: Callable[[dict, str], int]
+    handler: Callable[[dict], tuple]
     schema: str
     required: tuple
     defaults: dict
@@ -722,6 +625,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="renewperc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -739,11 +643,25 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         command = _COMMANDS[args.command]
-        return command.handler(_resolve_config(args.command, args), command.schema)
+        cfg = _resolve_config(args.command, args)
+        started = time.perf_counter()
+        table, summary = command.handler(cfg)
+        if cfg["out"]:
+            _write_columns(cfg["out"], command.schema, list(table), list(table.values()), cfg["format"])
+        runtime = time.perf_counter() - started
+        if args.command == "verify":
+            passed, total = table["status"].count("pass"), len(table["status"])
+            print(
+                f"verify: {passed}/{total} configs passed (exact tol {cfg['exact_tol']:g}, "
+                f"mc tol 4 SE, reps {cfg['reps']}, {runtime:.1f}s)"
+            )
+            return 0 if passed == total else 3
+        _emit_summary({"command": args.command, "config": cfg, **summary, "runtime_s": runtime},
+                      cfg["out"])
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

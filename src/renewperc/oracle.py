@@ -204,14 +204,17 @@ def random_tiny_configs(
     """A reproducible battery of randomized tiny instances.
 
     Mark laws rotate over the four families and radius laws are random
-    finite tables with support bound <= support_max; the same (count,
-    seed) always yields the same battery.
+    finite tables with support bound <= support_max; path lengths are
+    drawn from 2..n_max, and n_max may not exceed the enumeration limit of
+    8 sites.  The same (count, seed) always yields the same battery.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
     for key, value, low in (("n_max", n_max, 2), ("support_max", support_max, 1)):
         if value < low:
             raise ValidationError(f"{key} must be >= {low}, got {value!r}")
+    if n_max > _SITE_LIMIT:
+        raise ValidationError(f"n_max must be <= {_SITE_LIMIT}, the enumeration limit, got {n_max!r}")
     configs = []
     for idx in range(count):
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))

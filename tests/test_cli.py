@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -359,6 +360,28 @@ def test_float_and_string_config_values_are_validation_errors(tmp_path, command,
     assert main(argv) == 2
 
 
+def test_sweep_grid_key_shape_is_checked_before_any_point(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    cfg = _write_config(tmp_path, {**_TINY["sweep"], "grid": {"horizon": [10, 20]}})
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists() and not (tmp_path / "grid.summary.json").exists()
+    assert "grid keys must look like" in capsys.readouterr().err
+    # a bad value of a well-formed key is still that point's error row
+    cfg = _write_config(tmp_path, {**_TINY["sweep"], "grid": {"radius.c": [0]}})
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    (row,) = csv.DictReader(out.open())
+    assert row["error"].startswith("ValidationError") and row["bracket_lo"] == ""
+
+
+def test_verify_rejects_n_max_above_the_oracle_limit(tmp_path, capsys):
+    out = tmp_path / "verify.csv"
+    cfg = _write_config(tmp_path, {**_TINY["verify"], "n_max": 12})
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert "config" not in printed.out and "n_max must be <= 8" in printed.err
+    assert not out.exists()
+
+
 def test_sweep_invalid_grid_value_gives_error_row(tmp_path):
     cfg = _write_config(
         tmp_path,
@@ -417,6 +440,10 @@ def test_missing_or_mistyped_fragment_keys_are_validation_errors(tmp_path, root,
         ("verify", "n_max", 1),
         ("verify", "support_max", 0),
         ("verify", "exact_tol", -1e-12),
+        ("sweep", "grid", {"horizon": [10, 20]}),
+        ("sweep", "grid", {"q": [0.5]}),
+        ("sweep", "grid", {"radius.": [1.0]}),
+        ("sweep", "q", 5),
     ],
 )
 def test_bad_choice_or_out_path_fails_before_computing(tmp_path, monkeypatch, command, key, value):
@@ -570,3 +597,71 @@ def test_exact_table_is_the_csv_writer_rendering(tmp_path, q):
     assert [r["schema"] for r in records] == ["renewperc.exact.v1"] * (horizon + 1)
     assert [r["n"] for r in records] == list(range(horizon + 1))
     assert [r["S_n"] for r in records] == gf.S.tolist()
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _build_parser.cache_clear()
+    cfg = _write_config(tmp_path, _TINY["bounds"])
+    for name in ("a.csv", "b.csv"):
+        assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    # the top-level parser and one subparser per command, once
+    assert len(built) == 1 + len(cli._COMMANDS)
+
+
+def _csv_text(value) -> str:
+    """The CSV cell of a jsonl value, before quoting."""
+    if value is None:
+        return ""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("command", sorted(_TINY))
+def test_csv_and_jsonl_hold_the_same_rows(tmp_path, command):
+    cfg = _write_config(tmp_path, _TINY[command])
+    tables = {}
+    for fmt in ("csv", "jsonl"):
+        out = tmp_path / f"table.{fmt}"
+        code = main([command, "--config", str(cfg), "--out", str(out), "--format", fmt])
+        assert code == 0
+        tables[fmt] = out.read_text(encoding="utf-8")
+    csv_rows = list(csv.DictReader(io.StringIO(tables["csv"], newline="")))
+    records = [json.loads(line) for line in tables["jsonl"].splitlines()]
+    assert csv_rows and len(csv_rows) == len(records)
+    for row, record in zip(csv_rows, records):
+        assert row == {key: _csv_text(value) for key, value in record.items()}
+
+
+_SUMMARY_KEYS = {
+    "exact": {"horizon", "bracket", "bounds", "classify", "dual_mean_partial"},
+    "bounds": {"bracket", "bounds"},
+    "simulate": {"seed", "layout", "estimates"},
+    "dual": {"seed", "layout", "estimates"},
+    "coupling": {"seed", "layout", "coalescence_sum_sq"},
+    "sweep": {"points"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TINY))
+def test_summary_has_exactly_its_pinned_keys(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, _TINY[command])
+    out = tmp_path / "table.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    sidecar = tmp_path / "table.summary.json"
+    printed = capsys.readouterr().out
+    if command == "verify":
+        assert not sidecar.exists()
+        assert printed.splitlines()[-1].startswith("verify: 1/1 configs passed")
+        return
+    summary = json.loads(sidecar.read_text(encoding="utf-8"))
+    assert json.loads(printed) == summary
+    common = {"schema", "version", "command", "config", "runtime_s"}
+    assert set(summary) == common | _SUMMARY_KEYS[command]
+    assert summary["command"] == command and summary["config"]["out"] == str(out)

@@ -113,7 +113,8 @@ def test_random_battery_is_reproducible():
 
 @pytest.mark.parametrize(
     "kwargs, message",
-    [({"n_max": 1}, "n_max must be >= 2"), ({"support_max": 0}, "support_max must be >= 1")],
+    [({"n_max": 1}, "n_max must be >= 2"), ({"support_max": 0}, "support_max must be >= 1"),
+     ({"n_max": 9}, "n_max must be <= 8")],
 )
 def test_random_battery_rejects_empty_ranges(kwargs, message):
     with pytest.raises(ValidationError, match=message):
