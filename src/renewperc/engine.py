@@ -61,6 +61,7 @@ from .errors import (
 )
 from .radius import RadiusModel
 from .renewal import (
+    _LIFT,
     REPEAT_LAST,
     ConstantQ,
     MarkovQ,
@@ -173,7 +174,11 @@ def gf_partial(spec: QSequence, model: RadiusModel, horizon: int) -> GfTable:
     tail adds c * (g_0 + ... + g_{n-s0}) to S_n, so no term is dropped and
     the cost is O(N s0).  The dual pmf is f_n = (1 - alpha_{n-1}) h_n with
     h = P(T = .) * g, the sum that g_n = alpha_{n-1} h_n scales; unlike
-    S_{n-1} - S_n it is exactly 0 where S is flat.  O(N) space.
+    S_{n-1} - S_n it is exactly 0 where S is flat.  Both convolutions run
+    on P(T > .) and P(T = .) lifted by 2^_LIFT, as in renewal_solve: these
+    kernels lie in [0, 1] and g in [0, 1], so the lifted sums stay finite,
+    subnormal products become normal, and where the unlifted sums stayed
+    normal the bits are the same.  O(N) space.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
@@ -188,11 +193,12 @@ def gf_partial(spec: QSequence, model: RadiusModel, horizon: int) -> GfTable:
     s0 = np.count_nonzero(surv > surv[-1])
     # direct summation: FFT convolution loses ~1e-7 relative accuracy on
     # the small S_n that the tail fits and the 1e-12 exact checks rely on
-    S = np.convolve(g, surv[:s0])[: horizon + 1]
-    S[s0:] += surv[-1] * np.cumsum(g[: horizon + 1 - s0])
-    f = np.convolve(g, pmf[: np.flatnonzero(pmf)[-1] + 1])[: horizon + 1]
+    lifted = np.ldexp(surv, _LIFT)
+    S = np.convolve(g, lifted[:s0])[: horizon + 1]
+    S[s0:] += lifted[-1] * np.cumsum(g[: horizon + 1 - s0])
+    f = np.convolve(g, np.ldexp(pmf[: np.flatnonzero(pmf)[-1] + 1], _LIFT))[: horizon + 1]
     f[1:] *= 1.0 - alpha
-    return _gf_table(S, f)
+    return _gf_table(np.ldexp(S, -_LIFT, out=S), np.ldexp(f, -_LIFT, out=f))
 
 
 @dataclass(frozen=True)

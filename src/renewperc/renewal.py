@@ -316,19 +316,34 @@ class RenewalProbTable:
 # forms) was 4.5e-12 with 64, 7e-12 with 128 and 1e-11 with 256.
 _BLOCK = 128
 
+# Long convolutions of the renewal form run on operands scaled by 2^_LIFT
+# and are scaled back by 2^-_LIFT.  A kernel entry of a pmf or of survival
+# products may be subnormal (P(T > s) can stall at 5e-324), and every
+# product with a subnormal operand or result is slow on x86 and loses
+# relative precision.  Lifted, those products are normal; for terms the
+# unlifted sum kept normal, power-of-two scaling is exact and the bits are
+# the same.  Kernel entries in [0, 1] and factors of at most 1 keep every
+# lifted sum below 2^_LIFT times the number of terms, far from overflow.
+_LIFT = 600
+
 
 def renewal_solve(f: np.ndarray, mult=None) -> np.ndarray:
     """Solve g_0 = 1, g_n = mult[n-1] * sum_{k=1..n} f_k g_{n-k} for n < len(f).
 
     ``f[0]`` is ignored; ``mult`` defaults to all ones (the plain renewal
-    equation).  Only f_1..f_K enter, K the last index with f_K != 0: the
-    terms left out are exact zeros, and the cost is O(N K).  g is built in
-    blocks of _BLOCK indices.  A finished block adds its share of the sum
-    to the next K indices with one np.convolve.  Inside a block the plain
-    equation applies the lower-triangular Toeplitz inverse of the block,
-    whose first column is the first block's own solution; a ``mult``
-    solve keeps one dot per index.  Every operation is on nonnegative
-    numbers (no FFT), so the rounding error stays componentwise relative.
+    equation).  f_1, f_2, ... must be a (possibly defective) pmf and
+    ``mult`` lie in [0, 1], as for every law of this package, so that
+    0 <= g_n <= 1.  Only f_1..f_K enter, K the last index with f_K != 0:
+    the terms left out are exact zeros, and the cost is O(N K).  g is built
+    in blocks of _BLOCK indices.  A finished block adds its share of the
+    sum to the next K indices with one np.convolve against the kernel
+    lifted by 2^_LIFT, so subnormal f_k g_{n-k} are formed as normal
+    numbers; each block reads those sums scaled back by 2^-_LIFT.  Inside a
+    block the plain equation applies the lower-triangular Toeplitz inverse
+    of the block, whose first column is the first block's own solution; a
+    ``mult`` solve keeps one dot per index.  Every operation is on
+    nonnegative numbers (no FFT), so the rounding error stays componentwise
+    relative.
     """
     horizon = len(f) - 1
     g = np.zeros(horizon + 1)
@@ -346,22 +361,24 @@ def renewal_solve(f: np.ndarray, mult=None) -> np.ndarray:
     rev[_BLOCK - 1 - min(K, _BLOCK - 1) :] = kernel[_BLOCK - 1 :: -1]
     # dots[i](x) = f_i x_0 + ... + f_1 x_{i-1}, the in-block sum at offset i
     dots = [rev[_BLOCK - 1 - i : _BLOCK - 1].dot for i in range(_BLOCK)]
-    acc = np.zeros(horizon + 1)  # sum_k f_k g_{n-k} over the finished blocks
+    lifted = np.ldexp(kernel, _LIFT)
+    acc = np.zeros(horizon + 1)  # 2^_LIFT sum_k f_k g_{n-k} over the finished blocks
     inverse = None
     for a in range(0, horizon + 1, _BLOCK):
         b = min(a + _BLOCK, horizon + 1)
         block = g[a:b]
+        sums = np.ldexp(acc[a:b], -_LIFT)
         if inverse is not None:
-            block[:] = np.convolve(acc[a:b], inverse[: b - a])[: b - a]
+            block[:] = np.convolve(sums, inverse[: b - a])[: b - a]
         else:
-            sums, factors = acc[a:b].tolist(), scale[a:b].tolist()
+            sums, factors = sums.tolist(), scale[a:b].tolist()
             for i in range(1 if a == 0 else 0, b - a):
                 block[i] = factors[i] * (sums[i] + dots[i](block[:i]))
             if mult is None:
                 inverse = g[:b].copy()
         reach = min(horizon, b - 1 + K)
         if reach >= b:
-            acc[b : reach + 1] += np.convolve(block, kernel[: reach - a + 1])[b - a : reach - a + 1]
+            acc[b : reach + 1] += np.convolve(block, lifted[: reach - a + 1])[b - a : reach - a + 1]
     return g
 
 

@@ -382,6 +382,20 @@ def test_verify_rejects_n_max_above_the_oracle_limit(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate", "dual", "coupling"])
+def test_zero_reps_fails_before_computing(tmp_path, monkeypatch, capsys, command):
+    def compute(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    for name in ("random_tiny_configs", "simulate_connectivity", "simulate_dual",
+                 "simulate_coupling"):
+        monkeypatch.setattr(cli, name, compute)
+    cfg = _write_config(tmp_path, {**_TINY[command], "reps": 0})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+    printed = capsys.readouterr()
+    assert "config" not in printed.out and "reps must be >= 1" in printed.err
+
+
 def test_sweep_invalid_grid_value_gives_error_row(tmp_path):
     cfg = _write_config(
         tmp_path,

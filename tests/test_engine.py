@@ -206,6 +206,78 @@ def test_only_two_state_laws_skip_the_kernel(monkeypatch, spec, lumped):
     assert calls == ([] if lumped else ["mult", "u"])
 
 
+# Laws whose kernels P(T = .) and P(T > .) turn subnormal: P(T > s) of the
+# first is subnormal from s = 1386 on and stalls at 5e-324, that of the
+# second drains through 50 subnormals to 0 at s = 881.
+_SUBNORMAL_LAWS = [
+    (TableQ((0.9, 0.2, 0.5), tail=ConstantQ(0.6)), 2500),
+    (PolynomialMonotoneQ(0.1), 2000),
+]
+
+
+def _longdouble_solve(f, mult=None):
+    """renewal_solve's recursion, one dot per index, in np.longdouble."""
+    f = np.asarray(f, dtype=np.longdouble)
+    g = np.zeros(len(f), dtype=np.longdouble)
+    g[0] = 1.0
+    for n in range(1, len(f)):
+        g[n] = np.dot(f[n:0:-1], g[:n])
+        if mult is not None:
+            g[n] *= np.longdouble(mult[n - 1])
+    return g
+
+
+@pytest.fixture(scope="module", params=_SUBNORMAL_LAWS, ids=lambda p: repr(p[0]))
+def subnormal_case(request):
+    # an 80-bit long double keeps products near 1e-308 normal; a 64-bit one does not
+    if np.finfo(np.longdouble).minexp > -16000:
+        pytest.skip("np.longdouble has the float64 exponent range here")
+    spec, n = request.param
+    surv = survival_products(spec, n)
+    assert np.any((surv > 0.0) & (surv < np.finfo(float).tiny))
+    pmf = interarrival(spec, n).pmf
+    alpha = PowerLawTailRadius(3, 1, 1).alpha_array(n)
+    return spec, n, pmf, surv, alpha, _longdouble_solve(pmf), _longdouble_solve(pmf, alpha)
+
+
+def _assert_relative_where_normal(got, want):
+    keep = want >= np.finfo(float).tiny
+    assert np.all(np.abs(got[keep] - want[keep]) <= 1e-12 * want[keep])
+
+
+def test_renewal_solve_is_relatively_accurate_on_subnormal_kernels(subnormal_case):
+    spec, n, pmf, surv, alpha, u_ref, g_ref = subnormal_case
+    _assert_relative_where_normal(renewal_solve(pmf), u_ref)
+    _assert_relative_where_normal(renewal_solve(pmf, alpha), g_ref)
+
+
+def test_gf_is_relatively_accurate_on_subnormal_kernels(subnormal_case):
+    spec, n, pmf, surv, alpha, u_ref, g_ref = subnormal_case
+    S_ref = np.convolve(g_ref, surv.astype(np.longdouble))[: n + 1]
+    f_ref = np.convolve(g_ref, pmf.astype(np.longdouble))[: n + 1]
+    f_ref[1:] *= 1.0 - alpha.astype(np.longdouble)
+    gf = gf_partial(spec, PowerLawTailRadius(3, 1, 1), n)
+    _assert_relative_where_normal(gf.S, S_ref)
+    _assert_relative_where_normal(gf.dual_pmf, f_ref)
+
+
+def test_lifted_gf_convolutions_keep_the_unlifted_bits():
+    # P(T > .) stalls at a subnormal here, yet where the unlifted sums stay
+    # normal the power-of-two lift changes no bit of S or f
+    spec, model, n = PolynomialMonotoneQ(0.25), PowerLawTailRadius(3, 1, 1), 5000
+    pmf, surv = interarrival(spec, n).pmf, survival_products(spec, n)
+    alpha = model.alpha_array(n)
+    g = renewal_solve(pmf, alpha)
+    s0 = np.count_nonzero(surv > surv[-1])
+    assert 0.0 < surv[-1] < np.finfo(float).tiny
+    S = np.convolve(g, surv[:s0])[: n + 1]
+    S[s0:] += surv[-1] * np.cumsum(g[: n + 1 - s0])
+    f = np.convolve(g, pmf[: np.flatnonzero(pmf)[-1] + 1])[: n + 1]
+    f[1:] *= 1.0 - alpha
+    gf = gf_partial(spec, model, n)
+    assert np.array_equal(gf.S, S) and np.array_equal(gf.dual_pmf, f)
+
+
 # ---------------------------------------------------------------------------
 # dual_law
 # ---------------------------------------------------------------------------
