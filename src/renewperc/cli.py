@@ -72,7 +72,7 @@ from .errors import RenewpercError, ValidationError, check_float, check_int
 from .oracle import enumerate_connectivity, enumerate_dual, random_tiny_configs
 from .radius import radius_from_config
 from .renewal import q_sequence_from_config
-from .simulate import simulate_connectivity, simulate_coupling, simulate_dual
+from .simulate import _sim_reports, simulate_connectivity, simulate_coupling, simulate_dual
 
 _SUMMARY_SCHEMA = "renewperc.summary.v1"
 
@@ -441,11 +441,12 @@ def cmd_bounds(cfg: dict) -> tuple:
 _SIM_FIELDS = ("seed", "target", "n", "reps", "estimate", "stderr", "wilson_low", "wilson_high")
 
 
-def _cmd_sim(cfg: dict, runner) -> tuple:
+def _cmd_sim(cfg: dict, target: str) -> tuple:
+    """One walk to the largest n gives every row, so the estimates share their paths."""
     spec = q_sequence_from_config(cfg["q"])
     model = radius_from_config(cfg["radius"])
     sites = cfg["n"] if isinstance(cfg["n"], list) else [cfg["n"]]
-    reports = [runner(spec, model, n, cfg["reps"], cfg["seed"]) for n in sites]
+    reports = _sim_reports(target, spec, model, sites, cfg["reps"], cfg["seed"])
     table = {**_repeated(len(reports), version=__version__),
              **{key: [getattr(r, key) for r in reports] for key in _SIM_FIELDS}}
     return table, {
@@ -456,11 +457,11 @@ def _cmd_sim(cfg: dict, runner) -> tuple:
 
 
 def cmd_simulate(cfg: dict) -> tuple:
-    return _cmd_sim(cfg, simulate_connectivity)
+    return _cmd_sim(cfg, "connectivity")
 
 
 def cmd_dual(cfg: dict) -> tuple:
-    return _cmd_sim(cfg, simulate_dual)
+    return _cmd_sim(cfg, "dual")
 
 
 def cmd_coupling(cfg: dict) -> tuple:

@@ -169,12 +169,13 @@ class FiniteTableRadius(RadiusModel):
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         # For u in [0, 1) the radius is the number of CDF entries <= u; the
-        # last entry is 1 up to rounding and is never counted.
+        # last entry is 1 up to rounding and is never counted.  The count
+        # needs no wider integer than len(p).
         u = np.asarray(u, dtype=float)
-        out = np.zeros(u.shape)
+        count = np.zeros(u.shape, dtype=np.min_scalar_type(len(self.p)))
         for c in np.cumsum(self.p)[:-1].tolist():
-            out += u >= c
-        return out[()]  # a scalar for a scalar u
+            count += u >= c
+        return count.astype(float)[()]  # a scalar for a scalar u
 
     def to_config(self) -> dict:
         return {"family": "table", "p": list(self.p)}

@@ -1,17 +1,22 @@
 """Seeded Monte Carlo for connectivity, relay propagation, and couplings.
 
-Reproducibility contract: replicates are processed in fixed-size chunks;
-chunk c draws from ``default_rng(SeedSequence([seed, c]))`` with a fixed
-block layout (mark uniforms first, then radius uniforms), so a report is
-a pure function of (seed, config, reps) regardless of scheduling.  Radii
-are realized through the model's inverse CDF on the dedicated uniform
-block, which makes stochastic dominance between radius models hold
-pathwise under a shared seed.
+Reproducibility contract: replicates are processed in fixed-size chunks,
+and chunk c draws from ``default_rng(SeedSequence([seed, c]))``, so a
+report is a pure function of (seed, config, reps) regardless of
+scheduling.  Connectivity and relay chunks (layouts ``conn-v2`` and
+``dual-v2``) read their uniforms in site order: one row of radius uniforms
+for site 0, then a row of mark uniforms and a row of radius uniforms for
+each site s = 1, 2, ...  A site's rows therefore do not depend on how far
+the path goes, and one walk to the largest requested n gives the indicator
+at every smaller n, exactly as a walk that stops there.  Radii are
+realized through the model's inverse CDF on their own uniforms, which
+makes stochastic dominance between radius models hold pathwise under a
+shared seed.  Coupling chunks (``coupling-v1``) draw one uniform per step
+and replicate, step-major.
 
-The kernels read that stream into buffers allocated once per call and
-walk it site-major, ``(sites, replicates)``, so each step of a path is a
-few in-place ufuncs on contiguous rows.  The layout ids (``conn-v1``,
-``dual-v1``, ``coupling-v1``) name the stream, not the memory layout.
+The kernels keep one value per replicate of a chunk in each state row, so
+each site of a path is a few in-place ufuncs on contiguous rows.  How many
+sites or steps one rng call draws is not part of the stream.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from .renewal import QSequence
 
 CHUNK = 8192
 _STEP_BLOCK = 64  # coupling steps drawn per rng call
-_TILE = 512  # replicates drawn and transposed at a time
+_SITE_TILE = 8  # sites drawn per rng call; not part of the stream
+_LAYOUTS = {"connectivity": f"conn-v2/chunk={CHUNK}", "dual": f"dual-v2/chunk={CHUNK}"}
 
 _Z95 = 1.959963984540054
 
@@ -91,126 +97,122 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
 
 
-def _site_major_chunks(model: RadiusModel, seed: int, reps: int, n: int, n_rad: int):
-    """Yield ``(rows, marks, radii)`` for every chunk, site-major.
+def _site_rows(spec: QSequence, model: RadiusModel, top: int, reps: int, seed: int):
+    """Yield ``(cols, s, mark, radius)`` for s = 0..top of every chunk, in stream order.
 
-    The draws read the stream of ``rng.random((size, n))`` and then
-    ``rng.random((size, n_rad))``: consecutive fills of _TILE replicates
-    give the same numbers, and each tile is transposed into ``marks``, or
-    through the quantile and the cap into ``radii``, before the next is
-    drawn.  Row s of ``marks`` holds the mark uniforms of site s + 1 and
-    row s of ``radii`` the radii of the s-th radius column; the next chunk
-    overwrites both.  Radii are capped at n: no check on a path of n sites
-    tells a radius of n from a longer one, and the cap keeps ``inf * 0`` (an
-    unmarked infinite radius) finite.
+    Chunk c draws from its own generator one row of ``size`` radius
+    uniforms for site 0, then, for s = 1, 2, ..., a row of mark uniforms
+    and a row of radius uniforms for site s.  The rows are drawn _SITE_TILE
+    sites at a time into one reused ``(sites, 2, size)`` buffer, and the
+    radius rows go through the quantile and the cap at ``top`` in place.
+    ``cols`` is the chunk's slice of replicates, ``radius`` site s's capped
+    radii, and ``mark`` whether the house-of-cards chain renews at s (None
+    at site 0, which is always marked): at height zeta the chain climbs
+    when its uniform is <= q_zeta and renews to 0 otherwise.  The rows are
+    overwritten after the next yield.  A site's rows do not depend on
+    ``top``, so every walk reads the same rows at the sites it shares.
     """
+    qtab = spec.q_array(top + 1)
     width = min(reps, CHUNK)
-    tile = np.empty(min(width, _TILE) * max(n, n_rad))
-    marks = np.empty((n, width))
-    radii = np.empty((n_rad, width))
+    tile = np.empty(min(top, _SITE_TILE) * 2 * width)
+    zeta = np.empty(width, dtype=np.intp)
+    qz = np.empty(width)
+    climb = np.empty(width, dtype=bool)
+    mark = np.empty(width, dtype=bool)
     for ci, size in _chunks(reps):
         rng = _chunk_rng(seed, ci)
-        for r in range(0, size, _TILE):
-            block = tile[: min(_TILE, size - r) * n].reshape(-1, n)
+        cols = slice(ci * CHUNK, ci * CHUNK + size)
+        radius = tile[:size]
+        rng.random(out=radius)
+        np.minimum(model.quantile(radius), top, out=radius)
+        yield cols, 0, None, radius
+        z, q, c, m = zeta[:size], qz[:size], climb[:size], mark[:size]
+        z.fill(0)
+        for first in range(1, top + 1, _SITE_TILE):
+            block = tile[: min(_SITE_TILE, top + 1 - first) * 2 * size].reshape(-1, 2, size)
             rng.random(out=block)
-            marks[:, r : r + len(block)] = block.T
-        for r in range(0, size, _TILE):
-            block = tile[: min(_TILE, size - r) * n_rad].reshape(-1, n_rad)
-            rng.random(out=block)
-            quantiles = np.asarray(model.quantile(block), dtype=float)
-            np.minimum(quantiles.T, n, out=radii[:, r : r + len(block)])
-        yield slice(ci * CHUNK, ci * CHUNK + size), marks[:, :size], radii[:, :size]
+            radii = block[:, 1]
+            np.minimum(model.quantile(radii), top, out=radii)
+            # heights stay below top, inside the table
+            for s, (uniforms, radius) in enumerate(block, start=first):
+                qtab.take(z, out=q, mode="clip")
+                np.less_equal(uniforms, q, out=c)
+                z += 1
+                z *= c
+                yield cols, s, np.logical_not(c, out=m), radius
 
 
-def _renewals(qtab: np.ndarray, marks: np.ndarray):
-    """Yield, site by site, which replicates' house-of-cards chain renews.
+def _walk(spec: QSequence, model: RadiusModel, ns, reps: int, seed: int, relay: bool) -> np.ndarray:
+    """Indicators at every site of ``ns``, one row each, from one walk to max(ns).
 
-    ``marks`` holds the mark uniforms site-major; the chain at height
-    zeta climbs when its uniform is <= q_zeta and renews (drops to 0, the
-    site is marked) otherwise.  The yielded vector is overwritten by the
-    next step.
+    Connectivity keeps ``reach``, the furthest endpoint s + R_s of the
+    intervals opened so far; site s is covered when ``reach >= s`` on
+    entry, and {0 <-> n} needs every site up to n covered and site n
+    marked.  Each step adds ``R_s * mark_s + s``: an unmarked site gives s,
+    which cannot raise a reach that covered it.  The relay (``relay=True``)
+    keeps ``last``, the last informed site; site i is informed when it is
+    marked and its own radius reaches back to ``last``, i.e. when
+    ``last + R_i * mark_i >= i``, and {Y_n = 1} is site n informed.
+
+    Radii are capped at N = max(ns).  No check at a site n <= N tells a
+    radius of N from a longer one, and the cap keeps ``inf * 0`` (an
+    unmarked infinite radius) finite, so the row of each n is exactly the
+    indicator of a walk that stops at n.
     """
-    size = marks.shape[1]
-    zeta = np.zeros(size, dtype=np.intp)
-    qz = np.empty(size)
-    climb = np.empty(size, dtype=bool)
-    mark = np.empty(size, dtype=bool)
-    for row in marks:
-        qtab.take(zeta, out=qz)
-        np.less_equal(row, qz, out=climb)
-        zeta += 1
-        zeta *= climb
-        yield np.logical_not(climb, out=mark)
+    ns = list(ns)
+    if reps < 1:
+        raise ValidationError("reps must be >= 1")
+    if not ns:
+        raise ValidationError("at least one site index is needed")
+    if min(ns) < 0:
+        raise ValidationError("site index must be nonnegative")
+    out = np.ones((len(ns), reps), dtype=bool)
+    top = max(ns)
+    if top == 0:
+        return out
+    targets: dict = {}
+    for row, n in enumerate(ns):
+        targets.setdefault(n, []).append(row)
+    for cols, s, mark, radius in _site_rows(spec, model, top, reps, seed):
+        if s == 0:
+            size = radius.size
+            state = np.zeros(size) if relay else radius.copy()  # last or reach
+            alive = np.ones(size, dtype=bool)
+            hit = np.empty(size, dtype=bool)
+            tip = np.empty(size)
+            continue
+        np.multiply(radius, mark, out=tip)
+        if relay:
+            tip += state
+            np.greater_equal(tip, s, out=hit)
+            np.multiply(hit, s, out=tip)
+        else:
+            alive &= np.greater_equal(state, s, out=hit)
+            tip += s
+        np.maximum(state, tip, out=state)
+        if s in targets:
+            if not relay:
+                np.logical_and(alive, mark, out=hit)
+            for row in targets[s]:
+                out[row, cols] = hit
+    return out
 
 
 def connectivity_successes(
     spec: QSequence, model: RadiusModel, n: int, reps: int, seed: int
 ) -> np.ndarray:
-    """Per-replicate success indicators of the event {0 <-> n}.
-
-    Walk the path across a chunk and keep ``reach``, the furthest endpoint
-    s + R_s of the intervals opened so far; site s is covered when
-    ``reach >= s`` on entry, and the event needs every site covered and
-    site n marked.  Each step adds ``R_s * mark_s + s``: an unmarked site
-    gives s, which cannot raise a reach that covered it, and the radius
-    cap at n keeps ``R_s * 0`` finite for an infinite radius.
-    """
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
-    if n < 0:
-        raise ValidationError("site index must be nonnegative")
-    out = np.ones(reps, dtype=bool)
-    if n == 0:
-        return out
-    qtab = spec.q_array(n + 1)
-    for rows, marks, radii in _site_major_chunks(model, seed, reps, n, n + 1):
-        size = marks.shape[1]
-        reach = radii[0].copy()
-        alive = np.ones(size, dtype=bool)
-        covered = np.empty(size, dtype=bool)
-        tip = np.empty(size)
-        for s, mark in enumerate(_renewals(qtab, marks), start=1):
-            alive &= np.greater_equal(reach, s, out=covered)
-            np.multiply(radii[s], mark, out=tip)
-            tip += s
-            np.maximum(reach, tip, out=reach)
-        np.logical_and(alive, mark, out=out[rows])
-    return out
+    """Per-replicate success indicators of the event {0 <-> n} (see ``_walk``)."""
+    return _walk(spec, model, [n], reps, seed, relay=False)[0]
 
 
 def dual_successes(
     spec: QSequence, model: RadiusModel, n: int, reps: int, seed: int
 ) -> np.ndarray:
-    """Per-replicate indicators of {Y_n = 1} under the relay gap rule.
-
-    ``last`` is the last informed site; site i is informed when it is
-    marked and its radius reaches back to ``last``, i.e. when
-    ``last + R * mark_i >= i``, and then ``last = max(last, i * informed)``.
-    """
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
-    if n < 0:
-        raise ValidationError("site index must be nonnegative")
-    out = np.ones(reps, dtype=bool)
-    if n == 0:
-        return out
-    qtab = spec.q_array(n + 1)
-    for rows, marks, radii in _site_major_chunks(model, seed, reps, n, n):
-        size = marks.shape[1]
-        last = np.zeros(size)
-        informed = np.empty(size, dtype=bool)
-        tip = np.empty(size)
-        for i, mark in enumerate(_renewals(qtab, marks), start=1):
-            np.multiply(radii[i - 1], mark, out=tip)
-            tip += last
-            np.greater_equal(tip, i, out=informed)
-            np.multiply(informed, i, out=tip)
-            np.maximum(last, tip, out=last)
-        np.equal(last, n, out=out[rows])
-    return out
+    """Per-replicate indicators of {Y_n = 1} under the relay gap rule (see ``_walk``)."""
+    return _walk(spec, model, [n], reps, seed, relay=True)[0]
 
 
-def _report(target: str, n: int, successes: np.ndarray, seed: int, layout: str) -> SimReport:
+def _report(target: str, n: int, successes: np.ndarray, seed: int) -> SimReport:
     reps = successes.size
     k = int(successes.sum())
     phat = k / reps
@@ -224,24 +226,32 @@ def _report(target: str, n: int, successes: np.ndarray, seed: int, layout: str) 
         wilson_low=lo,
         wilson_high=hi,
         seed=seed,
-        layout=layout,
+        layout=_LAYOUTS[target],
     )
+
+
+def _sim_reports(target: str, spec: QSequence, model: RadiusModel, ns, reps: int, seed: int) -> list:
+    """One report per site of ``ns`` (``target`` "connectivity" or "dual"), from one walk.
+
+    The reports share their paths: each equals the one-site report at its
+    n, and estimates at different n are correlated.
+    """
+    successes = _walk(spec, model, ns, reps, seed, relay=target == "dual")
+    return [_report(target, n, row, seed) for n, row in zip(ns, successes)]
 
 
 def simulate_connectivity(
     spec: QSequence, model: RadiusModel, n: int, reps: int, seed: int
 ) -> SimReport:
     """Unbiased estimate of P(0 <-> n) with Wilson 95% uncertainty."""
-    successes = connectivity_successes(spec, model, n, reps, seed)
-    return _report("connectivity", n, successes, seed, f"conn-v1/chunk={CHUNK}")
+    return _report("connectivity", n, connectivity_successes(spec, model, n, reps, seed), seed)
 
 
 def simulate_dual(
     spec: QSequence, model: RadiusModel, n: int, reps: int, seed: int
 ) -> SimReport:
     """Unbiased estimate of P(Y_n = 1) with Wilson 95% uncertainty."""
-    successes = dual_successes(spec, model, n, reps, seed)
-    return _report("dual", n, successes, seed, f"dual-v1/chunk={CHUNK}")
+    return _report("dual", n, dual_successes(spec, model, n, reps, seed), seed)
 
 
 def coalescence_times(

@@ -14,7 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renewperc import cli, dual_law, gf_partial, q_sequence_from_config, radius_from_config
+from renewperc import (
+    cli,
+    dual_law,
+    gf_partial,
+    q_sequence_from_config,
+    radius_from_config,
+    simulate,
+    simulate_connectivity,
+    simulate_dual,
+)
 from renewperc.cli import _build_parser, _resolve_config, main
 
 HAND_LAW = {
@@ -312,6 +321,40 @@ def test_scalar_and_empty_site_lists(tmp_path):
     assert main(["dual", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "dual"])
+def test_negative_site_fails_before_any_draw(tmp_path, monkeypatch, capsys, command):
+    def draw(*args, **kwargs):
+        raise AssertionError("drawing started")
+
+    monkeypatch.setattr(simulate, "_chunk_rng", draw)
+    cfg = _write_config(tmp_path, {**HAND_LAW, "n": [5, -1], "reps": 100})
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "site index must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, runner, layout", [
+    ("simulate", simulate_connectivity, "conn-v2"),
+    ("dual", simulate_dual, "dual-v2"),
+])
+def test_one_command_walk_matches_per_site_reports(tmp_path, capsys, command, runner, layout):
+    law = {"q": HAND_LAW["q"], "radius": {"family": "geometric_tail", "r": 0.8}}
+    sites = [60, 7, 7, 0]
+    cfg = _write_config(tmp_path, {**law, "n": sites, "reps": 9000, "seed": 3})
+    out = tmp_path / "sim.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["layout"] == f"{layout}/chunk=8192"
+    rows = list(csv.DictReader(out.open()))
+    assert [int(row["n"]) for row in rows] == sites
+    spec, model = q_sequence_from_config(law["q"]), radius_from_config(law["radius"])
+    for row, n in zip(rows, sites):
+        report = runner(spec, model, n, 9000, 3)
+        assert 0.0 < report.estimate
+        for key in ("estimate", "stderr", "wilson_low", "wilson_high"):
+            assert float(row[key]) == getattr(report, key)
+
+
 def test_integral_float_config_values_are_accepted(tmp_path):
     cfg = _write_config(tmp_path, {**HAND_CONFIG, "horizon": 5.0,
                                    "radius": {**_POWER_LAW, "n0": 1e0}})
@@ -388,7 +431,7 @@ def test_zero_reps_fails_before_computing(tmp_path, monkeypatch, capsys, command
         raise AssertionError("computation started")
 
     for name in ("random_tiny_configs", "simulate_connectivity", "simulate_dual",
-                 "simulate_coupling"):
+                 "simulate_coupling", "_sim_reports"):
         monkeypatch.setattr(cli, name, compute)
     cfg = _write_config(tmp_path, {**_TINY[command], "reps": 0})
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2

@@ -155,6 +155,7 @@ def _temporaries_geometric_quantile(r, u):
     "model",
     [FiniteTableRadius((0.1, 0.4, 0.3, 0.2)), FiniteTableRadius((0.0, 0.5, 0.0, 0.5)),
      FiniteTableRadius((1.0,)), FiniteTableRadius((0.1,) * 10),
+     FiniteTableRadius((1 / 300,) * 300),  # counts past 255
      GeometricTailRadius(0.9), GeometricTailRadius(0.05)],
 )
 def test_in_place_quantiles_match_the_allocating_formulas(model):

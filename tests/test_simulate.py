@@ -27,7 +27,7 @@ from renewperc import (
     simulate_dual,
     wilson_interval,
 )
-from renewperc.simulate import CHUNK, _chunk_rng, dual_successes
+from renewperc.simulate import CHUNK, _chunk_rng, _walk, dual_successes
 
 HAND_SPEC = MarkovQ(0.3, 0.6)
 HAND_MODEL = FiniteTableRadius((0.0, 0.5, 0.5))
@@ -210,49 +210,49 @@ def _tau_digest(law: str) -> str:
     )
 
 
-# SHA-256 of the conn-v1 / dual-v1 / coupling-v1 outputs; a kernel rewrite
+# SHA-256 of the conn-v2 / dual-v2 / coupling-v1 outputs; a kernel rewrite
 # that keeps its layout id must reproduce every one of them
 STREAM_DIGESTS = {
-    "conn/constant/geometric": "7320d9a947adc35635e6d245e5f64220dfecaa0b2ec1db7bf5a67058805213e1",
-    "conn/constant/infinite": "2d0ae30c68a10cfa5311d632acccacec13a0f7f8dddb701a10bef921758d775c",
-    "conn/constant/power-g1": "f40abc801e1664b93f83d1d38dbad2148478f0b9c70dd7501086591a655348b3",
-    "conn/constant/power-g1.5": "d75afc28c51b1b0435da8850d59544bb8bd037109e94bd5e5757fb0414b4c59f",
-    "conn/constant/table": "a732206758b5390342046a0d7d214372ee99d225b6fd31dda2da76f9c9603ac3",
-    "conn/markov/geometric": "4471dc90264edadf5634986e170724a7bccedffc823477595237b6fd702280d6",
-    "conn/markov/infinite": "7baefd66053150000257617911478ec511304f3a26f518324b9172f55c05ba2b",
-    "conn/markov/power-g1": "416c24737c05b46658f70e27202ff2e348eef2bf69be135fe75c143a4fa95f52",
-    "conn/markov/power-g1.5": "8025067a61abacd7131f11a8685161a96278a165cdf77e276de49e8039f6e068",
-    "conn/markov/table": "36b30cab623a0629e7cd2a1e58ee88ccc15a64ca788f82bddf957e76bc4f4c02",
-    "conn/polynomial/geometric": "3465ea37c861aadbea2cfddb577ef90b764b197ddf8e523d1e68bae5ddee9a4b",
-    "conn/polynomial/infinite": "94c3b3823c3cd65e66ce74574b3c1b135d3a6a21605b756d508fb80bac053de2",
-    "conn/polynomial/power-g1": "7f2531bb31893ff51a639244dd57cdc0a31a324df5d4c97e012d1ba6aafd75d1",
-    "conn/polynomial/power-g1.5": "c95f4cb87e8a2b3f8a27e7feb601635fb5cb09f00cb483daf202d598f107c7e7",
-    "conn/polynomial/table": "35d478dc15dc94ef2d8e83981a87c06c6e81acfc0d5f18eab5e4dc752b5af6c7",
-    "conn/table/geometric": "265efb0c7e35d179901aee49f33c7bf859d2bef42f9a66e4030c65e0b8715325",
-    "conn/table/infinite": "e1fd8c2151b41642406dd591e74bc9274007a2e77fb7bfad653510ee3da5f164",
-    "conn/table/power-g1": "663ca0170b2f099b31c4329bf4af43d39440d631b1e0d941830fa472029bfc2e",
-    "conn/table/power-g1.5": "84d6cee2dd31711db46401674943cfc7ee5db796803df0963a85a65e4e93be74",
-    "conn/table/table": "f4d5aa4db843db4b93e2fb8c0c83aaafa8dac55f65b041cff002826b89dbf92f",
-    "dual/constant/geometric": "36f79f29e18ca12e0ae31588df9652c733bdcce3f9c9fa4dd56a4e05ecc6c2c8",
-    "dual/constant/infinite": "2d0ae30c68a10cfa5311d632acccacec13a0f7f8dddb701a10bef921758d775c",
-    "dual/constant/power-g1": "f4089b18b0b57ceb0e1692294099c7c97219f19fed4f1e187a0b3fe280b5bd0a",
-    "dual/constant/power-g1.5": "3d6ad78e36f77c68a88d8b97e71923cd75b66a6b6165ee5c31b7604de8a3744e",
-    "dual/constant/table": "c3ceca07589dd37bd42f943ef127025a5aa36f2576d082e02d3aeac4ed4dc1c0",
-    "dual/markov/geometric": "87d415a27b8768ff0ad94a929693a8aae4a9dada520db0d5d2493795b956b648",
-    "dual/markov/infinite": "7baefd66053150000257617911478ec511304f3a26f518324b9172f55c05ba2b",
-    "dual/markov/power-g1": "5d527ebb7e12b4b55e5d696f904d6c76e55cc87707c9ff4da20c7e9cd6805b51",
-    "dual/markov/power-g1.5": "9915895e9d950b460973a10700011c588492ad41f2f04fae00ccaaa49908fee7",
-    "dual/markov/table": "d25bff07d31d31522f4acf4929cffeba7b83eb750d1d4654ee0ab1103071a1d5",
-    "dual/polynomial/geometric": "a11d07682b66a2f55ff5e4df5aae50d23795c9fc6f95cd1d443e05d938a2aea7",
-    "dual/polynomial/infinite": "94c3b3823c3cd65e66ce74574b3c1b135d3a6a21605b756d508fb80bac053de2",
-    "dual/polynomial/power-g1": "e7d5dacf8d92c4c87c95c482131cd3bb670de587a07eb7ea7d73854ea1a55529",
-    "dual/polynomial/power-g1.5": "aaf68da823c5fabb6dfc45344044a08eb83340f97a729395df2486da919e5337",
-    "dual/polynomial/table": "3090026027e805e13b9c0bc8db7feb4a8c9737816d4b3f9aed88b40fb02e90dd",
-    "dual/table/geometric": "02f48288b75a45621bca5dca4c17fe2872655c946880b1fd60af70193401d8c8",
-    "dual/table/infinite": "e1fd8c2151b41642406dd591e74bc9274007a2e77fb7bfad653510ee3da5f164",
-    "dual/table/power-g1": "f26d7fe58d42097989445b10e68589fa91505260a1a6a792ce6cdd066c20ba06",
-    "dual/table/power-g1.5": "32dad8ed23b67bf42e13ff7263f9bea7f1f87f3461da54c9733919db5467032f",
-    "dual/table/table": "47b988571fd307d3ee6c24292fcadc6f659bd21ed9ebc92d0d7c3ac95f333977",
+    "conn/constant/geometric": "39044fa79c7779669fd051f11dcb00d21f59ff4ceb3765a33ae2aad0fd63a21d",
+    "conn/constant/infinite": "7b24e2e3b06a00745352573fa9ddc4be1886ecfa8930e69616bb8088a2824b42",
+    "conn/constant/power-g1": "5439c3170c8bda6f114fb111d85ad5f745079391c093596ddcb43ee30d7744fa",
+    "conn/constant/power-g1.5": "8ddb4910d5fec76fcdba4f1e1c0afd4955de6b338f6a11c1527ecca4fdcf0b8c",
+    "conn/constant/table": "8e481e71522729988e0491711319b4680fe61d8fc09e728e2e8e50c0417c235c",
+    "conn/markov/geometric": "e7f9319b09a1fa195445e2b8fa4df72e4d48c66b9f7b1885cf95189ec2d4bbe0",
+    "conn/markov/infinite": "9a8fd666574a03d43f3a08f62bd05e20f2438b215869e6f33ef271f7b411920b",
+    "conn/markov/power-g1": "8c87b3254b66f09f118137920fa0aa5233b211ab7389a845bb4e26241b1d9774",
+    "conn/markov/power-g1.5": "8ebbb2608b88072a395ab18319b5d8dbde1f0dbb5a81d47732c1a0cacbfdc7cf",
+    "conn/markov/table": "bbcd934d04d2c34f4f7c8d0f80b10ae78523356ea3a017b9331e9e7d4e7da30c",
+    "conn/polynomial/geometric": "fb2d0e9b9ebd8db73fb4c540e50d975408d3f18c542585aa889974621da4d01b",
+    "conn/polynomial/infinite": "b7a0d6e7c11a62088dd6548743fb49797e112ce5900919e2d9624ef943bd461b",
+    "conn/polynomial/power-g1": "978fcb126a86bc489e079c71a9f34b00d6e18ec93f278f3ec216e185a5efe188",
+    "conn/polynomial/power-g1.5": "78dea6910557b3f768d65d639e46e9ec9999834fff23f8cdead7b9708e43f27c",
+    "conn/polynomial/table": "fb7a249c9fb00438628112409315133f584c378faff5986f5ea6841c42a30fed",
+    "conn/table/geometric": "c0f2eac86b36dd033d34658ab1ec1d5324cfdd2e4b118be940fc95473bc747fc",
+    "conn/table/infinite": "e64a6095c57a671aaf1dfe56d5d6073df62d76108b4185df0c0deaafe274b4d0",
+    "conn/table/power-g1": "42d93a2d97876dbc8ebea5fc811009c56c1fe9c7555b5e8093c71b777e02774a",
+    "conn/table/power-g1.5": "90d522e9989736cf08f2f03118054c62506be24a2050eeb597ff47dacf93e451",
+    "conn/table/table": "a0c8cb9619ed8d3b57c6a397832cee11faf538664e293109a414f91623fc53f1",
+    "dual/constant/geometric": "555816ed5cea39daab6fcf74315de3e3aae2b4bf0585d194ce03b03e2303fae9",
+    "dual/constant/infinite": "7b24e2e3b06a00745352573fa9ddc4be1886ecfa8930e69616bb8088a2824b42",
+    "dual/constant/power-g1": "cdf42cd96a7fa3b7e5f7e69826aba2745edf54b66d48c050edc54afc15e19047",
+    "dual/constant/power-g1.5": "6659c89f629d7edc1001baf5f1ce83dc9cac3bdcd07d858bb3a852d277635854",
+    "dual/constant/table": "28196446a88c2fa2a499b8ef228dab0876d5a3e27cbd4cb4f807a69cba3503b2",
+    "dual/markov/geometric": "7f57e8d1fb7e34a03305f3c51ce6fa1381d2286a5bcc22f13b270544c7648c9d",
+    "dual/markov/infinite": "9a8fd666574a03d43f3a08f62bd05e20f2438b215869e6f33ef271f7b411920b",
+    "dual/markov/power-g1": "0bbf8ee1fc14f11a91befc1591320e6354b47e75ebcc69502424fc641583413a",
+    "dual/markov/power-g1.5": "c1b97cf4e7653a0cc7eed6f99ef69fa3c045ad89553dd8605fa0005c93d609c9",
+    "dual/markov/table": "f1028fc86228127d1232f91c528f96a9057989c8b241c32d0df07372f384180b",
+    "dual/polynomial/geometric": "328c455ab9b6050c9654e30aa4494224def15e873987dabc5ddd675a45b1e749",
+    "dual/polynomial/infinite": "b7a0d6e7c11a62088dd6548743fb49797e112ce5900919e2d9624ef943bd461b",
+    "dual/polynomial/power-g1": "24dc20ff17538c6750c671ea06a4c44aa061c997f8667951aea260bd309248e0",
+    "dual/polynomial/power-g1.5": "8fc27fc8d7bf7fd657a04aea83b8e465b09617147509bed9ab5e9de68ca5888b",
+    "dual/polynomial/table": "80ed11073c37660d1a49a0aba79651bf3a08ac3fc92f6532c07b0326cdae77bc",
+    "dual/table/geometric": "60c9ec866cd97bf6c854a25f21d13f9bad14a80cf104f80cd48ba9d98b7ef4ae",
+    "dual/table/infinite": "e64a6095c57a671aaf1dfe56d5d6073df62d76108b4185df0c0deaafe274b4d0",
+    "dual/table/power-g1": "61243994b280d698c8e9ca332c792dbfbeebf16c8b7f63db5f189b65df361a8c",
+    "dual/table/power-g1.5": "f57336b42ddb2378f91c51c00bc68217642d0330539c0a3bcb3415476a5b2788",
+    "dual/table/table": "4ff7af93bf0e6c144c7f684b4d29e3a076362cc2283e50ea4b8188ac8a0ee228",
     "tau/constant": "a34139999c933c1c1956a47bd25b710433eb39ae1414d2bb60e84c726734e3b3",
     "tau/markov": "94a9c8761827aaf3b558b3d0c86ea5578abe7ae23b4322e0be045c8d483c8bf3",
     "tau/polynomial": "0e9bc3661e136ee1e68ddc2cbf87fadd553f7c0fea1fc4dec56512253dfb99be",
@@ -270,6 +270,21 @@ def test_indicator_streams_are_pinned(law, radius):
     assert dual == STREAM_DIGESTS[f"dual/{law}/{radius}"]
 
 
+@pytest.mark.parametrize(
+    "law,radius", list(itertools.product(STREAM_LAWS, STREAM_RADII)), ids="/".join
+)
+def test_one_walk_gives_every_site(law, radius):
+    # the rows of sites <= n do not depend on how far the walk goes
+    spec, model = STREAM_LAWS[law], STREAM_RADII[radius]
+    for ns in (STREAM_NS, (60, 7, 0, 7, 1, 60)):
+        for reps in (700, CHUNK + 1):
+            for relay, kernel in ((False, connectivity_successes), (True, dual_successes)):
+                rows = _walk(spec, model, ns, reps, STREAM_SEED, relay)
+                assert rows.shape == (len(ns), reps)
+                for n, row in zip(ns, rows):
+                    assert np.array_equal(row, kernel(spec, model, n, reps, STREAM_SEED))
+
+
 @pytest.mark.parametrize("law", list(STREAM_LAWS))
 def test_coalescence_streams_are_pinned(law):
     assert _tau_digest(law) == STREAM_DIGESTS[f"tau/{law}"]
@@ -280,14 +295,18 @@ def test_coalescence_streams_are_pinned(law):
 # ---------------------------------------------------------------------------
 
 
-def _reference_draws(model, n, n_rad, reps, seed):
-    """Per-replicate (mark uniforms, radii) in the chunk layout, drawn plainly."""
+def _reference_draws(model, n, reps, seed):
+    """Per-replicate (mark uniforms of sites 1..n, radii of sites 0..n), drawn row by row."""
     for c in range(0, reps, CHUNK):
         rng = _chunk_rng(seed, c // CHUNK)
         size = min(CHUNK, reps - c)
-        marks = rng.random((size, n))
-        radii = model.quantile(rng.random((size, n_rad)))
-        yield from zip(marks.tolist(), radii.tolist())
+        radii = [rng.random(size)]
+        marks = []
+        for _ in range(n):
+            marks.append(rng.random(size))
+            radii.append(rng.random(size))
+        radii = model.quantile(np.array(radii))
+        yield from zip(np.array(marks).reshape(n, size).T.tolist(), radii.T.tolist())
 
 
 def _walk_connectivity(spec, marks, radii, n):
@@ -311,7 +330,7 @@ def _walk_dual(spec, marks, radii, n):
             zeta += 1
         else:
             zeta = 0
-            if radii[i - 1] >= i - last:
+            if radii[i] >= i - last:
                 last = i
     return last == n
 
@@ -323,16 +342,16 @@ def _walk_dual(spec, marks, radii, n):
         (TableQ(values=(0.6, 0.2, 0.95)), GeometricTailRadius(0.6), 5),
         (PolynomialMonotoneQ(beta=0.3, i0=2), PowerLawTailRadius(c=2.0, gamma=1.5, n0=2), 6),
         (ConstantQ(0.5), InfiniteRadius(), 3),
+        (MarkovQ(0.3, 0.6), GeometricTailRadius(0.9), 19),  # crosses site tiles
     ],
-    ids=["markov-table", "table-geometric", "polynomial-power", "constant-infinite"],
+    ids=["markov-table", "table-geometric", "polynomial-power", "constant-infinite",
+         "markov-geometric"],
 )
 def test_vectorised_kernels_match_a_scalar_walk(spec, model, n):
     reps, seed = CHUNK + 600, 8
-    conn = [
-        _walk_connectivity(spec, marks, radii, n)
-        for marks, radii in _reference_draws(model, n, n + 1, reps, seed)
-    ]
-    dual = [_walk_dual(spec, marks, radii, n) for marks, radii in _reference_draws(model, n, n, reps, seed)]
+    draws = list(_reference_draws(model, n, reps, seed))
+    conn = [_walk_connectivity(spec, marks, radii, n) for marks, radii in draws]
+    dual = [_walk_dual(spec, marks, radii, n) for marks, radii in draws]
     assert connectivity_successes(spec, model, n, reps, seed).tolist() == conn
     assert dual_successes(spec, model, n, reps, seed).tolist() == dual
     assert 0 < sum(conn) < reps and 0 < sum(dual) < reps
