@@ -16,12 +16,17 @@ and replicate, step-major.
 
 The kernels keep one value per replicate of a chunk in each state row, so
 each site of a path is a few in-place ufuncs on contiguous rows.  How many
-sites or steps one rng call draws is not part of the stream.
+sites or steps one rng call draws is not part of the stream.  Chunks may
+run concurrently, on one thread pool per process sized to the CPUs it may
+use; a chunk writes only its own replicates, so no report depends on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +36,13 @@ from .radius import RadiusModel
 from .renewal import QSequence
 
 CHUNK = 8192
-_STEP_BLOCK = 64  # coupling steps drawn per rng call
+_STEP_BLOCK = 8  # coupling steps drawn per rng call; not part of the stream
 _SITE_TILE = 8  # sites drawn per rng call; not part of the stream
+# below this many replicate-rows a call runs inline: its chunks hand the
+# interpreter lock back and forth more than their numpy calls overlap
+_THREAD_MIN = 1 << 22
+# the CPUs this process may run on (no sched_getaffinity on macOS or Windows)
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _LAYOUTS = {"connectivity": f"conn-v2/chunk={CHUNK}", "dual": f"dual-v2/chunk={CHUNK}"}
 
 _Z95 = 1.959963984540054
@@ -88,62 +98,49 @@ class CouplingReport:
     layout: str
 
 
-def _chunks(reps: int):
-    for c in range(0, reps, CHUNK):
-        yield c // CHUNK, min(CHUNK, reps - c)
-
-
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
 
 
-def _site_rows(spec: QSequence, model: RadiusModel, top: int, reps: int, seed: int):
-    """Yield ``(cols, s, mark, radius)`` for s = 0..top of every chunk, in stream order.
+@functools.cache
+def _executor() -> ThreadPoolExecutor:
+    """The process's thread pool for chunks past a caller's own, made on first use."""
+    return ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="renewperc-mc")
 
-    Chunk c draws from its own generator one row of ``size`` radius
-    uniforms for site 0, then, for s = 1, 2, ..., a row of mark uniforms
-    and a row of radius uniforms for site s.  The rows are drawn _SITE_TILE
-    sites at a time into one reused ``(sites, 2, size)`` buffer, and the
-    radius rows go through the quantile and the cap at ``top`` in place.
-    ``cols`` is the chunk's slice of replicates, ``radius`` site s's capped
-    radii, and ``mark`` whether the house-of-cards chain renews at s (None
-    at site 0, which is always marked): at height zeta the chain climbs
-    when its uniform is <= q_zeta and renews to 0 otherwise.  The rows are
-    overwritten after the next yield.  A site's rows do not depend on
-    ``top``, so every walk reads the same rows at the sites it shares.
+
+if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none of its threads
+    os.register_at_fork(after_in_child=_executor.cache_clear)
+
+
+def _in_chunks(reps: int, rows: int, kernel, buffers) -> None:
+    """Run ``kernel(ci, size, *bufs)`` on every chunk of ``reps`` replicates of ``rows`` rows.
+
+    Worker w of W = min(CPUs, chunks) runs chunks w, w + W, ... with one
+    ``bufs = buffers()``; worker 0 is the calling thread, the rest use the
+    thread pool, and W = 1 below _THREAD_MIN replicate-rows.  A kernel reads
+    only its chunk's generator and writes only its chunk's replicates, so
+    the result does not depend on W.
     """
-    qtab = spec.q_array(top + 1)
-    width = min(reps, CHUNK)
-    tile = np.empty(min(top, _SITE_TILE) * 2 * width)
-    zeta = np.empty(width, dtype=np.intp)
-    qz = np.empty(width)
-    climb = np.empty(width, dtype=bool)
-    mark = np.empty(width, dtype=bool)
-    for ci, size in _chunks(reps):
-        rng = _chunk_rng(seed, ci)
-        cols = slice(ci * CHUNK, ci * CHUNK + size)
-        radius = tile[:size]
-        rng.random(out=radius)
-        np.minimum(model.quantile(radius), top, out=radius)
-        yield cols, 0, None, radius
-        z, q, c, m = zeta[:size], qz[:size], climb[:size], mark[:size]
-        z.fill(0)
-        for first in range(1, top + 1, _SITE_TILE):
-            block = tile[: min(_SITE_TILE, top + 1 - first) * 2 * size].reshape(-1, 2, size)
-            rng.random(out=block)
-            radii = block[:, 1]
-            np.minimum(model.quantile(radii), top, out=radii)
-            # heights stay below top, inside the table
-            for s, (uniforms, radius) in enumerate(block, start=first):
-                qtab.take(z, out=q, mode="clip")
-                np.less_equal(uniforms, q, out=c)
-                z += 1
-                z *= c
-                yield cols, s, np.logical_not(c, out=m), radius
+    chunks = [(c // CHUNK, min(CHUNK, reps - c)) for c in range(0, reps, CHUNK)]
+    workers = min(_CPUS, len(chunks)) if rows * reps >= _THREAD_MIN else 1
+
+    def run(w, bufs):
+        for ci, size in chunks[w::workers]:
+            kernel(ci, size, *bufs)
+
+    futures = [_executor().submit(run, w, buffers()) for w in range(1, workers)]
+    try:
+        run(0, buffers())
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _walk(spec: QSequence, model: RadiusModel, ns, reps: int, seed: int, relay: bool) -> np.ndarray:
     """Indicators at every site of ``ns``, one row each, from one walk to max(ns).
+
+    Site s is marked when its mark uniform exceeds q_zeta at the chain's height zeta.
 
     Connectivity keeps ``reach``, the furthest endpoint s + R_s of the
     intervals opened so far; site s is covered when ``reach >= s`` on
@@ -170,31 +167,51 @@ def _walk(spec: QSequence, model: RadiusModel, ns, reps: int, seed: int, relay: 
     top = max(ns)
     if top == 0:
         return out
-    targets: dict = {}
-    for row, n in enumerate(ns):
-        targets.setdefault(n, []).append(row)
-    for cols, s, mark, radius in _site_rows(spec, model, top, reps, seed):
-        if s == 0:
-            size = radius.size
-            state = np.zeros(size) if relay else radius.copy()  # last or reach
-            alive = np.ones(size, dtype=bool)
-            hit = np.empty(size, dtype=bool)
-            tip = np.empty(size)
-            continue
-        np.multiply(radius, mark, out=tip)
-        if relay:
-            tip += state
-            np.greater_equal(tip, s, out=hit)
-            np.multiply(hit, s, out=tip)
-        else:
-            alive &= np.greater_equal(state, s, out=hit)
-            tip += s
-        np.maximum(state, tip, out=state)
-        if s in targets:
-            if not relay:
-                np.logical_and(alive, mark, out=hit)
-            for row in targets[s]:
-                out[row, cols] = hit
+    targets = {n: [row for row, m in enumerate(ns) if m == n] for n in ns}
+    qtab = spec.q_array(top + 1)
+    width = min(reps, CHUNK)
+
+    def buffers():  # tile, heights, float rows and bool rows
+        return (np.empty(min(top, _SITE_TILE) * 2 * width), np.empty(width, dtype=np.intp),
+                np.empty((3, width)), np.empty((4, width), dtype=bool))
+
+    def chunk(ci, size, tile, zeta, floats, flags):
+        rng = _chunk_rng(seed, ci)
+        z = zeta[:size]
+        q, state, tip = floats[:, :size]  # state is last or reach
+        climb, mark, alive, hit = flags[:, :size]
+        rng.random(out=state)  # site 0's radii: the reach, or (capped at 0) the relay's last = 0
+        np.minimum(model.quantile(state), 0 if relay else top, out=state)
+        alive.fill(True)
+        z.fill(0)
+        for first in range(1, top + 1, _SITE_TILE):
+            block = tile[: min(_SITE_TILE, top + 1 - first) * 2 * size].reshape(-1, 2, size)
+            rng.random(out=block)
+            radii = block[:, 1]
+            np.minimum(model.quantile(radii), top, out=radii)
+            for s, (uniforms, radius) in enumerate(block, start=first):
+                # heights stay below top, inside the table
+                qtab.take(z, out=q, mode="clip")
+                np.less_equal(uniforms, q, out=climb)
+                z += 1
+                z *= climb
+                np.multiply(radius, np.logical_not(climb, out=mark), out=tip)
+                if relay:
+                    tip += state
+                    np.greater_equal(tip, s, out=hit)
+                    np.copyto(tip, hit)
+                    tip *= s
+                else:
+                    alive &= np.greater_equal(state, s, out=hit)
+                    tip += s
+                np.maximum(state, tip, out=state)
+                if s in targets:
+                    if not relay:
+                        np.logical_and(alive, mark, out=hit)
+                    for row in targets[s]:
+                        out[row, ci * CHUNK : ci * CHUNK + size] = hit
+
+    _in_chunks(reps, top, chunk, buffers)
     return out
 
 
@@ -278,22 +295,27 @@ def coalescence_times(
     qtab = spec.q_array(horizon + max(delays) + 1)
     out = np.zeros(reps, dtype=np.int64)
     width = min(reps, CHUNK)
-    steps = np.empty(min(horizon, _STEP_BLOCK) * width)
     start = np.array(delays, dtype=np.intp)[:, None]
-    for ci, size in _chunks(reps):
+    chains = len(delays) * width
+
+    def buffers():  # steps, then heights, lookups and climbs of every chain, then two flag rows
+        return (np.empty(min(horizon, _STEP_BLOCK) * width), np.empty(chains, dtype=np.intp),
+                np.empty(chains), np.empty(chains, dtype=bool), np.empty((2, width), dtype=bool))
+
+    def chunk(ci, size, steps, zeta, qzeta, climbs, flags):
         rng = _chunk_rng(seed, ci)
         tau = out[ci * CHUNK : ci * CHUNK + size]
-        Z = np.repeat(start, size, axis=1)
-        qz = np.empty(Z.shape)
-        climb = np.empty(Z.shape, dtype=bool)
-        fresh = np.empty(size, dtype=bool)
-        done = np.zeros(size, dtype=bool)
+        Z, qz, climb = (a[: len(delays) * size].reshape(-1, size) for a in (zeta, qzeta, climbs))
+        fresh, done = flags[:, :size]
+        np.copyto(Z, start)
+        done.fill(False)
         for step in range(1, horizon + 1):
             row = (step - 1) % _STEP_BLOCK
             if row == 0:
                 block = steps[: min(_STEP_BLOCK, horizon + 1 - step) * size].reshape(-1, size)
                 rng.random(out=block)
-            qtab.take(Z, out=qz)
+            # heights stay below horizon + max(delays), inside the table
+            qtab.take(Z, out=qz, mode="clip")
             np.less_equal(block[row], qz, out=climb)
             Z += 1
             Z *= climb
@@ -304,6 +326,8 @@ def coalescence_times(
             done |= fresh
             if done.all():
                 break
+
+    _in_chunks(reps, horizon * len(delays), chunk, buffers)
     return out
 
 

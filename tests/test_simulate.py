@@ -1,6 +1,12 @@
 import hashlib
 import itertools
 import math
+import os
+import select
+import signal
+import sys
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -27,6 +33,7 @@ from renewperc import (
     simulate_dual,
     wilson_interval,
 )
+from renewperc import simulate
 from renewperc.simulate import CHUNK, _chunk_rng, _walk, dual_successes
 
 HAND_SPEC = MarkovQ(0.3, 0.6)
@@ -288,6 +295,125 @@ def test_one_walk_gives_every_site(law, radius):
 @pytest.mark.parametrize("law", list(STREAM_LAWS))
 def test_coalescence_streams_are_pinned(law):
     assert _tau_digest(law) == STREAM_DIGESTS[f"tau/{law}"]
+
+
+# ---------------------------------------------------------------------------
+# Chunks on the thread pool
+# ---------------------------------------------------------------------------
+
+RAGGED_REPS = 3 * CHUNK + 5  # four chunks, the last one ragged
+WORKER_COUNTS = (1, 2, 3, 7)  # 7 is more than the chunks
+
+
+def _drop_pool():
+    if simulate._executor.cache_info().currsize:
+        simulate._executor().shutdown()
+    simulate._executor.cache_clear()
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Sets the CPU count the chunk runner sees, for calls of any size; each count gets a pool."""
+
+    def use(count):
+        monkeypatch.setattr(simulate, "_CPUS", count)
+        monkeypatch.setattr(simulate, "_THREAD_MIN", 0)
+        _drop_pool()
+
+    yield use
+    _drop_pool()
+
+
+def _ragged_outputs(law: str, radius: str) -> list:
+    spec, model = STREAM_LAWS[law], STREAM_RADII[radius]
+    walks = [
+        _walk(spec, model, ns, RAGGED_REPS, STREAM_SEED, relay)
+        for ns in ((1,), (60, 7, 0, 60), (9,))
+        for relay in (False, True)
+    ]
+    taus = [coalescence_times(spec, delays, 130, RAGGED_REPS, STREAM_SEED) for delays in STREAM_DELAYS]
+    return walks + taus
+
+
+@pytest.mark.parametrize("law,radius", [("markov", "power-g1"), ("table", "infinite"), ("polynomial", "table")])
+def test_worker_count_does_not_change_the_bits(workers, law, radius):
+    reference = None
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for count in WORKER_COUNTS:
+            workers(count)
+            outputs = _ragged_outputs(law, radius)
+            if reference is None:
+                reference = outputs
+            assert all(np.array_equal(a, b) for a, b in zip(outputs, reference)), count
+            for kind, kernel in (("conn", connectivity_successes), ("dual", dual_successes)):
+                assert _indicator_digest(kernel, law, radius) == STREAM_DIGESTS[f"{kind}/{law}/{radius}"]
+            assert _tau_digest(law) == STREAM_DIGESTS[f"tau/{law}"]
+    finally:
+        sys.setswitchinterval(interval)
+    assert 0 < reference[4].sum() < RAGGED_REPS  # the n = 9 connectivity row is not constant
+
+
+def _walk_digest() -> str:
+    rows = _walk(HAND_SPEC, GeometricTailRadius(0.7), [3, 40], RAGGED_REPS, STREAM_SEED, False)
+    taus = coalescence_times(HAND_SPEC, (0, 2), 50, RAGGED_REPS, STREAM_SEED)
+    return _sha256([rows, taus])
+
+
+RAGGED_ERROR = ValueError("no radius for the ragged chunk")
+
+
+@dataclass(frozen=True)
+class _RaggedChunkFails(GeometricTailRadius):
+    def quantile(self, u):
+        if np.shape(u)[-1] == RAGGED_REPS % CHUNK:
+            raise RAGGED_ERROR
+        return super().quantile(u)
+
+
+@pytest.mark.parametrize("count", WORKER_COUNTS)
+def test_a_chunk_error_reaches_the_caller(workers, count):
+    workers(count)
+    expected = _walk_digest()
+    for relay in (False, True):
+        with pytest.raises(ValueError) as caught:
+            _walk(HAND_SPEC, _RaggedChunkFails(0.7), [12], RAGGED_REPS, STREAM_SEED, relay)
+        assert caught.value is RAGGED_ERROR
+    assert _walk_digest() == expected  # the pool still serves the next walk
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_gets_a_pool_of_its_own(workers):
+    # a child that reused the parent's pool would queue its chunks for
+    # threads it does not have and wait forever: the parent kills it instead
+    workers(2)
+    expected = _walk_digest()  # starts the parent's pool threads
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            os.write(write, _walk_digest().encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    ready = []
+    try:
+        ready, _, _ = select.select([read], [], [], 30.0)
+        got = os.read(read, 64).decode() if ready else None
+    finally:
+        os.close(read)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    assert got is not None, "the forked child did not finish its walk within 30 s"
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------
