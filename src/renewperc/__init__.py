@@ -49,7 +49,6 @@ from .radius import (
     radius_from_config,
 )
 from .renewal import (
-    BinaryPath,
     CoalescenceConstants,
     ConstantQ,
     InterArrivalSummary,
@@ -82,7 +81,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BinaryPath",
     "BoundsReport",
     "ClassifyReport",
     "CoalescenceConstants",

@@ -40,8 +40,10 @@ and are both (1 + head + tail)^(-1); they differ only in their head, the
 exact S_1..S_N against its per-term concentration bounds.  That tail is
 certified only when summed to numerical exhaustion (last term and
 remainder below 1e-15 of 1 + head).  Geometric extrapolation of the last
-decade of S is reported with certified=False, except in the exact case
-S_N = 0, where the tail is identically zero because S is nonincreasing.
+decade of S is reported with certified=False, except where S_N = 0
+provably: some q_i = 0 with i < m, m the number of zero alpha below N, so
+the tail is identically zero because S is nonincreasing.  An S_N that
+rounded to 0 gets a zero remainder, uncertified.
 """
 
 from __future__ import annotations
@@ -237,7 +239,7 @@ def dual_law(gf: GfTable, spec: QSequence, model: RadiusModel) -> DualLaw:
 
 @dataclass(frozen=True)
 class PercolationBracket:
-    """Certified interval [lo, hi] for the coverage probability.
+    """Interval [lo, hi] for the coverage probability, certified only when ``certified``.
 
     hi is always (1 + partial_sum)^(-1); lo folds in a tail bound whose
     provenance is recorded in tail_method/certified (see module docstring).
@@ -283,6 +285,8 @@ def _coverage(terms: np.ndarray) -> float:
 def _geometric_remainder(terms: np.ndarray) -> Optional[float]:
     """Geometric continuation of positive ``terms`` fitted over their last decade, or None."""
     last = float(terms[-1])
+    if last == 0.0:  # a zero term continues as zeros (S is nonincreasing)
+        return 0.0
     w = min(max(3, terms.size // 10), terms.size - 1)
     if w < 1:
         return None
@@ -336,7 +340,7 @@ def _concentration_lower(
     if not math.isfinite(scale + explicit):
         return 0.0, False, ("concentration terms overflow (exploding C_k)",)
     last = float(tail[-1])
-    remainder = 0.0 if last == 0.0 else _geometric_remainder(tail)
+    remainder = _geometric_remainder(tail)
     if remainder is None:
         return 0.0, False, ("concentration tail terms show no decay at the secondary horizon",)
     cutoff = 1e-15 * scale
@@ -391,9 +395,13 @@ def percolation_probability(
         notes.append("no tail bound requested; lower endpoint is trivial")
         return bracket(0.0, TAIL_NONE, False)
 
+    # alpha, a CDF, is 0 on sites 0..m-1: S_N = 0 exactly iff no path avoids
+    # marks at 1..m, i.e. some q_i = 0 with i < m; any other 0 is underflow
     if float(gf.S[n]) == 0.0:
-        notes.append("series terms are exactly zero at the horizon")
-        return bracket(hi, TAIL_GEOMETRIC, True)
+        m = np.count_nonzero(model.alpha_array(n) == 0.0)
+        if not spec.q_array(m).all():
+            notes.append("series terms are exactly zero at the horizon")
+            return bracket(hi, TAIL_GEOMETRIC, True)
 
     if tail in ("auto", TAIL_CONCENTRATION):
         lower, certified, extra = _concentration_lower(spec, model, n, secondary, gf.partial_sum)

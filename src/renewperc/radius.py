@@ -273,8 +273,3 @@ def criterion_ratio(model: RadiusModel, spec: QSequence, n: int) -> float:
     mean = _mean_interarrival(spec)
     return n * (1.0 - model.alpha(n)) / mean
 
-
-def sample(model: RadiusModel, rng: np.random.Generator):
-    """Draw one radius by inverse CDF; returns math.inf for defective mass."""
-    value = float(model.quantile(rng.random(1))[0])
-    return math.inf if math.isinf(value) else int(value)

@@ -15,10 +15,10 @@ This module provides the families, the inter-arrival summary, the renewal
 probabilities u_n = P(xi_n = 1), the running maxima q*_i, the coalescence
 constants
 
-    C_k = ( sum_{j=1..k} prod_{i=k..k+j-1} q*_i )^2,
+    C_k = ( sum_{j=1..k} prod_{i=k..k+j-1} q*_i )^2.
 
-and seeded sampling of mark paths.  Everything here is a pure function of
-its inputs; law objects are frozen and safe to share across threads.
+Everything here is a pure function of its inputs; law objects are frozen
+and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -439,40 +439,20 @@ def markov_renewal_closed(q0: float, q1: float, i):
 _CK_TERM_CUTOFF = 1e-18
 
 
-def _ck_inner_sum(log_qstar: np.ndarray, k: int) -> float:
-    """sum_{j=1..k} prod_{i=k..k+j-1} q*_i, with early cutoff on tiny terms.
-
-    Terms are nonincreasing in j, so the cumulative log-product is scanned
-    in doubling blocks and the sum stops at the first term below the
-    cutoff; the dropped remainder is at most k * cutoff.
-    """
-    limit = math.log(_CK_TERM_CUTOFF)
-    total = 0.0
-    offset = 0.0
-    pos, end = k, 2 * k
-    block = 128
-    while pos < end:
-        stop = min(pos + block, end)
-        cum = offset + np.cumsum(log_qstar[pos:stop])
-        idx = int(np.searchsorted(-cum, -limit))
-        if idx < cum.size:
-            total += float(np.exp(cum[: idx + 1]).sum())
-            return total
-        total += float(np.exp(cum).sum())
-        offset = float(cum[-1])
-        pos = stop
-        block *= 2
-    return total
-
-
 def ck_at(spec: QSequence, k: int) -> float:
-    """C_k = (sum_{j=1..k} prod_{i=k..k+j-1} q*_i)^2 for a single k."""
+    """C_k = (sum_{j=1..k} prod_{i=k..k+j-1} q*_i)^2 for a single k.
+
+    Row k of the ck_sequence sweep, bit for bit: the log-products are
+    summed in sequence, cut after the first term at or below the cutoff,
+    and the terms added in order.
+    """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    qs = q_star_array(spec, 2 * k)
     with np.errstate(divide="ignore"):
-        log_qs = np.log(qs)
-    return _ck_inner_sum(log_qs, k) ** 2
+        cum = np.cumsum(np.log(q_star_array(spec, 2 * k)[k:]))
+    stop = np.count_nonzero(cum > math.log(_CK_TERM_CUTOFF)) + 1  # cum is nonincreasing
+    t = float(np.cumsum(np.exp(cum[:stop]))[-1])
+    return t * t  # as np.square in the sweep; t ** 2 goes through pow
 
 
 @dataclass(frozen=True)
@@ -515,38 +495,3 @@ def ck_sequence(spec: QSequence, kmax: int) -> CoalescenceConstants:
     ratio[0] = np.nan
     ratio[1:] = c[1:] / np.arange(1, kmax + 1)
     return CoalescenceConstants(c=c, ratio=ratio, kmax=kmax)
-
-
-# ---------------------------------------------------------------------------
-# Path sampling
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BinaryPath:
-    """A sampled mark path xi_0..xi_N and its house-of-cards companion zeta."""
-
-    xi: np.ndarray
-    zeta: np.ndarray
-
-
-def sample_path(spec: QSequence, n: int, rng: np.random.Generator) -> BinaryPath:
-    """Sample xi_0..xi_n by iterating the house-of-cards chain.
-
-    At height s the chain climbs iff the next uniform is <= q_s, so the
-    path is a deterministic function of the stream.
-    """
-    if n < 0:
-        raise ValidationError(f"horizon must be >= 0, got {n}")
-    q = spec.q_array(n + 1)
-    zeta = np.zeros(n + 1, dtype=np.int64)
-    uniforms = rng.random(n)
-    state = 0
-    for i in range(1, n + 1):
-        if uniforms[i - 1] <= q[state]:
-            state += 1
-        else:
-            state = 0
-        zeta[i] = state
-    xi = (zeta == 0).astype(np.uint8)
-    return BinaryPath(xi=xi, zeta=zeta)

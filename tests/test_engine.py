@@ -363,14 +363,27 @@ def test_bracket_renewal_endpoint():
     assert bracket.hi - bracket.lo < 1e-6
 
 
-def test_bracket_sure_percolation():
-    # marks everywhere and R >= 1 almost surely: S_1 = alpha_0 = 0
+@pytest.mark.parametrize("horizon", [20, 5000])
+def test_bracket_sure_percolation(horizon):
+    # marks everywhere and R >= 1 almost surely: S_1 = alpha_0 = 0, a provable
+    # zero (q_0 = 0 below the one zero alpha) at every horizon
     spec = TableQ((0.0,))
     model = FiniteTableRadius((0.0, 1.0))
-    gf = gf_partial(spec, model, 20)
+    gf = gf_partial(spec, model, horizon)
     bracket = percolation_probability(gf, spec, model)
     assert bracket.lo == 1.0 and bracket.hi == 1.0
     assert bracket.certified
+
+
+def test_bracket_does_not_certify_an_underflowed_series():
+    # S_n = 2^-n underflows to 0 before N = 5000, yet no S_n is exactly 0
+    spec = ConstantQ(0.5)
+    gf = gf_partial(spec, InfiniteRadius(), 5000)
+    assert gf.S[-1] == 0.0
+    bracket = percolation_probability(gf, spec, InfiniteRadius())
+    assert (bracket.lo, bracket.hi) == (0.5, 0.5)
+    assert not bracket.certified and bracket.tail_method == TAIL_GEOMETRIC
+    assert not any("exactly zero" in note for note in bracket.notes)
 
 
 def test_bracket_extinction_flattens_lo():
@@ -632,6 +645,15 @@ def test_classify_survival_evidence():
     model = PowerLawTailRadius(c=1.5 * mean, gamma=1.0, n0=1)
     report = classify(spec, model, 10_000)
     assert report.verdict == VERDICT_SURVIVE_TAIL
+
+
+@pytest.mark.parametrize("spec, mean", [(ConstantQ(0.4), 5 / 3), (MarkovQ(0.3, 0.6), 1.75)], ids=repr)
+@pytest.mark.parametrize("c", [1.2, 1.5, 1.6, 1.7, 1.72, 1.8, 2.0, 2.5, 3.0])
+def test_classify_verdict_falls_on_the_side_of_the_mean(spec, mean, c):
+    # n (1 - alpha_n) = c on the whole window, so every ratio is c / E T
+    report = classify(spec, PowerLawTailRadius(c, 1.0, 1), 10_000)
+    assert report.mean == pytest.approx(mean, rel=1e-12)
+    assert report.verdict == (VERDICT_SURVIVE_TAIL if c > mean else VERDICT_EXTINCT_TAIL)
 
 
 def test_classify_inconclusive_when_ck_grows_too_fast():

@@ -19,7 +19,6 @@ from renewperc import (
     criterion_ratio,
     radius_from_config,
 )
-from renewperc.radius import sample
 
 MODELS = [
     GeometricTailRadius(0.9),
@@ -119,12 +118,12 @@ def test_criterion_ratio_rejects_infinite_mean():
         criterion_ratio(GeometricTailRadius(0.5), spec, 10)
 
 
-def test_sampling_determinism():
-    a = sample(GeometricTailRadius(0.9), np.random.default_rng(5))
-    b = sample(GeometricTailRadius(0.9), np.random.default_rng(5))
-    assert a == b
-    assert sample(FiniteTableRadius((0.0, 1.0)), np.random.default_rng(0)) == 1
-    assert sample(InfiniteRadius(), np.random.default_rng(0)) == math.inf
+def test_quantile_draws():
+    u = np.random.default_rng(5).random(3)
+    model = GeometricTailRadius(0.9)
+    assert np.array_equal(model.quantile(u), model.quantile(u.copy()))
+    assert FiniteTableRadius((0.0, 1.0)).quantile(u).tolist() == [1.0] * 3
+    assert np.isinf(InfiniteRadius().quantile(u)).all()
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from renewperc import (
     ConstantQ,
+    FiniteTableRadius,
     InfiniteRadius,
     MarkovQ,
     PolynomialMonotoneQ,
@@ -22,9 +23,10 @@ from renewperc import (
     q_sequence_from_config,
     q_star_array,
     renewal_probabilities,
+    simulate_connectivity,
     survival_products,
 )
-from renewperc.renewal import Q_CAP, renewal_solve, sample_path
+from renewperc.renewal import Q_CAP, renewal_solve
 
 SPECS = [
     ConstantQ(0.5),
@@ -367,9 +369,8 @@ CK_LAWS = [
 def test_ck_sequence_matches_single_k(spec, kmax):
     table = ck_sequence(spec, kmax)
     assert table.c.shape == (kmax + 1,) and math.isnan(table.c[0])
-    for k in (1, 2, 3, 7, 128, 129, kmax):
-        if k <= kmax:
-            assert table.c[k] == pytest.approx(ck_at(spec, k), rel=1e-12, abs=1e-300)
+    # every row, bit for bit: ck_at is row k of the same sweep
+    assert [ck_at(spec, k) for k in range(1, kmax + 1)] == table.c[1:].tolist()
 
 
 @pytest.mark.parametrize("spec", CK_LAWS, ids=repr)
@@ -377,44 +378,35 @@ def test_ck_sequence_prefix_is_stable(spec):
     assert np.array_equal(ck_sequence(spec, 500).c[1:], ck_sequence(spec, 3000).c[1:501])
 
 
-def test_sample_path_all_marks_when_q_zero():
-    rng = np.random.default_rng(7)
-    path = sample_path(TableQ((0.0,)), 500, rng)
-    assert path.xi.all()
-    assert not path.zeta.any()
+# Under InfiniteRadius site 0 covers every site, so {0 <-> n} is {site n is
+# marked} and simulate_connectivity estimates the renewal probability u_n.
 
 
-def test_sample_path_determinism_and_companion():
-    a = sample_path(MarkovQ(0.3, 0.6), 300, np.random.default_rng(42))
-    b = sample_path(MarkovQ(0.3, 0.6), 300, np.random.default_rng(42))
-    assert np.array_equal(a.xi, b.xi)
-    assert np.array_equal(a.zeta, b.zeta)
-    assert a.xi[0] == 1 and a.zeta[0] == 0
-    assert np.array_equal(a.xi == 1, a.zeta == 0)
+def test_zero_climb_law_marks_every_site():
+    # q_0 = 0 collapses the chain at every step; with every radius 1, {0 <-> n}
+    # needs all sites 0..n marked
+    report = simulate_connectivity(TableQ((0.0,)), FiniteTableRadius((0.0, 1.0)), 500, 2000, seed=7)
+    assert report.estimate == 1.0
 
 
-def test_sample_path_empirical_renewal_rate():
-    # marks beyond site 0 are i.i.d. under constant q, so the binomial SE applies
-    n = 1_000_000
-    path = sample_path(ConstantQ(0.5), n, np.random.default_rng(123))
-    rate = path.xi[1:].mean()
-    se = math.sqrt(0.25 / n)
-    assert abs(rate - 0.5) <= 3 * se
+def test_simulated_renewal_rate_matches_u():
+    # marks beyond site 0 are i.i.d. under constant q, so u_n = 1 - q
+    reps = 200_000
+    report = simulate_connectivity(ConstantQ(0.5), InfiniteRadius(), 20, reps, seed=123)
+    assert abs(report.estimate - 0.5) <= 4 * math.sqrt(0.25 / reps)
 
 
-def test_sample_path_rare_renewals_long_runs():
-    # q = 0.999 repeated: E T = 1000, long zero runs; the renewal count over
-    # N sites fluctuates with SE ~ sqrt(N Var(T) / E T^3) (renewal CLT), with
-    # Var(T) = q / (1-q)^2 for the geometric inter-arrival law
-    q, n = 0.999, 1_000_000
-    spec = TableQ((q,))
-    path = sample_path(spec, n, np.random.default_rng(7))
-    mean_t = 1.0 / (1.0 - q)
-    var_t = q / (1.0 - q) ** 2
-    se_rate = math.sqrt(var_t / mean_t**3 / n)
-    rate = path.xi[1:].mean()
-    assert path.zeta.max() > 100  # long runs actually occur
-    assert abs(rate - 1.0 / mean_t) <= 3 * se_rate
+def test_simulated_rare_renewals_need_long_runs():
+    # q = 0.999 below height 200 and 0 at it: u_201 ~ 0.999^200 comes from the
+    # run that climbs to height 200 without a renewal, u_1000 from rare renewals
+    spec = TableQ((0.999,) * 200 + (0.0,))
+    u = renewal_probabilities(spec, 1000).u
+    assert u[201] > 0.8 and u[1000] < 0.01
+    reps = 20_000
+    for n in (200, 201, 1000):
+        report = simulate_connectivity(spec, InfiniteRadius(), n, reps, seed=n)
+        se = max(math.sqrt(u[n] * (1.0 - u[n]) / reps), 1.0 / reps)
+        assert abs(report.estimate - u[n]) <= 4 * se
 
 
 def test_table_tail_rules():
