@@ -118,14 +118,6 @@ def test_criterion_ratio_rejects_infinite_mean():
         criterion_ratio(GeometricTailRadius(0.5), spec, 10)
 
 
-def test_quantile_draws():
-    u = np.random.default_rng(5).random(3)
-    model = GeometricTailRadius(0.9)
-    assert np.array_equal(model.quantile(u), model.quantile(u.copy()))
-    assert FiniteTableRadius((0.0, 1.0)).quantile(u).tolist() == [1.0] * 3
-    assert np.isinf(InfiniteRadius().quantile(u)).all()
-
-
 @pytest.mark.parametrize(
     "model",
     [GeometricTailRadius(0.9), FiniteTableRadius((0.1, 0.4, 0.3, 0.2)),
@@ -153,7 +145,7 @@ def _temporaries_geometric_quantile(r, u):
 @pytest.mark.parametrize(
     "model",
     [FiniteTableRadius((0.1, 0.4, 0.3, 0.2)), FiniteTableRadius((0.0, 0.5, 0.0, 0.5)),
-     FiniteTableRadius((1.0,)), FiniteTableRadius((0.1,) * 10),
+     FiniteTableRadius((1.0,)), FiniteTableRadius((0.0, 1.0)), FiniteTableRadius((0.1,) * 10),
      FiniteTableRadius((1 / 300,) * 300),  # counts past 255
      GeometricTailRadius(0.9), GeometricTailRadius(0.05)],
 )
