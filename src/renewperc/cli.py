@@ -83,7 +83,7 @@ _FORMATS = ("csv", "jsonl")
 _CHOICES = {"format": _FORMATS, "tail": _TAIL_CHOICES}
 # number fields with a lower bound (tiny configs need n >= 2 sites and radius support >= 1)
 _MINIMUMS = {"horizon": 1, "classify_horizon": 4, "workers": 1, "n_max": 2, "support_max": 1,
-             "exact_tol": 0.0, "reps": 1}
+             "exact_tol": 0.0, "reps": 1, "seed": 0}
 
 
 class _UsageError(Exception):

@@ -64,11 +64,9 @@ from .errors import (
 from .radius import RadiusModel
 from .renewal import (
     _LIFT,
-    REPEAT_LAST,
     ConstantQ,
-    MarkovQ,
     QSequence,
-    TableQ,
+    _two_state,
     ck_at,
     ck_sequence,
     interarrival,
@@ -105,21 +103,6 @@ class GfTable:
 
 def _gf_table(S: np.ndarray, f: np.ndarray) -> GfTable:
     return GfTable(S=S, dual_pmf=f, horizon=S.size - 1, partial_sum=float(S[1:].sum()))
-
-
-def _two_state(spec: QSequence) -> Optional[tuple]:
-    """(q_0, q_1), clamped, for a law with q_i = q_1 at every i >= 1; else None.
-
-    The house-of-cards chain of such a law lumps to the two mark states:
-    a marked site is followed by a mark with probability 1 - q_0, an
-    unmarked one with probability 1 - q_1.
-    """
-    if isinstance(spec, TableQ):
-        if spec.tail != REPEAT_LAST or len(set(spec.values[1:])) > 1:
-            return None
-    elif not isinstance(spec, (ConstantQ, MarkovQ)):
-        return None
-    return spec.q_at(0), spec.q_at(1)
 
 
 def _iid_series(q: float, p: float, alph: np.ndarray) -> np.ndarray:

@@ -133,7 +133,8 @@ class PowerLawTailRadius(RadiusModel):
             np.power(v, 1.0 / self.gamma, out=v)
         np.floor(v, out=v)
         v += 1.0
-        np.maximum(v, float(self.n0), out=v)
+        if self.n0 != 1:  # v >= 1 already
+            np.maximum(v, float(self.n0), out=v)
         return v[()]  # a scalar for a scalar u
 
     def to_config(self) -> dict:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -248,6 +248,21 @@ def q_sequence_from_config(fragment: Mapping) -> QSequence:
 # ---------------------------------------------------------------------------
 # Derived quantities
 # ---------------------------------------------------------------------------
+
+
+def _two_state(spec: QSequence) -> Optional[tuple]:
+    """(q_0, q_1), clamped, for a law with q_i = q_1 at every i >= 1; else None.
+
+    The house-of-cards chain of such a law lumps to the two mark states:
+    a marked site is followed by a mark with probability 1 - q_0, an
+    unmarked one with probability 1 - q_1.
+    """
+    if isinstance(spec, TableQ):
+        if spec.tail != REPEAT_LAST or len(set(spec.values[1:])) > 1:
+            return None
+    elif not isinstance(spec, (ConstantQ, MarkovQ)):
+        return None
+    return spec.q_at(0), spec.q_at(1)
 
 
 def q_star_array(spec: QSequence, n: int) -> np.ndarray:

@@ -15,7 +15,9 @@ shared seed.  Coupling chunks (``coupling-v1``) draw one uniform per step
 and replicate, step-major.
 
 The kernels keep one value per replicate of a chunk in each state row, so
-each site of a path is a few in-place ufuncs on contiguous rows.  How many
+each site of a path is a few in-place ufuncs on contiguous rows.  The mark
+chain's row is its height, or for a two-state law (ConstantQ, MarkovQ) one
+climb flag, read off the same uniforms with the same bits.  How many
 sites or steps one rng call draws is not part of the stream.  Chunks may
 run concurrently, on one thread pool per process sized to the CPUs it may
 use; a chunk writes only its own replicates, so no report depends on it.
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import ValidationError, check_int
 from .radius import RadiusModel
-from .renewal import QSequence
+from .renewal import QSequence, _two_state
 
 CHUNK = 8192
 _STEP_BLOCK = 8  # coupling steps drawn per rng call; not part of the stream
@@ -137,10 +139,50 @@ def _in_chunks(reps: int, rows: int, kernel, buffers) -> None:
         future.result()
 
 
+def _at_least(name: str, value, low: int) -> int:
+    value = check_int(name, value)
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _climber(spec: QSequence, length: int) -> tuple:
+    """``(climb, row_types)``: ``climb(u, climbs, tmp, *rows)`` turns the last climbs into the next.
+
+    ``tmp`` is a free bool row.  A two-state law (see ``_two_state``) climbs
+    with q_0 from height 0 and with q_1 above it, so a site climbs iff
+    u <= lo, or u <= hi and the last site selects hi: it climbed when
+    q_0 <= q_1, it did not otherwise (on bools a > b is a and not b).  Any
+    other law keeps two ``rows`` of these types: each chain's height, below
+    ``length``, and its q.
+    """
+    lumped = _two_state(spec)
+    if lumped is None:
+        qtab = spec.q_array(length)
+
+        def climb(u, climbs, tmp, z, q):
+            qtab.take(z, out=q, mode="clip")
+            np.less_equal(u, q, out=climbs)
+            z += 1
+            z *= climbs
+
+        return climb, (np.intp, float)
+    (lo, hi), join = sorted(lumped), np.logical_and if lumped[0] <= lumped[1] else np.greater
+
+    def climb(u, climbs, tmp):
+        if lo < hi:
+            join(np.less_equal(u, hi, out=tmp), climbs, out=climbs)
+            climbs |= np.less_equal(u, lo, out=tmp)
+        else:
+            np.less_equal(u, lo, out=climbs)
+
+    return climb, ()
+
+
 def _walk(spec: QSequence, model: RadiusModel, ns, reps: int, seed: int, relay: bool) -> np.ndarray:
     """Indicators at every site of ``ns``, one row each, from one walk to max(ns).
 
-    Site s is marked when its mark uniform exceeds q_zeta at the chain's height zeta.
+    Site s is marked when its mark uniform exceeds q at the chain's height (see ``_climber``).
 
     Connectivity keeps ``reach``, the furthest endpoint s + R_s of the
     intervals opened so far; site s is covered when ``reach >= s`` on
@@ -156,9 +198,8 @@ def _walk(spec: QSequence, model: RadiusModel, ns, reps: int, seed: int, relay: 
     unmarked infinite radius) finite, so the row of each n is exactly the
     indicator of a walk that stops at n.
     """
-    ns = list(ns)
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
+    ns = [check_int("n", n) for n in ns]
+    reps, seed = _at_least("reps", reps, 1), _at_least("seed", seed, 0)
     if not ns:
         raise ValidationError("at least one site index is needed")
     if min(ns) < 0:
@@ -168,41 +209,40 @@ def _walk(spec: QSequence, model: RadiusModel, ns, reps: int, seed: int, relay: 
     if top == 0:
         return out
     targets = {n: [row for row, m in enumerate(ns) if m == n] for n in ns}
-    qtab = spec.q_array(top + 1)
+    climber, row_types = _climber(spec, top + 1)  # heights stay below top
     width = min(reps, CHUNK)
 
-    def buffers():  # tile, heights, float rows and bool rows
-        return (np.empty(min(top, _SITE_TILE) * 2 * width), np.empty(width, dtype=np.intp),
-                np.empty((3, width)), np.empty((4, width), dtype=bool))
+    def buffers():  # tile, float rows, bool rows, then the climber's rows
+        return (np.empty(min(top, _SITE_TILE) * 2 * width), np.empty((2, width)),
+                np.empty((4, width), dtype=bool), *(np.empty(width, dtype=t) for t in row_types))
 
-    def chunk(ci, size, tile, zeta, floats, flags):
+    def chunk(ci, size, tile, floats, flags, *rows):
         rng = _chunk_rng(seed, ci)
-        z = zeta[:size]
-        q, state, tip = floats[:, :size]  # state is last or reach
+        state, tip = floats[:, :size]  # state is last or reach
         climb, mark, alive, hit = flags[:, :size]
+        rows = [a[:size] for a in rows]
         rng.random(out=state)  # site 0's radii: the reach, or (capped at 0) the relay's last = 0
         np.minimum(model.quantile(state), 0 if relay else top, out=state)
         alive.fill(True)
-        z.fill(0)
+        climb.fill(False)  # site 0 is marked: its chain is at height 0
+        if rows:  # the heights
+            rows[0].fill(0)
         for first in range(1, top + 1, _SITE_TILE):
             block = tile[: min(_SITE_TILE, top + 1 - first) * 2 * size].reshape(-1, 2, size)
             rng.random(out=block)
             radii = block[:, 1]
             np.minimum(model.quantile(radii), top, out=radii)
             for s, (uniforms, radius) in enumerate(block, start=first):
-                # heights stay below top, inside the table
-                qtab.take(z, out=q, mode="clip")
-                np.less_equal(uniforms, q, out=climb)
-                z += 1
-                z *= climb
-                np.multiply(radius, np.logical_not(climb, out=mark), out=tip)
+                climber(uniforms, climb, hit, *rows)
+                np.logical_not(climb, out=mark)
                 if relay:
-                    tip += state
-                    np.greater_equal(tip, s, out=hit)
+                    np.greater_equal(np.add(radius, state, out=tip), s, out=hit)
+                    hit &= mark
                     np.copyto(tip, hit)
                     tip *= s
                 else:
                     alive &= np.greater_equal(state, s, out=hit)
+                    np.multiply(radius, mark, out=tip)
                     tip += s
                 np.maximum(state, tip, out=state)
                 if s in targets:
@@ -277,7 +317,7 @@ def coalescence_times(
     """First time all chains started at the given delays renew together.
 
     All chains share one uniform per step (chain d climbs iff U <= q at
-    its own height), so chains that meet stay merged.  Returns 0 for
+    its own height, see ``_climber``), so chains that meet stay merged.  Returns 0 for
     replicates still uncoalesced at the horizon (censored).  Chains are
     stored delay-major, ``(delays, replicates)``; a chunk stops drawing
     once all its replicates have coalesced, since the rest of its stream
@@ -288,37 +328,33 @@ def coalescence_times(
         raise ValidationError("delays must be nonempty")
     if any(d < 0 for d in delays):
         raise ValidationError("delays must be nonnegative")
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1")
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
-    qtab = spec.q_array(horizon + max(delays) + 1)
+    horizon, reps = _at_least("horizon", horizon, 1), _at_least("reps", reps, 1)
+    seed = _at_least("seed", seed, 0)
+    climber, row_types = _climber(spec, horizon + max(delays) + 1)
     out = np.zeros(reps, dtype=np.int64)
     width = min(reps, CHUNK)
     start = np.array(delays, dtype=np.intp)[:, None]
     chains = len(delays) * width
 
-    def buffers():  # steps, then heights, lookups and climbs of every chain, then two flag rows
-        return (np.empty(min(horizon, _STEP_BLOCK) * width), np.empty(chains, dtype=np.intp),
-                np.empty(chains), np.empty(chains, dtype=bool), np.empty((2, width), dtype=bool))
+    def buffers():  # steps, climbs of every chain, two flag rows, then the climber's rows
+        return (np.empty(min(horizon, _STEP_BLOCK) * width), np.empty(chains, dtype=bool),
+                np.empty((2, width), dtype=bool), *(np.empty(chains, dtype=t) for t in row_types))
 
-    def chunk(ci, size, steps, zeta, qzeta, climbs, flags):
+    def chunk(ci, size, steps, climbs, flags, *rows):
         rng = _chunk_rng(seed, ci)
         tau = out[ci * CHUNK : ci * CHUNK + size]
-        Z, qz, climb = (a[: len(delays) * size].reshape(-1, size) for a in (zeta, qzeta, climbs))
+        climb, *rows = (a[: len(delays) * size].reshape(-1, size) for a in (climbs, *rows))
         fresh, done = flags[:, :size]
-        np.copyto(Z, start)
+        np.greater(start, 0, out=climb)  # a chain above height 0 did not just renew
+        if rows:  # the heights
+            np.copyto(rows[0], start)
         done.fill(False)
         for step in range(1, horizon + 1):
             row = (step - 1) % _STEP_BLOCK
             if row == 0:
                 block = steps[: min(_STEP_BLOCK, horizon + 1 - step) * size].reshape(-1, size)
                 rng.random(out=block)
-            # heights stay below horizon + max(delays), inside the table
-            qtab.take(Z, out=qz, mode="clip")
-            np.less_equal(block[row], qz, out=climb)
-            Z += 1
-            Z *= climb
+            climber(block[row], climb, fresh, *rows)  # fresh is free until the reduce
             np.logical_or.reduce(climb, axis=0, out=fresh)
             fresh |= done
             np.logical_not(fresh, out=fresh)

@@ -425,18 +425,31 @@ def test_verify_rejects_n_max_above_the_oracle_limit(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["verify", "simulate", "dual", "coupling"])
-def test_zero_reps_fails_before_computing(tmp_path, monkeypatch, capsys, command):
+@pytest.fixture
+def no_computing(monkeypatch):
     def compute(*args, **kwargs):
         raise AssertionError("computation started")
 
     for name in ("random_tiny_configs", "simulate_connectivity", "simulate_dual",
                  "simulate_coupling", "_sim_reports"):
         monkeypatch.setattr(cli, name, compute)
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "dual", "coupling"])
+def test_zero_reps_fails_before_computing(tmp_path, no_computing, capsys, command):
     cfg = _write_config(tmp_path, {**_TINY[command], "reps": 0})
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
     printed = capsys.readouterr()
     assert "config" not in printed.out and "reps must be >= 1" in printed.err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "dual", "coupling"])
+def test_negative_seed_fails_before_computing(tmp_path, no_computing, capsys, command):
+    cfg = _write_config(tmp_path, _TINY[command])
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv"), "--seed", "-1"]
+    assert main(argv) == 2
+    printed = capsys.readouterr()
+    assert "config" not in printed.out and "seed must be >= 0" in printed.err
 
 
 def test_sweep_invalid_grid_value_gives_error_row(tmp_path):

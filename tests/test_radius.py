@@ -138,8 +138,11 @@ def _searchsorted_table_quantile(p, u):
     return np.searchsorted(cdf, np.asarray(u, dtype=float), side="right").astype(float)
 
 
-def _temporaries_geometric_quantile(r, u):
-    return np.floor(np.log1p(-np.asarray(u, dtype=float)) / math.log(r)) + 1.0
+def _temporaries_quantile(model, u):
+    u = np.asarray(u, dtype=float)
+    if isinstance(model, GeometricTailRadius):
+        return np.floor(np.log1p(-u) / math.log(model.r)) + 1.0
+    return np.maximum(np.floor((model.c / (1.0 - u)) ** (1.0 / model.gamma)) + 1.0, float(model.n0))
 
 
 @pytest.mark.parametrize(
@@ -147,7 +150,10 @@ def _temporaries_geometric_quantile(r, u):
     [FiniteTableRadius((0.1, 0.4, 0.3, 0.2)), FiniteTableRadius((0.0, 0.5, 0.0, 0.5)),
      FiniteTableRadius((1.0,)), FiniteTableRadius((0.0, 1.0)), FiniteTableRadius((0.1,) * 10),
      FiniteTableRadius((1 / 300,) * 300),  # counts past 255
-     GeometricTailRadius(0.9), GeometricTailRadius(0.05)],
+     GeometricTailRadius(0.9), GeometricTailRadius(0.05),
+     PowerLawTailRadius(3.0, 1.0), PowerLawTailRadius(2.0, 1.5, 2),
+     PowerLawTailRadius(0.5, 1.0),  # c < 1: R = n0 = 1 with no clamp
+     PowerLawTailRadius(0.5, 1.0, 3)],  # the clamp to n0 binds
 )
 def test_in_place_quantiles_match_the_allocating_formulas(model):
     if isinstance(model, FiniteTableRadius):
@@ -156,7 +162,7 @@ def test_in_place_quantiles_match_the_allocating_formulas(model):
         edges = np.cumsum(model.p)[:-1]
     else:
         def reference(u):
-            return _temporaries_geometric_quantile(model.r, u)
+            return _temporaries_quantile(model, u)
         edges = model.alpha_array(6)
     rng = np.random.default_rng(17)
     for u in (rng.random((300, 7)), rng.random(1001)[::3], np.concatenate([[0.0], edges])):

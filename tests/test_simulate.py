@@ -33,7 +33,7 @@ from renewperc import (
     simulate_dual,
     wilson_interval,
 )
-from renewperc import simulate
+from renewperc import ValidationError, simulate
 from renewperc.simulate import CHUNK, _chunk_rng, _walk, dual_successes
 
 HAND_SPEC = MarkovQ(0.3, 0.6)
@@ -297,6 +297,45 @@ def test_coalescence_streams_are_pinned(law):
     assert _tau_digest(law) == STREAM_DIGESTS[f"tau/{law}"]
 
 
+@pytest.mark.parametrize(
+    "q0, q1",
+    [(0.6, 0.3), (0.3, 0.6), (0.45, 0.45), (0.0, 0.5), (0.5, 0.0), (1.0, 0.4), (0.4, 1.0)],
+)  # q = 1 is clamped to Q_CAP
+def test_two_state_laws_match_the_height_chain(q0, q1):
+    # the table law has the same q_array but does not lump, so it walks heights
+    lumped, heights = MarkovQ(q0, q1), TableQ((q0, q1), tail=ConstantQ(q1))
+    assert np.array_equal(lumped.q_array(300), heights.q_array(300))
+    model, reps = STREAM_RADII["power-g1"], CHUNK + 1
+    for relay in (False, True):
+        want = _walk(heights, model, STREAM_NS, reps, STREAM_SEED, relay)
+        assert np.array_equal(_walk(lumped, model, STREAM_NS, reps, STREAM_SEED, relay), want)
+    for delays in (*STREAM_DELAYS, (2, 5)):
+        want = coalescence_times(heights, delays, 130, reps, STREAM_SEED)
+        assert np.array_equal(coalescence_times(lumped, delays, 130, reps, STREAM_SEED), want)
+
+
+@pytest.mark.parametrize(
+    "kernel, head",
+    [(connectivity_successes, (HAND_SPEC, HAND_MODEL)), (dual_successes, (HAND_SPEC, HAND_MODEL)),
+     (coalescence_times, (HAND_SPEC, (0, 2)))],
+    ids=["connectivity", "dual", "coalescence"],
+)
+def test_counts_are_checked_before_any_draw(monkeypatch, kernel, head):
+    counts = (5, 300, 4)  # n or horizon, then reps and seed
+    lowest = (0 if kernel is not coalescence_times else 1, 1, 0)
+    want = kernel(*head, *counts)
+    assert np.array_equal(kernel(*head, *map(float, counts)), want)  # integral floats pass
+
+    def draw(*args, **kwargs):
+        raise AssertionError("drawing started")
+
+    monkeypatch.setattr(simulate, "_chunk_rng", draw)
+    for i, low in enumerate(lowest):
+        for bad in (True, 2.5, "3", None, low - 1):
+            with pytest.raises(ValidationError):
+                kernel(*head, *counts[:i], bad, *counts[i + 1 :])
+
+
 # ---------------------------------------------------------------------------
 # Chunks on the thread pool
 # ---------------------------------------------------------------------------
@@ -469,9 +508,11 @@ def _walk_dual(spec, marks, radii, n):
         (PolynomialMonotoneQ(beta=0.3, i0=2), PowerLawTailRadius(c=2.0, gamma=1.5, n0=2), 6),
         (ConstantQ(0.5), InfiniteRadius(), 3),
         (MarkovQ(0.3, 0.6), GeometricTailRadius(0.9), 19),  # crosses site tiles
+        (MarkovQ(0.6, 0.3), PowerLawTailRadius(c=3.0, gamma=1.0), 9),
+        (ConstantQ(0.45), PowerLawTailRadius(c=3.0, gamma=1.0), 9),
     ],
     ids=["markov-table", "table-geometric", "polynomial-power", "constant-infinite",
-         "markov-geometric"],
+         "markov-geometric", "falling-markov-power", "constant-power"],
 )
 def test_vectorised_kernels_match_a_scalar_walk(spec, model, n):
     reps, seed = CHUNK + 600, 8
