@@ -20,12 +20,10 @@ from .engine import (
     dual_law,
     forward_connectivity,
     gf_partial,
-    iid_closed_form,
     percolation_probability,
 )
 from .errors import (
     EnumerationCapError,
-    InfiniteMeanError,
     InternalConsistencyError,
     MonotonicityError,
     RenewpercError,
@@ -45,7 +43,6 @@ from .radius import (
     InfiniteRadius,
     PowerLawTailRadius,
     RadiusModel,
-    criterion_ratio,
     radius_from_config,
 )
 from .renewal import (
@@ -92,7 +89,6 @@ __all__ = [
     "GeometricTailRadius",
     "GfTable",
     "InfiniteRadius",
-    "InfiniteMeanError",
     "InterArrivalSummary",
     "InternalConsistencyError",
     "MarkovQ",
@@ -115,14 +111,12 @@ __all__ = [
     "classify",
     "coalescence_times",
     "connectivity_successes",
-    "criterion_ratio",
     "dual_law",
     "enumerate_connectivity",
     "enumerate_dual",
     "enumerate_gf",
     "forward_connectivity",
     "gf_partial",
-    "iid_closed_form",
     "interarrival",
     "markov_renewal_closed",
     "percolation_probability",

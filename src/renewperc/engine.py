@@ -60,6 +60,7 @@ from .errors import (
     MonotonicityError,
     UnboundedRadiusError,
     ValidationError,
+    check_at_least,
 )
 from .radius import RadiusModel
 from .renewal import (
@@ -105,22 +106,22 @@ def _gf_table(S: np.ndarray, f: np.ndarray) -> GfTable:
     return GfTable(S=S, dual_pmf=f, horizon=S.size - 1, partial_sum=float(S[1:].sum()))
 
 
-def _iid_series(q: float, p: float, alph: np.ndarray) -> np.ndarray:
+def _iid_series(q: float, alph: np.ndarray) -> np.ndarray:
     """S_1..S_N for i.i.d. marks of density p = 1 - q: prod_{i<n} [q + p alpha_i].
 
     q + p alpha_i is 1 - p (1 - alpha_i) without the subtraction, which
     would round a small q + p alpha_i to 0.
     """
-    return np.cumprod(q + p * alph)
+    return np.cumprod(q + (1.0 - q) * alph)
 
 
-def _iid_table(q: float, p: float, alph: np.ndarray) -> GfTable:
+def _iid_table(q: float, alph: np.ndarray) -> GfTable:
     """Series and dual pmf of i.i.d. marks: f_n = p (1 - alpha_{n-1}) S_{n-1}."""
     S = np.empty(alph.size + 1)
     S[0] = 1.0
-    S[1:] = _iid_series(q, p, alph)
+    S[1:] = _iid_series(q, alph)
     f = np.zeros_like(S)
-    f[1:] = p * (1.0 - alph) * S[:-1]
+    f[1:] = (1.0 - q) * (1.0 - alph) * S[:-1]
     return _gf_table(S, f)
 
 
@@ -165,13 +166,12 @@ def gf_partial(spec: QSequence, model: RadiusModel, horizon: int) -> GfTable:
     subnormal products become normal, and where the unlifted sums stayed
     normal the bits are the same.  O(N) space.
     """
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
+    horizon = check_at_least("horizon", horizon, 1)
     alpha = model.alpha_array(horizon)
     lumped = _two_state(spec)
     if lumped is not None:
         q0, q1 = lumped
-        return _iid_table(q0, 1.0 - q0, alpha) if q0 == q1 else _two_state_table(q0, q1, alpha)
+        return _iid_table(q0, alpha) if q0 == q1 else _two_state_table(q0, q1, alpha)
     pmf = interarrival(spec, horizon).pmf
     g = renewal_solve(pmf, alpha)
     surv = survival_products(spec, horizon)
@@ -265,6 +265,15 @@ def _coverage(terms: np.ndarray) -> float:
     return 1.0 / (1.0 + float(terms.sum()))
 
 
+def _series_vanishes(spec: QSequence, alph: np.ndarray) -> bool:
+    """True when S_n = 0 exactly from n = m on, m the zero prefix of alpha.
+
+    alpha, a CDF, is 0 on sites 0..m-1, so a mark at any site 1..m zeroes
+    its path's product; every path has one iff some q_i = 0 with i < m.
+    """
+    return not spec.q_array(np.count_nonzero(alph == 0.0)).all()
+
+
 def _geometric_remainder(terms: np.ndarray) -> Optional[float]:
     """Geometric continuation of positive ``terms`` fitted over their last decade, or None."""
     last = float(terms[-1])
@@ -340,9 +349,7 @@ def _secondary_horizon(horizon: int, requested: Optional[int]) -> int:
     """The concentration tail's secondary horizon: ``requested`` or a default."""
     if requested is None:
         return horizon + max(1000, min(horizon, 100_000))
-    if requested <= horizon:
-        raise ValidationError(f"secondary_horizon must exceed the horizon {horizon}, got {requested}")
-    return requested
+    return check_at_least("secondary_horizon", requested, horizon + 1)
 
 
 def percolation_probability(
@@ -378,13 +385,10 @@ def percolation_probability(
         notes.append("no tail bound requested; lower endpoint is trivial")
         return bracket(0.0, TAIL_NONE, False)
 
-    # alpha, a CDF, is 0 on sites 0..m-1: S_N = 0 exactly iff no path avoids
-    # marks at 1..m, i.e. some q_i = 0 with i < m; any other 0 is underflow
-    if float(gf.S[n]) == 0.0:
-        m = np.count_nonzero(model.alpha_array(n) == 0.0)
-        if not spec.q_array(m).all():
-            notes.append("series terms are exactly zero at the horizon")
-            return bracket(hi, TAIL_GEOMETRIC, True)
+    # any other S_N = 0 is underflow
+    if float(gf.S[n]) == 0.0 and _series_vanishes(spec, model.alpha_array(n)):
+        notes.append("series terms are exactly zero at the horizon")
+        return bracket(hi, TAIL_GEOMETRIC, True)
 
     if tail in ("auto", TAIL_CONCENTRATION):
         lower, certified, extra = _concentration_lower(spec, model, n, secondary, gf.partial_sum)
@@ -401,27 +405,6 @@ def percolation_probability(
         return bracket(0.0, TAIL_NONE, False)
     notes.append("tail extrapolated from the last decade of S")
     return bracket(1.0 / (1.0 + gf.partial_sum + remainder), TAIL_GEOMETRIC, False)
-
-
-def iid_closed_form(
-    p: float,
-    model: RadiusModel,
-    horizon: int,
-    tail: str = "auto",
-) -> PercolationBracket:
-    """Bracket for i.i.d. marks with density p via the factorized series.
-
-    Independence factorizes every series term into
-    S_n = prod_{i<n} [1 - p (1 - alpha_i)], so no state recursion is
-    needed; the bracket mechanics are shared with the general path (the
-    matching house-of-cards law is Constant(1 - p)).
-    """
-    if not (0.0 < p <= 1.0):
-        raise ValidationError(f"p must lie in (0, 1], got {p!r}")
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    gf = _iid_table(1.0 - p, p, model.alpha_array(horizon))
-    return percolation_probability(gf, ConstantQ(1.0 - p), model, tail=tail)
 
 
 @dataclass(frozen=True)
@@ -458,9 +441,7 @@ def bounds_report(
     MonotonicityError on a non-monotone law); None computes it only when
     the law is monotone.
     """
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    n = horizon
+    n = check_at_least("horizon", horizon, 1)
     secondary = _secondary_horizon(n, secondary_horizon)
     u = _renewal_table(spec, n)
     alph = model.alpha_array(n)
@@ -483,7 +464,7 @@ def bounds_report(
 
     iid_closed = None
     if isinstance(spec, ConstantQ) and spec.q < 1.0:
-        iid_closed = _coverage(_iid_series(spec.q, 1.0 - spec.q, alph))
+        iid_closed = _coverage(_iid_series(spec.q, alph))
 
     return BoundsReport(
         jensen_upper=jensen_upper,
@@ -504,8 +485,7 @@ def forward_connectivity(spec: QSequence, model: RadiusModel, n: int) -> float:
     Requires bounded radius support; unbounded models should go through
     the series/dual path instead.
     """
-    if n < 0:
-        raise ValidationError("site index must be nonnegative")
+    n = check_at_least("n", n, 0)
     m = model.support_bound
     if m is None:
         raise UnboundedRadiusError(
@@ -565,12 +545,12 @@ def classify(spec: QSequence, model: RadiusModel, horizon: int) -> ClassifyRepor
     """Three-way survival diagnosis from the tail-criterion windows.
 
     Checks, in order: divergent mean (extinction, no tail analysis
-    needed); window maximum of n (1 - alpha_n) / E T below 1 (extinction
+    needed); a series that vanishes, as the bracket certifies (survival);
+    window maximum of n (1 - alpha_n) / E T below 1 (extinction
     evidence); window minimum above 1 together with a nonincreasing
     C_k / k trend (survival evidence); otherwise inconclusive.
     """
-    if horizon < 4:
-        raise ValidationError(f"horizon must be >= 4, got {horizon}")
+    horizon = check_at_least("horizon", horizon, 4)
     notes: list = []
     mean_horizon = max(1000, min(horizon, 50_000))
     summary = interarrival(spec, mean_horizon, tol=1e-12)
@@ -601,7 +581,13 @@ def classify(spec: QSequence, model: RadiusModel, horizon: int) -> ClassifyRepor
     # the truncated mean carries ~1e-12 relative error, so ratios within
     # this band of the threshold cannot be called either way
     margin = 1e-9
-    if rmax < 1.0 - margin:
+    if _series_vanishes(spec, alph):
+        verdict = VERDICT_SURVIVE_TAIL
+        notes.append(
+            "series vanishes: some q_i = 0 below the sites where alpha = 0, "
+            "so the coverage probability is positive"
+        )
+    elif rmax < 1.0 - margin:
         verdict = VERDICT_EXTINCT_TAIL
     elif rmin > 1.0 + margin and ck_trend_ok:
         verdict = VERDICT_SURVIVE_TAIL

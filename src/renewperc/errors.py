@@ -12,10 +12,6 @@ class ValidationError(RenewpercError, ValueError):
     """Inputs or configuration violate a documented contract."""
 
 
-class InfiniteMeanError(RenewpercError):
-    """The renewal law shows no evidence of a finite mean inter-arrival time."""
-
-
 class UnboundedRadiusError(RenewpercError):
     """An operation requiring bounded radius support received an unbounded model."""
 
@@ -33,12 +29,21 @@ class InternalConsistencyError(RenewpercError):
 
 
 def check_int(name: str, value) -> int:
-    """``value`` as an int; integral floats such as 1e4 pass, bool/str/None/NaN/1.5 raise."""
+    """``value`` as an int; integral numbers (1e4, np.int64(3)) pass, bool/str/None/NaN/1.5 raise."""
     if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and float(value).is_integer()
     ):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_at_least(name: str, value, low: int) -> int:
+    """``value`` as an int by ``check_int``, at least ``low``."""
+    value = check_int(name, value)
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def check_float(name: str, value) -> float:

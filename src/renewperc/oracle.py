@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationCapError, UnboundedRadiusError, ValidationError
+from .errors import EnumerationCapError, UnboundedRadiusError, ValidationError, check_at_least
 from .radius import FiniteTableRadius, RadiusModel
 from .renewal import ConstantQ, MarkovQ, PolynomialMonotoneQ, QSequence, TableQ
 
@@ -47,8 +47,8 @@ class TinyConfig:
     cap: int = 10**8
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValidationError("site index must be nonnegative")
+        object.__setattr__(self, "n", check_at_least("n", self.n, 0))
+        object.__setattr__(self, "cap", check_at_least("cap", self.cap, 0))
 
 
 def _path_probability(qs: list, bits) -> float:
@@ -208,11 +208,8 @@ def random_tiny_configs(
     drawn from 2..n_max, and n_max may not exceed the enumeration limit of
     8 sites.  The same (count, seed) always yields the same battery.
     """
-    if count < 1:
-        raise ValidationError("count must be >= 1")
-    for key, value, low in (("n_max", n_max, 2), ("support_max", support_max, 1)):
-        if value < low:
-            raise ValidationError(f"{key} must be >= {low}, got {value!r}")
+    count, seed = check_at_least("count", count, 1), check_at_least("seed", seed, 0)
+    n_max, support_max = check_at_least("n_max", n_max, 2), check_at_least("support_max", support_max, 1)
     if n_max > _SITE_LIMIT:
         raise ValidationError(f"n_max must be <= {_SITE_LIMIT}, the enumeration limit, got {n_max!r}")
     configs = []

@@ -1,9 +1,11 @@
 """Radius laws: the lengths of the intervals opened at marked sites.
 
 A radius model exposes the CDF alpha_n = P(R <= n) and inverse-CDF
-sampling; the module adds the tail-criterion ratio.  R = 0 is legal (it
-opens an empty interval); a defective law with all mass at infinity is
-admitted behind an explicit model for degenerate checks.
+sampling.  R = 0 is legal (it opens an empty interval); a defective law
+with all mass at infinity is admitted behind an explicit model for
+degenerate checks.  The module knows nothing of the mark laws: the tail
+criterion n (1 - alpha_n) / E T, which joins the two, is reported by
+``engine.classify``.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import InfiniteMeanError, ValidationError, check_float, check_int
-from .renewal import QSequence, interarrival
+from .errors import ValidationError, check_at_least, check_float
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,7 @@ class RadiusModel:
         return np.array([self.alpha(n) for n in idx.tolist()], dtype=float)
 
     def alpha(self, n: int) -> float:
-        if n < 0:
-            raise ValidationError("index must be nonnegative")
+        n = check_at_least("index", n, 0)
         return float(self._alpha(np.array([n], dtype=np.int64))[0])
 
     def alpha_array(self, n: int) -> np.ndarray:
@@ -111,8 +111,7 @@ class PowerLawTailRadius(RadiusModel):
             raise ValidationError(f"c must be positive, got {self.c!r}")
         if not check_float("gamma", self.gamma) > 0.0:
             raise ValidationError(f"gamma must be positive, got {self.gamma!r}")
-        if self.n0 < 1:
-            raise ValidationError(f"n0 must be >= 1, got {self.n0!r}")
+        object.__setattr__(self, "n0", check_at_least("n0", self.n0, 1))
 
     def _alpha(self, idx: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -238,39 +237,9 @@ def radius_from_config(fragment: Mapping) -> RadiusModel:
     if family == "geometric_tail":
         return GeometricTailRadius(r=fragment["r"])
     if family == "power_tail":
-        return PowerLawTailRadius(
-            c=fragment["c"], gamma=fragment["gamma"], n0=check_int("n0", fragment.get("n0", 1))
-        )
+        return PowerLawTailRadius(c=fragment["c"], gamma=fragment["gamma"], n0=fragment.get("n0", 1))
     if family == "table":
         if not isinstance(fragment["p"], (list, tuple)):
             raise ValidationError(f"table p must be a list, got {fragment['p']!r}")
         return FiniteTableRadius(p=tuple(fragment["p"]))
     return InfiniteRadius()
-
-
-# ---------------------------------------------------------------------------
-# Diagnostics
-# ---------------------------------------------------------------------------
-
-
-def _mean_interarrival(spec: QSequence, horizon: int = 100_000, tol: float = 1e-14) -> float:
-    summary = interarrival(spec, horizon, tol)
-    if not summary.converged:
-        raise InfiniteMeanError(
-            "mean inter-arrival did not converge at the horizon; "
-            "the tail criteria require a finite mean"
-        )
-    return summary.mean
-
-
-def criterion_ratio(model: RadiusModel, spec: QSequence, n: int) -> float:
-    """The tail-criterion scalar n * (1 - alpha_n) / E T.
-
-    Its limsup below 1 is the extinction criterion, its liminf above 1
-    (together with C_k = O(k)) the survival criterion.
-    """
-    if n < 0:
-        raise ValidationError("index must be nonnegative")
-    mean = _mean_interarrival(spec)
-    return n * (1.0 - model.alpha(n)) / mean
-

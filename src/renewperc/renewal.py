@@ -29,7 +29,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from .errors import ValidationError, check_float, check_int
+from .errors import ValidationError, check_at_least, check_float
 
 # Climb probabilities are capped strictly below 1 so the chain cannot get
 # absorbed (q_i = 1 would make T defective, which the model excludes).
@@ -60,8 +60,7 @@ class QSequence:
         return np.array([self.q_at(i) for i in idx.tolist()], dtype=float)
 
     def q_at(self, i: int) -> float:
-        if i < 0:
-            raise ValidationError("index must be nonnegative")
+        i = check_at_least("index", i, 0)
         return float(self._q(np.array([i], dtype=np.int64))[0])
 
     def q_array(self, n: int) -> np.ndarray:
@@ -137,8 +136,7 @@ class PolynomialMonotoneQ(QSequence):
     def __post_init__(self) -> None:
         if not check_float("beta", self.beta) > 0.0:
             raise ValidationError(f"beta must be positive, got {self.beta!r}")
-        if self.i0 < 2:
-            raise ValidationError(f"i0 must be at least 2, got {self.i0!r}")
+        object.__setattr__(self, "i0", check_at_least("i0", self.i0, 2))
 
     def _q(self, idx: np.ndarray) -> np.ndarray:
         j = np.maximum(idx.astype(float), float(self.i0))
@@ -236,7 +234,7 @@ def q_sequence_from_config(fragment: Mapping) -> QSequence:
     if family == "markov":
         return MarkovQ(q0=fragment["q0"], q1=fragment["q1"])
     if family == "poly_monotone":
-        return PolynomialMonotoneQ(beta=fragment["beta"], i0=check_int("i0", fragment.get("i0", 2)))
+        return PolynomialMonotoneQ(beta=fragment["beta"], i0=fragment.get("i0", 2))
     if not isinstance(fragment["q"], (list, tuple)):
         raise ValidationError(f"table q must be a list, got {fragment['q']!r}")
     tail = fragment.get("tail", REPEAT_LAST)
@@ -272,6 +270,7 @@ def q_star_array(spec: QSequence, n: int) -> np.ndarray:
 
 def survival_products(spec: QSequence, n: int) -> np.ndarray:
     """P(T > 0), ..., P(T > n): the partial products prod_{i<k} q_i, k = 0..n."""
+    n = check_at_least("n", n, 0)
     out = np.empty(n + 1)
     out[0] = 1.0
     if n > 0:
@@ -302,8 +301,7 @@ def interarrival(spec: QSequence, horizon: int, tol: float = 1e-15) -> InterArri
     partial product drops below ``tol`` (converged) or the horizon is hit
     (not converged; the value is then a lower bound, never an estimate).
     """
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
+    horizon = check_at_least("horizon", horizon, 1)
     if not tol > 0.0:
         raise ValidationError(f"tol must be positive, got {tol!r}")
     q = spec.q_array(horizon)
@@ -399,8 +397,7 @@ def renewal_solve(f: np.ndarray, mult=None) -> np.ndarray:
 
 def renewal_probabilities(spec: QSequence, horizon: int) -> RenewalProbTable:
     """Renewal probabilities u_n = sum_k P(T=k) u_{n-k}, by ``renewal_solve``."""
-    if horizon < 0:
-        raise ValidationError(f"horizon must be >= 0, got {horizon}")
+    horizon = check_at_least("horizon", horizon, 0)
     pmf = interarrival(spec, horizon).pmf if horizon else np.zeros(1)
     return RenewalProbTable(u=renewal_solve(pmf), horizon=horizon)
 
@@ -461,8 +458,7 @@ def ck_at(spec: QSequence, k: int) -> float:
     summed in sequence, cut after the first term at or below the cutoff,
     and the terms added in order.
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    k = check_at_least("k", k, 1)
     with np.errstate(divide="ignore"):
         cum = np.cumsum(np.log(q_star_array(spec, 2 * k)[k:]))
     stop = np.count_nonzero(cum > math.log(_CK_TERM_CUTOFF)) + 1  # cum is nonincreasing
@@ -489,8 +485,7 @@ def ck_sequence(spec: QSequence, kmax: int) -> CoalescenceConstants:
     C_k / k is the quantity whose boundedness separates the summable from
     the divergent regime in the concentration-based survival criterion.
     """
-    if kmax < 1:
-        raise ValidationError(f"kmax must be >= 1, got {kmax}")
+    kmax = check_at_least("kmax", kmax, 1)
     qs = q_star_array(spec, 2 * kmax)
     with np.errstate(divide="ignore"):
         log_qs = np.log(qs)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_at_least, check_int
 from .radius import RadiusModel
 from .renewal import QSequence, _two_state
 
@@ -52,8 +52,7 @@ _Z95 = 1.959963984540054
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple:
     """Wilson score interval for a binomial proportion (robust near 0/1)."""
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    trials = check_at_least("trials", trials, 1)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -139,13 +138,6 @@ def _in_chunks(reps: int, rows: int, kernel, buffers) -> None:
         future.result()
 
 
-def _at_least(name: str, value, low: int) -> int:
-    value = check_int(name, value)
-    if value < low:
-        raise ValidationError(f"{name} must be >= {low}, got {value}")
-    return value
-
-
 def _climber(spec: QSequence, length: int) -> tuple:
     """``(climb, row_types)``: ``climb(u, climbs, tmp, *rows)`` turns the last climbs into the next.
 
@@ -199,7 +191,7 @@ def _walk(spec: QSequence, model: RadiusModel, ns, reps: int, seed: int, relay: 
     indicator of a walk that stops at n.
     """
     ns = [check_int("n", n) for n in ns]
-    reps, seed = _at_least("reps", reps, 1), _at_least("seed", seed, 0)
+    reps, seed = check_at_least("reps", reps, 1), check_at_least("seed", seed, 0)
     if not ns:
         raise ValidationError("at least one site index is needed")
     if min(ns) < 0:
@@ -328,8 +320,8 @@ def coalescence_times(
         raise ValidationError("delays must be nonempty")
     if any(d < 0 for d in delays):
         raise ValidationError("delays must be nonnegative")
-    horizon, reps = _at_least("horizon", horizon, 1), _at_least("reps", reps, 1)
-    seed = _at_least("seed", seed, 0)
+    horizon, reps = check_at_least("horizon", horizon, 1), check_at_least("reps", reps, 1)
+    seed = check_at_least("seed", seed, 0)
     climber, row_types = _climber(spec, horizon + max(delays) + 1)
     out = np.zeros(reps, dtype=np.int64)
     width = min(reps, CHUNK)

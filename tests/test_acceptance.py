@@ -27,7 +27,6 @@ from renewperc import (
     enumerate_gf,
     forward_connectivity,
     gf_partial,
-    iid_closed_form,
     interarrival,
     percolation_probability,
     random_tiny_configs,
@@ -128,12 +127,18 @@ def test_criterion_05_renewal_theorem_endpoint():
     )
 
 
+def _iid_bracket(p, model, horizon):
+    """Bracket for i.i.d. marks of density p: the ConstantQ(1 - p) series."""
+    spec = ConstantQ(1.0 - p)
+    return percolation_probability(gf_partial(spec, model, horizon), spec, model)
+
+
 def test_criterion_06_phase_transition_desk_scale():
     t0 = time.perf_counter()
-    survive = iid_closed_form(0.5, PowerLawTailRadius(c=3.0, gamma=1.0, n0=1), 100_000)
+    survive = _iid_bracket(0.5, PowerLawTailRadius(c=3.0, gamma=1.0, n0=1), 100_000)
     t_survive = time.perf_counter() - t0
     t0 = time.perf_counter()
-    extinct = iid_closed_form(0.5, PowerLawTailRadius(c=0.5, gamma=1.0, n0=1), 100_000)
+    extinct = _iid_bracket(0.5, PowerLawTailRadius(c=0.5, gamma=1.0, n0=1), 100_000)
     t_extinct = time.perf_counter() - t0
     _criterion(
         6,
@@ -145,9 +150,9 @@ def test_criterion_06_phase_transition_desk_scale():
 
 def test_criterion_07_bound_sandwich():
     cases = [
-        (MarkovQ(0.3, 0.6), FiniteTableRadius((0.0, 0.5, 0.5)), 300, None),
-        (ConstantQ(0.5), PowerLawTailRadius(c=3.0, gamma=1.0, n0=1), 100_000, "iid:0.5"),
-        (ConstantQ(0.5), PowerLawTailRadius(c=0.5, gamma=1.0, n0=1), 100_000, "iid:0.5"),
+        (MarkovQ(0.3, 0.6), FiniteTableRadius((0.0, 0.5, 0.5)), 300),
+        (ConstantQ(0.5), PowerLawTailRadius(c=3.0, gamma=1.0, n0=1), 100_000),
+        (ConstantQ(0.5), PowerLawTailRadius(c=0.5, gamma=1.0, n0=1), 100_000),
     ]
     for p in (0.2, 0.5, 0.8):
         for model in (
@@ -155,14 +160,10 @@ def test_criterion_07_bound_sandwich():
             PowerLawTailRadius(c=3.0, gamma=1.0, n0=1),
             FiniteTableRadius((0.2, 0.3, 0.5)),
         ):
-            cases.append((ConstantQ(1.0 - p), model, 500, f"iid:{p}"))
+            cases.append((ConstantQ(1.0 - p), model, 500))  # i.i.d. marks of density p
     checked = 0
-    for spec, model, horizon, iid in cases:
-        if iid:
-            bracket = iid_closed_form(float(iid.split(":")[1]), model, horizon)
-        else:
-            gf = gf_partial(spec, model, horizon)
-            bracket = percolation_probability(gf, spec, model)
+    for spec, model, horizon in cases:
+        bracket = percolation_probability(gf_partial(spec, model, horizon), spec, model)
         report = bounds_report(spec, model, horizon)
         assert report.concentration_lower is not None
         assert report.concentration_lower <= bracket.lo + 1e-12, (spec, model)

@@ -140,8 +140,10 @@ def test_exact_sure_percolation_bracket(tmp_path):
     )
     out = tmp_path / "sure.csv"
     assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 0
-    bracket = json.loads((tmp_path / "sure.summary.json").read_text())["bracket"]
-    assert bracket["lo"] == 1.0 and bracket["hi"] == 1.0
+    summary = json.loads((tmp_path / "sure.summary.json").read_text())
+    assert summary["bracket"]["lo"] == 1.0 and summary["bracket"]["hi"] == 1.0
+    # the verdict agrees with the certified bracket: the series vanishes
+    assert summary["classify"]["verdict"] == "survive-tail-evidence"
 
 
 def test_bounds_command(tmp_path):

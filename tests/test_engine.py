@@ -25,7 +25,6 @@ from renewperc import (
     enumerate_gf,
     forward_connectivity,
     gf_partial,
-    iid_closed_form,
     percolation_probability,
     random_tiny_configs,
     renewal_probabilities,
@@ -351,8 +350,14 @@ def test_dual_renewal_recursion_recheck():
 
 
 # ---------------------------------------------------------------------------
-# percolation_probability / iid_closed_form
+# percolation_probability
 # ---------------------------------------------------------------------------
+
+
+def _iid_bracket(p, model, horizon):
+    """Bracket for i.i.d. marks of density p: the ConstantQ(1 - p) series."""
+    spec = ConstantQ(1.0 - p)
+    return percolation_probability(gf_partial(spec, model, horizon), spec, model)
 
 
 def test_bracket_renewal_endpoint():
@@ -420,30 +425,21 @@ def test_bracket_geometric_method():
     assert bracket.lo <= 0.5 <= bracket.hi
 
 
-def test_iid_closed_form_sure_percolation():
-    bracket = iid_closed_form(1.0, FiniteTableRadius((0.0, 1.0)), 20)
+def test_iid_sure_percolation():
+    bracket = _iid_bracket(1.0, FiniteTableRadius((0.0, 1.0)), 20)
     assert bracket.lo == 1.0 and bracket.hi == 1.0
-
-
-def test_iid_closed_form_matches_gf_bracket():
-    model = PowerLawTailRadius(c=3.0, gamma=1.0, n0=1)
-    direct = iid_closed_form(0.5, model, 400)
-    gf = gf_partial(ConstantQ(0.5), model, 400)
-    via_gf = percolation_probability(gf, ConstantQ(0.5), model)
-    assert direct.hi == pytest.approx(via_gf.hi, abs=1e-12)
-    assert direct.lo == pytest.approx(via_gf.lo, abs=1e-9)
 
 
 def test_iid_geometric_radius_goes_extinct():
     # interval lengths with geometric tails cannot keep up: terms settle at
     # a positive constant, the series grows linearly, hi -> 0
-    his = [iid_closed_form(0.5, GeometricTailRadius(0.9), n).hi for n in (500, 2000, 50_000)]
+    his = [_iid_bracket(0.5, GeometricTailRadius(0.9), n).hi for n in (500, 2000, 50_000)]
     assert his[0] > his[1] > his[2]
     assert his[2] < 0.01
 
 
 def test_iid_power_tail_positive_lower_bound():
-    bracket = iid_closed_form(0.5, PowerLawTailRadius(c=3.0, gamma=1.0, n0=1), 20_000)
+    bracket = _iid_bracket(0.5, PowerLawTailRadius(c=3.0, gamma=1.0, n0=1), 20_000)
     assert bracket.lo > 0.01
     assert bracket.lo <= bracket.hi <= 1.0
 
@@ -467,8 +463,8 @@ def test_bracket_rejects_unknown_tail():
 def test_bracket_nesting_across_horizons_iid():
     # honesty check: a coarse bracket must contain the tighter one
     model = PowerLawTailRadius(c=3.0, gamma=1.0, n0=1)
-    tight = iid_closed_form(0.5, model, 40_000)
-    coarse = iid_closed_form(0.5, model, 2000)
+    tight = _iid_bracket(0.5, model, 40_000)
+    coarse = _iid_bracket(0.5, model, 2000)
     assert coarse.lo <= tight.lo <= tight.hi <= coarse.hi
 
 
@@ -493,10 +489,6 @@ def test_forward_matches_dual_at_larger_sites():
 def test_input_validation():
     with pytest.raises(ValidationError):
         gf_partial(ConstantQ(0.5), InfiniteRadius(), 0)
-    with pytest.raises(ValidationError):
-        iid_closed_form(0.0, InfiniteRadius(), 10)
-    with pytest.raises(ValidationError):
-        iid_closed_form(1.5, InfiniteRadius(), 10)
     with pytest.raises(ValidationError):
         bounds_report(ConstantQ(0.5), InfiniteRadius(), 0)
     with pytest.raises(ValidationError):
@@ -623,8 +615,12 @@ def test_forward_matches_dual_occupancy():
 # ---------------------------------------------------------------------------
 
 
-def test_classify_divergent_mean():
-    report = classify(PolynomialMonotoneQ(beta=2.0, i0=2), GeometricTailRadius(0.9), 2000)
+@pytest.mark.parametrize(
+    "model, horizon", [(GeometricTailRadius(0.9), 2000), (GeometricTailRadius(0.5), 10)]
+)
+def test_classify_divergent_mean(model, horizon):
+    # q_i = 1 - i^-2 keeps the partial products bounded away from zero
+    report = classify(PolynomialMonotoneQ(beta=2.0, i0=2), model, horizon)
     assert report.verdict == VERDICT_EXTINCT_INFINITE_MEAN
     assert not report.mean_converged
 
@@ -637,6 +633,41 @@ def test_classify_extinction_evidence():
     assert report.ratio_window == tuple(
         (k, k * (1.0 - model.alpha(k)) / report.mean) for k, _ in report.ratio_window
     )
+
+
+@pytest.mark.parametrize(
+    "model, horizon, ratio, tol",
+    [
+        (PowerLawTailRadius(3.0, 1.0, 1), 1200, 1.5, 1e-9),
+        (PowerLawTailRadius(0.5, 1.0, 1), 1200, 0.25, 1e-9),
+        (GeometricTailRadius(0.9), 500, 0.0, 1e-12),
+    ],
+)
+def test_classify_criterion_ratio_at_the_horizon(model, horizon, ratio, tol):
+    # ConstantQ(0.5) has E T = 2, so n (1 - alpha_n) / E T is c / 2 on power tails
+    k, value = classify(ConstantQ(0.5), model, horizon).ratio_window[-1]
+    assert k == horizon
+    assert value == pytest.approx(ratio, abs=tol)
+
+
+@pytest.mark.parametrize(
+    "spec, model",
+    [
+        (ConstantQ(0.0), PowerLawTailRadius(0.5, 1.0, 1)),
+        (MarkovQ(0.0, 0.7), GeometricTailRadius(0.5)),
+        (TableQ((0.0, 0.9)), FiniteTableRadius((0.0, 0.5, 0.5))),
+    ],
+    ids=repr,
+)
+def test_classify_survives_where_the_series_vanishes(spec, model):
+    # q_0 = 0 marks site 1, where alpha_0 = 0 zeroes every product: the
+    # bracket is certified at [1, 1] although the tail ratio is below 1
+    bracket = percolation_probability(gf_partial(spec, model, 2000), spec, model)
+    assert (bracket.lo, bracket.hi, bracket.certified) == (1.0, 1.0, True)
+    report = classify(spec, model, 2000)
+    assert report.ratio_window[-1][1] < 1.0
+    assert report.verdict == VERDICT_SURVIVE_TAIL
+    assert any("series vanishes" in note for note in report.notes)
 
 
 def test_classify_survival_evidence():

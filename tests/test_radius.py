@@ -7,16 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renewperc import (
-    ConstantQ,
     FiniteTableRadius,
     GeometricTailRadius,
-    InfiniteMeanError,
     InfiniteRadius,
-    PolynomialMonotoneQ,
     PowerLawTailRadius,
     RadiusModel,
     ValidationError,
-    criterion_ratio,
     radius_from_config,
 )
 
@@ -102,20 +98,6 @@ def test_scalar_only_subclass_gets_its_array():
     assert model.alpha_array(0).size == 0
     with pytest.raises(NotImplementedError):
         RadiusModel().alpha_array(3)
-
-
-def test_criterion_ratio_values():
-    spec = ConstantQ(0.5)  # E T = 2
-    assert criterion_ratio(PowerLawTailRadius(3.0, 1.0, 1), spec, 1200) == pytest.approx(1.5, abs=1e-9)
-    assert criterion_ratio(PowerLawTailRadius(0.5, 1.0, 1), spec, 1200) == pytest.approx(0.25, abs=1e-9)
-    assert criterion_ratio(GeometricTailRadius(0.9), spec, 500) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_criterion_ratio_rejects_infinite_mean():
-    # q_i = 1 - i^-2 keeps the partial products bounded away from zero
-    spec = PolynomialMonotoneQ(beta=2.0, i0=2)
-    with pytest.raises(InfiniteMeanError):
-        criterion_ratio(GeometricTailRadius(0.5), spec, 10)
 
 
 @pytest.mark.parametrize(
