@@ -27,7 +27,9 @@ and its own summary fields.  ``main`` writes the table, then prints and
 writes ``<out stem>.summary.json`` with ``command``, ``config`` and
 ``runtime_s`` added; ``runtime_s`` covers the computation and the table
 write.  ``verify`` instead prints one line per config and a closing line,
-writes a CSV only when given an ``out`` path, and writes no summary.
+writes a CSV only when given an ``out`` path, and writes no summary; one
+walk gives both Monte Carlo estimates of a config, which were always
+drawn from the same uniforms.
 
 CSV output is RFC-4180 style (UTF-8, CRLF after every row, header row).
 The writer fills the first column with the schema id (a ``schema`` key in
@@ -72,7 +74,7 @@ from .errors import RenewpercError, ValidationError, check_float, check_int
 from .oracle import enumerate_connectivity, enumerate_dual, random_tiny_configs
 from .radius import radius_from_config
 from .renewal import q_sequence_from_config
-from .simulate import _sim_reports, simulate_connectivity, simulate_coupling, simulate_dual
+from .simulate import _sim_reports, simulate_coupling
 
 _SUMMARY_SCHEMA = "renewperc.summary.v1"
 
@@ -82,8 +84,8 @@ _FORMATS = ("csv", "jsonl")
 # string fields restricted to a fixed set of values
 _CHOICES = {"format": _FORMATS, "tail": _TAIL_CHOICES}
 # number fields with a lower bound (tiny configs need n >= 2 sites and radius support >= 1)
-_MINIMUMS = {"horizon": 1, "classify_horizon": 4, "workers": 1, "n_max": 2, "support_max": 1,
-             "exact_tol": 0.0, "reps": 1, "seed": 0}
+_MINIMUMS = {"horizon": 1, "coupling_horizon": 1, "classify_horizon": 4, "workers": 1,
+             "configs": 1, "n_max": 2, "support_max": 1, "exact_tol": 0.0, "reps": 1, "seed": 0}
 
 
 class _UsageError(Exception):
@@ -446,7 +448,7 @@ def _cmd_sim(cfg: dict, target: str) -> tuple:
     spec = q_sequence_from_config(cfg["q"])
     model = radius_from_config(cfg["radius"])
     sites = cfg["n"] if isinstance(cfg["n"], list) else [cfg["n"]]
-    reports = _sim_reports(target, spec, model, sites, cfg["reps"], cfg["seed"])
+    reports = _sim_reports((target,), spec, model, sites, cfg["reps"], cfg["seed"])
     table = {**_repeated(len(reports), version=__version__),
              **{key: [getattr(r, key) for r in reports] for key in _SIM_FIELDS}}
     return table, {
@@ -506,8 +508,8 @@ def cmd_verify(cfg: dict) -> tuple:
         fwd = forward_connectivity(tiny.spec, tiny.model, tiny.n)
         gf = gf_partial(tiny.spec, tiny.model, tiny.n)
         v = float(dual_law(gf, tiny.spec, tiny.model).v[tiny.n])
-        mc_c = simulate_connectivity(tiny.spec, tiny.model, tiny.n, reps, seed + idx)
-        mc_d = simulate_dual(tiny.spec, tiny.model, tiny.n, reps, seed + idx)
+        mc_c, mc_d = _sim_reports(("connectivity", "dual"), tiny.spec, tiny.model, [tiny.n], reps,
+                                  seed + idx)
         exact_diff = max(abs(e_conn - e_dual), abs(e_conn - fwd), abs(e_conn - v))
         se_c = max(mc_c.stderr, math.sqrt(e_conn * (1 - e_conn) / reps), 1.0 / reps)
         se_d = max(mc_d.stderr, math.sqrt(e_dual * (1 - e_dual) / reps), 1.0 / reps)

@@ -15,11 +15,11 @@ For each mark vector the radius assignments are held as one numpy product
 array, built one marked site at a time in the order of
 ``itertools.product``: the weights multiply in site order, the coverage
 union is a literal OR of interval bit sets (radius r at site s sets bits
-s+1..s+r), and the hits are summed sequentially, so every value equals
-that of a per-assignment loop.  The truncation at site s allows at most
-n-s+1 (coverage) or s+1 (relay) outcomes, so with n <= 8 a product holds
-at most (n+1)! = 362,880 entries.  The cap budget is charged before an
-array is built.
+s+1..s+r), and the hit weights are summed by ``cumsum`` in their order,
+so every value equals that of a per-assignment loop.  The truncation at
+site s allows at most n-s+1 (coverage) or s+1 (relay) outcomes, so with
+n <= 8 a product holds at most (n+1)! = 362,880 entries.  The cap budget
+is charged before an array is built.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .renewal import ConstantQ, MarkovQ, PolynomialMonotoneQ, QSequence, TableQ
 
 _GF_SITE_LIMIT = 12
 _SITE_LIMIT = 8
+_HELD_HITS = 1 << 12  # hit weights held before they are added to the running total
 
 
 @dataclass(frozen=True)
@@ -120,10 +121,12 @@ def _enumerate(cfg: TinyConfig, sites, outcomes: dict, step, hit) -> float:
     The product over those sites is held as arrays built one site at a
     time in the order of ``itertools.product``: the weights by
     ``multiply.outer`` (each term multiplied in site order) and the state
-    by ``step(state[:, None], site, labels)``.  The hits are added to the
-    total one by one in that order, so the sum is the sequential one.
+    by ``step(state[:, None], site, labels)``.  The hit weights are held
+    in that order and added to the running total by one ``cumsum`` over
+    them once _HELD_HITS are held, so the sum is the sequential one.
     """
-    total = 0.0
+    held = [np.zeros(1)]  # the running total, then the hit weights not yet added to it
+    count = 0
     budget = cfg.cap
     qs = cfg.spec.q_array(cfg.n).tolist()
     for bits in itertools.product((0, 1), repeat=cfg.n):
@@ -145,8 +148,11 @@ def _enumerate(cfg: TinyConfig, sites, outcomes: dict, step, hit) -> float:
             labels, probs = outcomes[site]
             weight = np.multiply.outer(weight, probs).ravel()
             state = step(state[:, None], site, labels).ravel()
-        total = float(np.cumsum(np.append(total, weight[hit(state)]))[-1])
-    return total
+        held.append(weight[hit(state)])
+        count += held[-1].size
+        if count >= _HELD_HITS:
+            held, count = [np.cumsum(np.concatenate(held))[-1:]], 0
+    return float(np.cumsum(np.concatenate(held))[-1])
 
 
 def enumerate_connectivity(cfg: TinyConfig) -> float:

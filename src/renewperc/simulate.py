@@ -8,10 +8,11 @@ scheduling.  Connectivity and relay chunks (layouts ``conn-v2`` and
 for site 0, then a row of mark uniforms and a row of radius uniforms for
 each site s = 1, 2, ...  A site's rows therefore do not depend on how far
 the path goes, and one walk to the largest requested n gives the indicator
-at every smaller n, exactly as a walk that stops there.  Radii are
-realized through the model's inverse CDF on their own uniforms, which
-makes stochastic dominance between radius models hold pathwise under a
-shared seed.  Coupling chunks (``coupling-v1``) draw one uniform per step
+at every smaller n, exactly as a walk that stops there; the two layouts
+read the same uniforms, so one walk also gives both targets (``verify``).
+Radii are realized through the model's inverse CDF on their own uniforms,
+which makes stochastic dominance between radius models hold pathwise
+under a shared seed.  Coupling chunks (``coupling-v1``) draw one uniform per step
 and replicate, step-major.
 
 The kernels keep one value per replicate of a chunk in each state row, so
@@ -171,18 +172,20 @@ def _climber(spec: QSequence, length: int) -> tuple:
     return climb, ()
 
 
-def _walk(spec: QSequence, model: RadiusModel, ns, reps: int, seed: int, relay: bool) -> np.ndarray:
-    """Indicators at every site of ``ns``, one row each, from one walk to max(ns).
+def _walk(spec: QSequence, model: RadiusModel, ns, reps: int, seed: int, targets) -> np.ndarray:
+    """Indicators ``out[t, i]`` of target t at site ``ns[i]``, from one walk to max(ns).
 
-    Site s is marked when its mark uniform exceeds q at the chain's height (see ``_climber``).
+    ``targets`` lists "connectivity", "dual" or both.  Site s is marked when
+    its mark uniform exceeds q at the chain's height (see ``_climber``);
+    each target updates its own state from the one draw of marks and radii.
 
     Connectivity keeps ``reach``, the furthest endpoint s + R_s of the
     intervals opened so far; site s is covered when ``reach >= s`` on
     entry, and {0 <-> n} needs every site up to n covered and site n
     marked.  Each step adds ``R_s * mark_s + s``: an unmarked site gives s,
-    which cannot raise a reach that covered it.  The relay (``relay=True``)
-    keeps ``last``, the last informed site; site i is informed when it is
-    marked and its own radius reaches back to ``last``, i.e. when
+    which cannot raise a reach that covered it.  The relay ("dual") keeps
+    ``last``, the last informed site, from 0; site i is informed when it
+    is marked and its own radius reaches back to ``last``, i.e. when
     ``last + R_i * mark_i >= i``, and {Y_n = 1} is site n informed.
 
     Radii are capped at N = max(ns).  No check at a site n <= N tells a
@@ -196,26 +199,33 @@ def _walk(spec: QSequence, model: RadiusModel, ns, reps: int, seed: int, relay: 
         raise ValidationError("at least one site index is needed")
     if min(ns) < 0:
         raise ValidationError("site index must be nonnegative")
-    out = np.ones((len(ns), reps), dtype=bool)
+    out = np.ones((len(targets), len(ns), reps), dtype=bool)
     top = max(ns)
     if top == 0:
         return out
-    targets = {n: [row for row, m in enumerate(ns) if m == n] for n in ns}
+    rows_at = {n: [row for row, m in enumerate(ns) if m == n] for n in ns}
+    conn = "connectivity" in targets
     climber, row_types = _climber(spec, top + 1)  # heights stay below top
     width = min(reps, CHUNK)
 
-    def buffers():  # tile, float rows, bool rows, then the climber's rows
-        return (np.empty(min(top, _SITE_TILE) * 2 * width), np.empty((2, width)),
-                np.empty((4, width), dtype=bool), *(np.empty(width, dtype=t) for t in row_types))
+    def buffers():  # tile, tip and each target's state, bool rows, then the climber's rows
+        return (np.empty(min(top, _SITE_TILE) * 2 * width), np.empty((1 + len(targets), width)),
+                np.empty((3 + conn, width), dtype=bool), *(np.empty(width, dtype=t) for t in row_types))
 
     def chunk(ci, size, tile, floats, flags, *rows):
         rng = _chunk_rng(seed, ci)
-        state, tip = floats[:, :size]  # state is last or reach
-        climb, mark, alive, hit = flags[:, :size]
+        tip, *states = floats[:, :size]  # a state is the reach or the relay's last
+        climb, mark, hit = flags[:3, :size]
+        alive = flags[3, :size] if conn else None
         rows = [a[:size] for a in rows]
-        rng.random(out=state)  # site 0's radii: the reach, or (capped at 0) the relay's last = 0
-        np.minimum(model.quantile(state), 0 if relay else top, out=state)
-        alive.fill(True)
+        walks = list(zip(targets, states, out[:, :, ci * CHUNK : ci * CHUNK + size]))
+        rng.random(out=tip)  # site 0's radii, which only connectivity reads
+        for target, state, _ in walks:
+            if target == "connectivity":
+                np.minimum(model.quantile(tip), top, out=state)
+                alive.fill(True)
+            else:
+                state.fill(0)
         climb.fill(False)  # site 0 is marked: its chain is at height 0
         if rows:  # the heights
             rows[0].fill(0)
@@ -227,21 +237,21 @@ def _walk(spec: QSequence, model: RadiusModel, ns, reps: int, seed: int, relay: 
             for s, (uniforms, radius) in enumerate(block, start=first):
                 climber(uniforms, climb, hit, *rows)
                 np.logical_not(climb, out=mark)
-                if relay:
-                    np.greater_equal(np.add(radius, state, out=tip), s, out=hit)
-                    hit &= mark
-                    np.copyto(tip, hit)
-                    tip *= s
-                else:
-                    alive &= np.greater_equal(state, s, out=hit)
-                    np.multiply(radius, mark, out=tip)
-                    tip += s
-                np.maximum(state, tip, out=state)
-                if s in targets:
-                    if not relay:
-                        np.logical_and(alive, mark, out=hit)
-                    for row in targets[s]:
-                        out[row, ci * CHUNK : ci * CHUNK + size] = hit
+                for target, state, hits in walks:
+                    if target == "connectivity":
+                        alive &= np.greater_equal(state, s, out=hit)
+                        np.multiply(radius, mark, out=tip)
+                        tip += s
+                    else:
+                        np.greater_equal(np.add(radius, state, out=tip), s, out=hit)
+                        hit &= mark
+                        np.copyto(tip, hit)
+                        tip *= s
+                    np.maximum(state, tip, out=state)
+                    if s in rows_at:
+                        if target == "connectivity":
+                            np.logical_and(alive, mark, out=hit)
+                        hits[rows_at[s]] = hit
 
     _in_chunks(reps, top, chunk, buffers)
     return out
@@ -251,14 +261,14 @@ def connectivity_successes(
     spec: QSequence, model: RadiusModel, n: int, reps: int, seed: int
 ) -> np.ndarray:
     """Per-replicate success indicators of the event {0 <-> n} (see ``_walk``)."""
-    return _walk(spec, model, [n], reps, seed, relay=False)[0]
+    return _walk(spec, model, [n], reps, seed, ("connectivity",))[0, 0]
 
 
 def dual_successes(
     spec: QSequence, model: RadiusModel, n: int, reps: int, seed: int
 ) -> np.ndarray:
     """Per-replicate indicators of {Y_n = 1} under the relay gap rule (see ``_walk``)."""
-    return _walk(spec, model, [n], reps, seed, relay=True)[0]
+    return _walk(spec, model, [n], reps, seed, ("dual",))[0, 0]
 
 
 def _report(target: str, n: int, successes: np.ndarray, seed: int) -> SimReport:
@@ -279,14 +289,14 @@ def _report(target: str, n: int, successes: np.ndarray, seed: int) -> SimReport:
     )
 
 
-def _sim_reports(target: str, spec: QSequence, model: RadiusModel, ns, reps: int, seed: int) -> list:
-    """One report per site of ``ns`` (``target`` "connectivity" or "dual"), from one walk.
+def _sim_reports(targets, spec: QSequence, model: RadiusModel, ns, reps: int, seed: int) -> list:
+    """One report per target of ``targets`` and site of ``ns``, target-major, from one walk.
 
-    The reports share their paths: each equals the one-site report at its
-    n, and estimates at different n are correlated.
+    The reports share their paths: each equals the one-site report of its
+    target at its n, and any two estimates are correlated.
     """
-    successes = _walk(spec, model, ns, reps, seed, relay=target == "dual")
-    return [_report(target, n, row, seed) for n, row in zip(ns, successes)]
+    successes = _walk(spec, model, ns, reps, seed, targets)
+    return [_report(t, n, row, seed) for t, rows in zip(targets, successes) for n, row in zip(ns, rows)]
 
 
 def simulate_connectivity(

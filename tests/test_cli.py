@@ -20,6 +20,7 @@ from renewperc import (
     gf_partial,
     q_sequence_from_config,
     radius_from_config,
+    random_tiny_configs,
     simulate,
     simulate_connectivity,
     simulate_dual,
@@ -432,8 +433,7 @@ def no_computing(monkeypatch):
     def compute(*args, **kwargs):
         raise AssertionError("computation started")
 
-    for name in ("random_tiny_configs", "simulate_connectivity", "simulate_dual",
-                 "simulate_coupling", "_sim_reports"):
+    for name in ("random_tiny_configs", "simulate_coupling", "_sim_reports"):
         monkeypatch.setattr(cli, name, compute)
 
 
@@ -452,6 +452,29 @@ def test_negative_seed_fails_before_computing(tmp_path, no_computing, capsys, co
     assert main(argv) == 2
     printed = capsys.readouterr()
     assert "config" not in printed.out and "seed must be >= 0" in printed.err
+
+
+@pytest.mark.parametrize("command, key", [("coupling", "coupling_horizon"), ("verify", "configs")])
+def test_minimums_name_their_config_key(tmp_path, no_computing, capsys, command, key):
+    cfg = _write_config(tmp_path, {**_TINY[command], key: 0})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+    printed = capsys.readouterr()
+    assert "config" not in printed.out and f"{key} must be >= 1, got 0" in printed.err
+
+
+def test_verify_reads_the_simulate_and_dual_streams(tmp_path, capsys):
+    # one walk per config gives both estimates, each from its own command's stream at seed + idx
+    out, reps, seed = tmp_path / "verify.csv", simulate.CHUNK + 5, 4
+    assert main(["verify", "--configs", "4", "--reps", str(reps), "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    battery = random_tiny_configs(4, seed)
+    assert 8 in [tiny.n for tiny in battery]
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == len(battery)
+    for idx, (tiny, row) in enumerate(zip(battery, rows)):
+        args = (tiny.spec, tiny.model, tiny.n, reps, seed + idx)
+        assert float(row["mc_connectivity"]) == simulate_connectivity(*args).estimate
+        assert float(row["mc_dual"]) == simulate_dual(*args).estimate
 
 
 def test_sweep_invalid_grid_value_gives_error_row(tmp_path):

@@ -37,6 +37,7 @@ from renewperc import ValidationError, simulate
 from renewperc.simulate import CHUNK, _chunk_rng, _walk, dual_successes
 
 HAND_SPEC = MarkovQ(0.3, 0.6)
+BOTH = ("connectivity", "dual")  # the targets of a verify walk
 HAND_MODEL = FiniteTableRadius((0.0, 0.5, 0.5))
 
 
@@ -282,14 +283,17 @@ def test_indicator_streams_are_pinned(law, radius):
 )
 def test_one_walk_gives_every_site(law, radius):
     # the rows of sites <= n do not depend on how far the walk goes
+    # and the walk for both targets gives each target's rows
     spec, model = STREAM_LAWS[law], STREAM_RADII[radius]
+    kernels = {"connectivity": connectivity_successes, "dual": dual_successes}
     for ns in (STREAM_NS, (60, 7, 0, 7, 1, 60)):
         for reps in (700, CHUNK + 1):
-            for relay, kernel in ((False, connectivity_successes), (True, dual_successes)):
-                rows = _walk(spec, model, ns, reps, STREAM_SEED, relay)
-                assert rows.shape == (len(ns), reps)
-                for n, row in zip(ns, rows):
-                    assert np.array_equal(row, kernel(spec, model, n, reps, STREAM_SEED))
+            for targets in (("connectivity",), ("dual",), BOTH, BOTH[::-1]):
+                walk = _walk(spec, model, ns, reps, STREAM_SEED, targets)
+                assert walk.shape == (len(targets), len(ns), reps)
+                for target, rows in zip(targets, walk):
+                    for n, row in zip(ns, rows):
+                        assert np.array_equal(row, kernels[target](spec, model, n, reps, STREAM_SEED))
 
 
 @pytest.mark.parametrize("law", list(STREAM_LAWS))
@@ -306,9 +310,8 @@ def test_two_state_laws_match_the_height_chain(q0, q1):
     lumped, heights = MarkovQ(q0, q1), TableQ((q0, q1), tail=ConstantQ(q1))
     assert np.array_equal(lumped.q_array(300), heights.q_array(300))
     model, reps = STREAM_RADII["power-g1"], CHUNK + 1
-    for relay in (False, True):
-        want = _walk(heights, model, STREAM_NS, reps, STREAM_SEED, relay)
-        assert np.array_equal(_walk(lumped, model, STREAM_NS, reps, STREAM_SEED, relay), want)
+    want = _walk(heights, model, STREAM_NS, reps, STREAM_SEED, BOTH)
+    assert np.array_equal(_walk(lumped, model, STREAM_NS, reps, STREAM_SEED, BOTH), want)
     for delays in (*STREAM_DELAYS, (2, 5)):
         want = coalescence_times(heights, delays, 130, reps, STREAM_SEED)
         assert np.array_equal(coalescence_times(lumped, delays, 130, reps, STREAM_SEED), want)
@@ -365,11 +368,8 @@ def workers(monkeypatch):
 
 def _ragged_outputs(law: str, radius: str) -> list:
     spec, model = STREAM_LAWS[law], STREAM_RADII[radius]
-    walks = [
-        _walk(spec, model, ns, RAGGED_REPS, STREAM_SEED, relay)
-        for ns in ((1,), (60, 7, 0, 60), (9,))
-        for relay in (False, True)
-    ]
+    sites = ((1,), (60, 7, 0, 60), (9,))
+    walks = [_walk(spec, model, ns, RAGGED_REPS, STREAM_SEED, BOTH) for ns in sites]
     taus = [coalescence_times(spec, delays, 130, RAGGED_REPS, STREAM_SEED) for delays in STREAM_DELAYS]
     return walks + taus
 
@@ -391,11 +391,11 @@ def test_worker_count_does_not_change_the_bits(workers, law, radius):
             assert _tau_digest(law) == STREAM_DIGESTS[f"tau/{law}"]
     finally:
         sys.setswitchinterval(interval)
-    assert 0 < reference[4].sum() < RAGGED_REPS  # the n = 9 connectivity row is not constant
+    assert 0 < reference[2][0].sum() < RAGGED_REPS  # the n = 9 connectivity row is not constant
 
 
 def _walk_digest() -> str:
-    rows = _walk(HAND_SPEC, GeometricTailRadius(0.7), [3, 40], RAGGED_REPS, STREAM_SEED, False)
+    rows = _walk(HAND_SPEC, GeometricTailRadius(0.7), [3, 40], RAGGED_REPS, STREAM_SEED, BOTH)
     taus = coalescence_times(HAND_SPEC, (0, 2), 50, RAGGED_REPS, STREAM_SEED)
     return _sha256([rows, taus])
 
@@ -415,9 +415,9 @@ class _RaggedChunkFails(GeometricTailRadius):
 def test_a_chunk_error_reaches_the_caller(workers, count):
     workers(count)
     expected = _walk_digest()
-    for relay in (False, True):
+    for targets in (("connectivity",), ("dual",), BOTH):
         with pytest.raises(ValueError) as caught:
-            _walk(HAND_SPEC, _RaggedChunkFails(0.7), [12], RAGGED_REPS, STREAM_SEED, relay)
+            _walk(HAND_SPEC, _RaggedChunkFails(0.7), [12], RAGGED_REPS, STREAM_SEED, targets)
         assert caught.value is RAGGED_ERROR
     assert _walk_digest() == expected  # the pool still serves the next walk
 
