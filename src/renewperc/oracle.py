@@ -2,24 +2,29 @@
 
 Ground truth against the exact engine and the simulator.  The code here
 deliberately shares no arithmetic kernels with the engine, only the laws,
-which each enumeration reads once through ``q_array`` and ``alpha_array``:
-path probabilities come from a scalar walk of the house-of-cards chain
-over those q values, the coverage test unions intervals site by site, and
-the relay test applies the gap rule directly.  Radii are enumerated only
-at marked sites (they are irrelevant elsewhere) and only through their
-endpoint truncated at the last site that can matter, with the truncated
-outcome carrying the aggregated tail probability; both reductions are
-exact.
+which each enumeration reads once through ``q_array``, ``alpha_array`` and
+``pmf_array``: path probabilities come from a walk of the house-of-cards
+chain over those q values, the coverage test unions intervals site by
+site, and the relay test applies the gap rule directly.  Radii are
+enumerated only at marked sites (they are irrelevant elsewhere) and only
+through their endpoint truncated at the last site that can matter, with
+the truncated outcome carrying the aggregated tail probability; both
+reductions are exact.
 
-For each mark vector the radius assignments are held as one numpy product
-array, built one marked site at a time in the order of
-``itertools.product``: the weights multiply in site order, the coverage
-union is a literal OR of interval bit sets (radius r at site s sets bits
-s+1..s+r), and the hit weights are summed by ``cumsum`` in their order,
-so every value equals that of a per-assignment loop.  The truncation at
-site s allows at most n-s+1 (coverage) or s+1 (relay) outcomes, so with
-n <= 8 a product holds at most (n+1)! = 362,880 entries.  The cap budget
-is charged before an array is built.
+The connectivity and relay oracles hold the (mark vector, radius
+assignment) pairs as dense arrays with one axis per enumerated site, whose
+choices are "unmarked" (factor 1.0, state unchanged) and the site's radius
+outcomes.  So each pair carries the weight and state of a per-assignment
+loop: P(marks) from one walk over all mark vectors (the products of
+``_path_probability``) times the outcome probabilities in site order, and
+the coverage union as a literal OR of interval bit sets (radius r at site
+s sets bits s+1..s+r).  The hit weights are put in ``itertools.product``
+order (by vector; within one vector the dense order is that order) and
+summed by a sequential ``cumsum``, so every value equals the loop's.
+Blocks fix the leading mark bits and hold at most ``_BLOCK`` pairs unless
+one vector has more: site s allows at most n-s+1 (coverage) or s+1 (relay)
+outcomes, so a vector has at most (n+1)! = 362,880 for n <= 8.  The cap is
+charged from the outcome counts before any array is built.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .renewal import ConstantQ, MarkovQ, PolynomialMonotoneQ, QSequence, TableQ
 
 _GF_SITE_LIMIT = 12
 _SITE_LIMIT = 8
-_HELD_HITS = 1 << 12  # hit weights held before they are added to the running total
+_BLOCK = 1 << 15  # (mark vector, radius assignment) pairs per block, unless one vector has more
 
 
 @dataclass(frozen=True)
@@ -90,20 +95,6 @@ def enumerate_gf(cfg: TinyConfig) -> np.ndarray:
     return S
 
 
-def _marked_outcomes(model: RadiusModel, truncate_at: int) -> tuple[np.ndarray, np.ndarray]:
-    """Radius outcomes (values, probabilities) with the top value aggregated.
-
-    Values above ``truncate_at`` act exactly like ``truncate_at`` for the
-    event being enumerated, so they are merged into one outcome carrying
-    P(R >= truncate_at).  Outcomes of probability zero are dropped.
-    """
-    t = min(model.support_bound, truncate_at)
-    top = 1.0 - (model.alpha(t - 1) if t >= 1 else 0.0)
-    probs = np.append(model.pmf_array()[:t], top)
-    keep = probs > 0.0
-    return np.arange(t + 1, dtype=np.int64)[keep], probs[keep]
-
-
 def _check_support(cfg: TinyConfig) -> int:
     if cfg.n > _SITE_LIMIT:
         raise ValidationError(f"enumeration is limited to n <= {_SITE_LIMIT}")
@@ -113,71 +104,92 @@ def _check_support(cfg: TinyConfig) -> int:
     return m
 
 
-def _enumerate(cfg: TinyConfig, sites, outcomes: dict, step, hit) -> float:
+def _enumerate(cfg: TinyConfig, truncations: dict, idle: int, step, hit) -> float:
     """Sum P(marks, radii) over the assignments whose final state is a hit.
 
-    ``sites(bits)`` lists the sites whose radius is enumerated for a mark
-    vector; ``outcomes[site]`` holds that site's (labels, probabilities).
-    The product over those sites is held as arrays built one site at a
-    time in the order of ``itertools.product``: the weights by
-    ``multiply.outer`` (each term multiplied in site order) and the state
-    by ``step(state[:, None], site, labels)``.  The hit weights are held
-    in that order and added to the running total by one ``cumsum`` over
-    them once _HELD_HITS are held, so the sum is the sequential one.
+    ``truncations`` maps each enumerated site, in site order, to the value
+    at which its radius is truncated.  Sites 1..n-1 may be unmarked; the
+    others are always marked.  Each site is one axis of a dense array
+    whose choices are "unmarked" (factor 1.0, radius ``idle``) and its
+    radius outcomes.  A leaf's weight is its vector's P(marks) times one
+    factor per axis, in site order; its state grows by
+    ``step(state[..., None], site, radii)``.  Runs of mark vectors that
+    fix the leading bits are enumerated one block at a time.
     """
-    held = [np.zeros(1)]  # the running total, then the hit weights not yet added to it
-    count = 0
-    budget = cfg.cap
-    qs = cfg.spec.q_array(cfg.n).tolist()
-    for bits in itertools.product((0, 1), repeat=cfg.n):
-        if bits[-1] != 1:
-            continue
-        p_marks = _path_probability(qs, bits)
-        if p_marks == 0.0:
-            continue
-        marked = sites(bits)
-        size = 1
-        for site in marked:
-            size *= len(outcomes[site][1])
-        budget -= size
-        if budget < 0:
-            raise EnumerationCapError(f"enumeration exceeds the cap {cfg.cap}")
-        weight = np.array([p_marks])
-        state = np.zeros(1, dtype=np.int64)
-        for site in marked:
-            labels, probs = outcomes[site]
-            weight = np.multiply.outer(weight, probs).ravel()
-            state = step(state[:, None], site, labels).ravel()
-        held.append(weight[hit(state)])
-        count += held[-1].size
-        if count >= _HELD_HITS:
-            held, count = [np.cumsum(np.concatenate(held))[-1:]], 0
-    return float(np.cumsum(np.concatenate(held))[-1])
+    n, m = cfg.n, cfg.model.support_bound
+    vids = np.arange(1 << (n - 1))  # bit n-1-s marks site s of 1..n-1; site n is always marked
+    marks = [(vids >> (n - 1 - s)) & 1 == 1 for s in range(1, n)] + [True]
+    qs = cfg.spec.q_array(n)
+    p_marks, height = np.ones(vids.size), np.zeros(vids.size, dtype=np.int64)
+    for b in marks:  # the products of _path_probability, in its order
+        q = qs[height]
+        p_marks *= np.where(b, 1.0 - q, q)
+        height = np.where(b, 0, height + 1)
+    pmf, tail = cfg.model.pmf_array().tolist(), (1.0 - np.append(0.0, cfg.model.alpha_array(n))).tolist()
+    size = np.ones(vids.size, dtype=np.int64)  # radius assignments per mark vector
+    axes = []  # (site, its vector bit or 0, its choices' radii, probabilities and marks)
+    for site, top in truncations.items():
+        t = min(m, top)  # larger radii act like t: their mass joins the top outcome
+        choices = [(r, p, 1) for r, p in enumerate(pmf[:t] + [tail[t]]) if p > 0.0]
+        bit = 1 << (n - 1 - site) if 0 < site < n else 0
+        size *= np.where(marks[site - 1], len(choices), 1) if bit else len(choices)
+        if bit:
+            choices.insert(0, (idle, 1.0, 0))
+        radii, probs, mark = zip(*choices)
+        axes.append((site, bit, np.array(radii, np.int16), np.array(probs), np.array(mark, np.int16)))
+    if size[p_marks != 0.0].sum() > cfg.cap:
+        raise EnumerationCapError(f"enumeration exceeds the cap {cfg.cap}")
+
+    def block(lo: int, hi: int, total: float) -> float:
+        """Add to total the hits of mark vectors lo..hi-1, which share their leading bits."""
+        weight, state, vid = p_marks[lo:hi], np.zeros((), dtype=np.int16), np.int16(0)
+        for site, bit, *choices in axes:
+            varies = 0 < bit < hi - lo
+            if hi - lo <= bit:  # a leading bit: marked or not in the whole block
+                choices = [c[1:] if lo & bit else c[:1] for c in choices]
+            radii, probs, mark = choices
+            # the weight's axes: the choices so far, this site's mark, the later marks
+            weight = weight.reshape(state.size, 1 + varies, -1)[:, mark * varies, :]
+            weight *= probs[:, None]
+            state = step(state[..., None], site, radii)
+            if hi - lo > 1:
+                vid = np.add.outer(vid, mark * bit)
+        hits = hit(state).ravel()
+        weight = weight.ravel()[hits]
+        if hi - lo > 1:  # by vector: within one vector the dense order is product order
+            weight = weight[np.argsort(vid.ravel()[hits], kind="stable")]
+        weight[:1] += total
+        return float(np.cumsum(weight)[-1]) if weight.size else total
+
+    total, todo = 0.0, [(0, vids.size)]
+    while todo:
+        lo, hi = todo.pop()
+        if hi - lo > 1 and size[lo:hi].sum() > _BLOCK:
+            todo += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
+        else:
+            total = block(lo, hi, total)
+    return total
 
 
 def enumerate_connectivity(cfg: TinyConfig) -> float:
     """P(0 <-> n): full enumeration of mark vectors and radius assignments.
 
-    For each mark vector the radii at site 0 and the marked sites left of
-    n are enumerated, and each assignment is tested for coverage of
-    {1..n} by a literal union of the opened intervals, held as bit sets:
-    radius r at site s opens the bits s+1..s+r.
+    The radii at site 0 and the marked sites left of n are enumerated, and
+    each assignment is tested for coverage of {1..n} by a literal union of
+    the opened intervals, held as bit sets: radius r at site s opens the
+    bits s+1..s+r, and the truncation opens no bit past n.
     """
     _check_support(cfg)
     n = cfg.n
     if n == 0:
         return 1.0
-    intervals = {}
-    for site in range(n):
-        radii, probs = _marked_outcomes(cfg.model, n - site)
-        intervals[site] = (((1 << radii) - 1) << (site + 1), probs)
     target = ((1 << n) - 1) << 1
     return _enumerate(
         cfg,
-        lambda bits: [0] + [i for i in range(1, n) if bits[i - 1]],
-        intervals,
-        lambda covered, site, opened: covered | opened,
-        lambda covered: covered & target == target,
+        {site: n - site for site in range(n)},
+        0,
+        lambda covered, site, radii: covered | (((1 << radii) - 1) << (site + 1)),
+        lambda covered: covered == target,
     )
 
 
@@ -186,7 +198,8 @@ def enumerate_dual(cfg: TinyConfig) -> float:
 
     Site 0 starts informed; site i becomes informed iff it is marked and
     its radius reaches the last informed site (R_i >= i - last).  The
-    radius at site 0 is never consulted.
+    radius at site 0 is never consulted, and an unmarked site's label -1
+    never reaches.
     """
     _check_support(cfg)
     n = cfg.n
@@ -194,8 +207,8 @@ def enumerate_dual(cfg: TinyConfig) -> float:
         return 1.0
     return _enumerate(
         cfg,
-        lambda bits: [i for i in range(1, n + 1) if bits[i - 1]],
-        {site: _marked_outcomes(cfg.model, site) for site in range(1, n + 1)},
+        {site: site for site in range(1, n + 1)},
+        -1,
         lambda last, site, radii: np.where(radii >= site - last, site, last),
         lambda last: last == n,
     )

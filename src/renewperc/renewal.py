@@ -459,11 +459,32 @@ def ck_at(spec: QSequence, k: int) -> float:
     and the terms added in order.
     """
     k = check_at_least("k", k, 1)
-    with np.errstate(divide="ignore"):
-        cum = np.cumsum(np.log(q_star_array(spec, 2 * k)[k:]))
-    stop = np.count_nonzero(cum > math.log(_CK_TERM_CUTOFF)) + 1  # cum is nonincreasing
-    t = float(np.cumsum(np.exp(cum[:stop]))[-1])
+    sums = _lumped_row(spec, k)
+    if sums is None:
+        with np.errstate(divide="ignore"):
+            sums = _row_sums(np.log(q_star_array(spec, 2 * k)[k:]))
+    t = float(sums[-1])
     return t * t  # as np.square in the sweep; t ** 2 goes through pow
+
+
+def _row_sums(logs: np.ndarray) -> np.ndarray:
+    """Running sums of one row's terms, from the logs of its q* factors, up to the cutoff."""
+    cum = np.cumsum(logs)
+    stop = np.count_nonzero(cum > math.log(_CK_TERM_CUTOFF)) + 1  # cum is nonincreasing
+    return np.cumsum(np.exp(cum[:stop]))
+
+
+def _lumped_row(spec: QSequence, kmax: int) -> Optional[np.ndarray]:
+    """``_row_sums`` of every row k >= 1 of a two-state law, or None for another law.
+
+    From index 1 on, q* of such a law is max(q_0, q_1), so every row sums
+    the same terms, and row k is entry min(k, len) - 1 of the result.
+    """
+    two = _two_state(spec)
+    if two is None:
+        return None
+    with np.errstate(divide="ignore"):
+        return _row_sums(np.log(np.array([max(two)])).repeat(kmax))
 
 
 @dataclass(frozen=True)
@@ -480,25 +501,31 @@ def ck_sequence(spec: QSequence, kmax: int) -> CoalescenceConstants:
 
     One sweep over j updates all k: the rows still summing form a suffix
     lo..kmax, so a step is one slice add, one exp and one searchsorted,
-    and the total work equals that of summing each k on its own.
+    and the total work equals that of summing each k on its own.  A
+    two-state law sums its one shared row instead (``_lumped_row``).
 
     C_k / k is the quantity whose boundedness separates the summable from
     the divergent regime in the concentration-based survival criterion.
     """
     kmax = check_at_least("kmax", kmax, 1)
-    qs = q_star_array(spec, 2 * kmax)
-    with np.errstate(divide="ignore"):
-        log_qs = np.log(qs)
-    limit = math.log(_CK_TERM_CUTOFF)
-    total = np.zeros(kmax + 1)
-    cum = np.zeros(kmax + 1)  # cum[k]: log of the j-th term of row k
-    term = np.empty(kmax + 1)
-    lo = j = 1
-    while lo <= kmax:
-        cum[lo:] += log_qs[lo + j - 1 : kmax + j]
-        total[lo:] += np.exp(cum[lo:], out=term[lo:])
-        j += 1
-        lo = max(lo + int(np.searchsorted(cum[lo:], limit, side="right")), j)
+    sums = _lumped_row(spec, kmax)
+    if sums is not None:  # row k is sums[min(k, len) - 1]
+        total = np.empty(kmax + 1)
+        total[1 : sums.size + 1] = sums
+        total[sums.size + 1 :] = sums[-1]
+    else:
+        with np.errstate(divide="ignore"):
+            log_qs = np.log(q_star_array(spec, 2 * kmax))
+        limit = math.log(_CK_TERM_CUTOFF)
+        total = np.zeros(kmax + 1)
+        cum = np.zeros(kmax + 1)  # cum[k]: log of the j-th term of row k
+        term = np.empty(kmax + 1)
+        lo = j = 1
+        while lo <= kmax:
+            cum[lo:] += log_qs[lo + j - 1 : kmax + j]
+            total[lo:] += np.exp(cum[lo:], out=term[lo:])
+            j += 1
+            lo = max(lo + int(np.searchsorted(cum[lo:], limit, side="right")), j)
     c = np.square(total, out=total)  # in place: a new array here grew peak RSS by ~4 MB
     c[0] = np.nan
     ratio = np.empty_like(c)

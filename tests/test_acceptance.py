@@ -35,6 +35,7 @@ from renewperc import (
     simulate_dual,
 )
 from renewperc.cli import main
+from renewperc.simulate import _sim_reports
 
 BATTERY_SEED = 20260810
 
@@ -250,4 +251,47 @@ def test_criterion_10_monte_carlo_consistency(tmp_path):
         estimates_ok and identical,
         f"20 configs within {worst_sigma:.2f} SE at 1e5 replicates; "
         f"seeded CSV reruns byte-identical",
+    )
+
+
+# The six (law, radius) pairs of ROADMAP item 12.  The last two laws go
+# through the renewal form; at these horizons the 2^600 lift, the s0 cut of
+# the S convolution and the v solve all act, and v_n tends to the coverage
+# probability.
+LONG_HORIZON_CONFIGS = [
+    (ConstantQ(0.4), PowerLawTailRadius(3, 1, 1)),
+    (ConstantQ(0.4), PowerLawTailRadius(1.2, 1, 1)),
+    (MarkovQ(0.3, 0.6), PowerLawTailRadius(3, 1, 1)),
+    (MarkovQ(0.6, 0.3), GeometricTailRadius(0.9)),
+    (TableQ((0.9, 0.2, 0.5)), PowerLawTailRadius(3, 1, 1)),
+    (PolynomialMonotoneQ(0.25), PowerLawTailRadius(3, 1, 1)),
+]
+
+
+def long_horizon_sigmas(ns, reps, seeds) -> list:
+    """|estimate - v_n| / SE of both Monte Carlo targets, per config and n.
+
+    One walk per config gives the connectivity and relay estimates at every
+    n of ``ns``; the SE has the 1/reps floor of criterion 10.
+    """
+    sigmas = []
+    for (spec, model), seed in zip(LONG_HORIZON_CONFIGS, seeds, strict=True):
+        v = dual_law(gf_partial(spec, model, max(ns)), spec, model).v
+        for report in _sim_reports(("connectivity", "dual"), spec, model, ns, reps, seed):
+            exact = float(v[report.n])
+            se = max(math.sqrt(exact * (1.0 - exact) / reps), 1.0 / reps)
+            sigmas.append(abs(report.estimate - exact) / se)
+    return sigmas
+
+
+def test_criterion_11_dual_law_against_long_walks():
+    # seeds fixed before any result was seen; CI runs n up to 4000 at 1e5
+    # replicates with seed 7 for every config
+    started = time.perf_counter()
+    sigmas = long_horizon_sigmas([100, 1000], 20_000, seeds=range(100, 106))
+    elapsed = time.perf_counter() - started
+    _criterion(
+        11,
+        len(sigmas) == 24 and max(sigmas) <= 4.0,
+        f"6 configs at n = 100, 1000 within {max(sigmas):.2f} SE of v_n at 2e4 replicates, {elapsed:.1f}s",
     )

@@ -1,8 +1,13 @@
+import hashlib
 import math
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renewperc import (
     ConstantQ,
@@ -21,6 +26,7 @@ from renewperc import (
     random_tiny_configs,
 )
 from renewperc.oracle import _path_probability
+from renewperc.renewal import Q_CAP
 
 HAND_SPEC = MarkovQ(0.3, 0.6)
 HAND_MODEL = FiniteTableRadius((0.0, 0.5, 0.5))
@@ -228,3 +234,66 @@ def test_cap_counts_every_enumerated_assignment(oracle, dual, model, n):
     assert oracle(TinyConfig(HAND_SPEC, model, n, cap=needed)) == value
     with pytest.raises(EnumerationCapError):
         oracle(TinyConfig(HAND_SPEC, model, n, cap=needed - 1))
+
+
+@pytest.mark.parametrize("oracle_fn, dual", [(enumerate_connectivity, False), (enumerate_dual, True)])
+def test_cap_skips_mark_vectors_of_probability_zero(oracle_fn, dual):
+    # q_0 = 0: a mark is always followed by a mark, so one vector of 2^5 has P > 0
+    cfg = TinyConfig(TableQ((0.0, 0.7)), HAND_MODEL, 6)
+    needed = _assignment_count(cfg, dual)
+    assert len(list(_ref_mark_vectors(cfg))) == 1
+    value = oracle_fn(TinyConfig(cfg.spec, cfg.model, cfg.n, cap=needed))
+    assert value == oracle_fn(cfg) > 0.0
+    with pytest.raises(EnumerationCapError):
+        oracle_fn(TinyConfig(cfg.spec, cfg.model, cfg.n, cap=needed - 1))
+
+
+# SHA-256 of both oracles' values (little-endian float64, connectivity then
+# relay for each config), taken with the per-mark-vector oracles that the
+# dense choice arrays replaced.
+ORACLE_DIGEST = "e76714ad75c07b2bc3d789cc90b41a07904fe8414a2f153f45906de1812e5362"
+
+
+def test_oracle_values_are_pinned():
+    values = []
+    for cfg in random_tiny_configs(200, seed=1, n_max=8, support_max=4) + EDGE_CONFIGS:
+        values += [enumerate_connectivity(cfg), enumerate_dual(cfg)]
+    assert hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest() == ORACLE_DIGEST
+
+
+_ORACLE_Q = st.one_of(st.sampled_from([0.0, 1e-300, 0.5, Q_CAP]), st.floats(0.0, 1.0))
+_ORACLE_SPECS = st.one_of(
+    st.builds(ConstantQ, _ORACLE_Q),
+    st.builds(MarkovQ, _ORACLE_Q, _ORACLE_Q),
+    st.lists(_ORACLE_Q, min_size=1, max_size=4).map(lambda v: TableQ(tuple(v))),
+    st.builds(PolynomialMonotoneQ, st.floats(0.1, 1.0), st.integers(2, 4)),
+)
+# pmfs with zero entries, whose outcomes the oracles drop
+_GAPPED_PMFS = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0, 0.25]), st.floats(0.0, 1.0)), min_size=1, max_size=6
+).filter(lambda p: sum(p) > 0.0).map(lambda p: FiniteTableRadius(tuple(v / sum(p) for v in p)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ORACLE_SPECS, _GAPPED_PMFS, st.integers(0, 6), st.sampled_from([1, 2, 5, 40, 1 << 16]))
+def test_dense_oracles_match_the_assignment_loops(spec, model, n, block):
+    # small blocks split even these configs into many runs of mark vectors
+    cfg = TinyConfig(spec, model, n)
+    with mock.patch("renewperc.oracle._BLOCK", block):
+        assert enumerate_connectivity(cfg) == _ref_connectivity(cfg)
+        assert enumerate_dual(cfg) == _ref_dual(cfg)
+
+
+def test_oracle_memory_stays_at_one_vector_of_pairs():
+    # n = 8 with support 4 is verify's default limit; on this config the
+    # per-vector oracles that the blocks replaced peaked at 2.15 MiB
+    # (connectivity) and 2.08 MiB (relay) under numpy 2.4
+    cfg = TinyConfig(HAND_SPEC, FiniteTableRadius((0.2,) * 5), 8)
+    for enumerate_fn in (enumerate_connectivity, enumerate_dual):
+        tracemalloc.start()
+        try:
+            enumerate_fn(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * 1.1 * 2**20, (enumerate_fn.__name__, peak)

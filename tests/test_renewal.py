@@ -378,6 +378,23 @@ def test_ck_sequence_prefix_is_stable(spec):
     assert np.array_equal(ck_sequence(spec, 500).c[1:], ck_sequence(spec, 3000).c[1:501])
 
 
+_CK_Q = st.one_of(st.sampled_from([0.0, 1e-300, 0.5, 0.7, 0.999, Q_CAP, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["constant", "markov", "table"]), _CK_Q, _CK_Q, st.integers(1, 3000))
+def test_lumped_ck_rows_match_the_sweep(kind, q0, q1, kmax):
+    # q0 > q1 and q1 > q0 both occur; the same law with a QSequence tail is
+    # not lumped (renewal._two_state gives None), so it runs the general sweep
+    spec = {"constant": ConstantQ(q0), "markov": MarkovQ(q0, q1), "table": TableQ((q0, q1, q1))}[kind]
+    swept = TableQ((spec.q_at(0),), tail=ConstantQ(spec.q_at(1)))
+    assert np.array_equal(spec.q_array(2 * kmax), swept.q_array(2 * kmax))
+    lumped, general = ck_sequence(spec, kmax), ck_sequence(swept, kmax)
+    assert np.array_equal(lumped.c[1:], general.c[1:]) and np.array_equal(lumped.ratio[1:], general.ratio[1:])
+    for k in {1, kmax // 2 + 1, kmax}:
+        assert ck_at(spec, k) == ck_at(swept, k) == general.c[k]
+
+
 # Under InfiniteRadius site 0 covers every site, so {0 <-> n} is {site n is
 # marked} and simulate_connectivity estimates the renewal probability u_n.
 
