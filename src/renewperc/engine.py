@@ -37,7 +37,9 @@ the inequality valid); all exponent products are accumulated in log space.
 The bracket's lo and concentration_lower share one tail bound (the
 concentration terms for n = N+1..secondary plus a geometric remainder)
 and are both (1 + head + tail)^(-1); they differ only in their head, the
-exact S_1..S_N against its per-term concentration bounds.  That tail is
+exact S_1..S_N against its per-term concentration bounds.  One evaluation
+builds alpha, u and that concentration series once, and the bracket and
+the bounds both read them (``_tables``).  That tail is
 certified only when summed to numerical exhaustion (last term and
 remainder below 1e-15 of 1 + head).  Geometric extrapolation of the last
 decade of S is reported with certified=False, except where S_N = 0
@@ -241,25 +243,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Keyed by value, so the bracket and the bounds of one run, and the sweep
-# points that share a law, build each table once.
-@functools.lru_cache(maxsize=16)
-def _renewal_table(spec: QSequence, horizon: int) -> np.ndarray:
-    """Read-only renewal probabilities u_0..u_N, in closed form for two-state laws."""
-    lumped = _two_state(spec)
-    if lumped is None:
-        return _frozen(renewal_probabilities(spec, horizon).u)
-    u = markov_renewal_closed(*lumped, np.arange(horizon + 1))
-    u[0] = 1.0
-    return _frozen(u)
-
-
-@functools.lru_cache(maxsize=16)
-def _ck_table(spec: QSequence, kmax: int) -> np.ndarray:
-    """Read-only coalescence constants C_0..C_kmax (C_0 = nan)."""
-    return _frozen(ck_sequence(spec, kmax).c)
-
-
 def _coverage(terms: np.ndarray) -> float:
     """The coverage probability (1 + sum(terms))^(-1) of a series of S_n values or bounds."""
     return 1.0 / (1.0 + float(terms.sum()))
@@ -291,42 +274,56 @@ def _geometric_remainder(terms: np.ndarray) -> Optional[float]:
     return last * r / (1.0 - r)
 
 
-def _concentration_lower(
-    spec: QSequence,
-    model: RadiusModel,
-    horizon: int,
-    secondary: int,
-    head_sum: Optional[float] = None,
-):
-    """Returns (lower, certified, notes) for lower = (1 + head + tail)^(-1).
+# One slot: the bracket and the bounds of one evaluation share the arrays,
+# and nothing outlives the next evaluation.
+@functools.lru_cache(maxsize=1)
+def _tables(spec: QSequence, model: RadiusModel, horizon: int, secondary: int) -> tuple:
+    """Read-only (alpha_0..alpha_{secondary-1}, u_0..u_N, concentration terms).
 
-    tail sums the per-term bounds S_n <= prod alpha_i^(u_{i+1}) *
-    exp(C_n sum_i (log alpha_i)^2) over n = N+1..secondary plus a geometric
-    remainder; head is ``head_sum`` (the bracket's exact partial sum) or,
-    when None, the same bounds summed over n = 1..N.  lower is None when
-    every alpha is zero (the exponent is undefined everywhere) and 0.0
-    when the terms overflow or show no decay.
-
-    Beyond the computed renewal table the exponent uses a lower bound
-    u_lb = min(window) - spread(window) for the renewal probabilities,
-    which only weakens the bound; alpha_i = 0 coordinates are excluded.
+    u is in closed form for two-state laws.  The terms are the per-term
+    bounds S_n <= prod alpha_i^(u_{i+1}) * exp(C_n sum_i (log alpha_i)^2)
+    for n = 1..secondary, or None when every alpha is zero (the exponent
+    is undefined everywhere; C_k is then never built).  Beyond u_N the
+    exponent uses a lower bound u_lb = min(window) - spread(window) for
+    the renewal probabilities, which only weakens the bound;
+    alpha_i = 0 coordinates are excluded.
     """
     alph = model.alpha_array(secondary)
+    lumped = _two_state(spec)
+    if lumped is None:
+        u = renewal_probabilities(spec, horizon).u
+    else:
+        u = markov_renewal_closed(*lumped, np.arange(horizon + 1))
+        u[0] = 1.0
     pos = alph > 0.0
-    if not pos.any():
+    terms = None
+    if pos.any():
+        log_a = np.zeros(secondary)
+        log_a[pos] = np.log(alph[pos])
+        window = u[max(1, horizon // 2) :]
+        u_lb = max(0.0, float(window.min()) - float(window.max() - window.min()))
+        weights = np.full(secondary, u_lb)
+        weights[:horizon] = u[1:]
+        lam = np.cumsum(weights * log_a)
+        sig = np.cumsum(log_a * log_a)
+        with np.errstate(over="ignore"):
+            terms = _frozen(np.exp(lam + ck_sequence(spec, secondary).c[1:] * sig))
+    return _frozen(alph), _frozen(u), terms
+
+
+def _concentration_lower(terms, horizon: int, head_sum: Optional[float] = None):
+    """Returns (lower, certified, notes) for lower = (1 + head + tail)^(-1).
+
+    tail sums the concentration ``terms`` (see _tables) over
+    n = N+1..secondary plus a geometric remainder; head is ``head_sum``
+    (the bracket's exact partial sum) or, when None, the same terms
+    summed over n = 1..N.  lower is None when there are no terms and 0.0
+    when the terms overflow or show no decay.
+    """
+    if terms is None:
         return None, False, ("concentration bound unavailable: alpha identically zero",)
-    log_a = np.zeros(secondary)
-    log_a[pos] = np.log(alph[pos])
-    u = _renewal_table(spec, horizon)
-    window = u[max(1, horizon // 2) :]
-    u_lb = max(0.0, float(window.min()) - float(window.max() - window.min()))
-    weights = np.full(secondary, u_lb)
-    weights[:horizon] = u[1:]
-    lam = np.cumsum(weights * log_a)
-    sig = np.cumsum(log_a * log_a)
+    tail = terms[horizon:]
     with np.errstate(over="ignore"):
-        terms = np.exp(lam + _ck_table(spec, secondary)[1:] * sig)
-        tail = terms[horizon:]
         scale = 1.0 + (float(terms[:horizon].sum()) if head_sum is None else head_sum)
         explicit = float(tail.sum())
     if not math.isfinite(scale + explicit):
@@ -385,13 +382,14 @@ def percolation_probability(
         notes.append("no tail bound requested; lower endpoint is trivial")
         return bracket(0.0, TAIL_NONE, False)
 
+    alph, _, terms = _tables(spec, model, n, secondary)
     # any other S_N = 0 is underflow
-    if float(gf.S[n]) == 0.0 and _series_vanishes(spec, model.alpha_array(n)):
+    if float(gf.S[n]) == 0.0 and _series_vanishes(spec, alph[:n]):
         notes.append("series terms are exactly zero at the horizon")
         return bracket(hi, TAIL_GEOMETRIC, True)
 
     if tail in ("auto", TAIL_CONCENTRATION):
-        lower, certified, extra = _concentration_lower(spec, model, n, secondary, gf.partial_sum)
+        lower, certified, extra = _concentration_lower(terms, n, gf.partial_sum)
         notes.extend(extra)
         if lower:  # None or 0.0: unavailable or failed
             return bracket(lower, TAIL_CONCENTRATION, certified)
@@ -443,22 +441,22 @@ def bounds_report(
     """
     n = check_at_least("horizon", horizon, 1)
     secondary = _secondary_horizon(n, secondary_horizon)
-    u = _renewal_table(spec, n)
-    alph = model.alpha_array(n)
+    monotone = spec.is_monotone
+    if fkg is True and not monotone:
+        raise MonotonicityError("FKG bound requires a nondecreasing q sequence")
+    alph, u, terms = _tables(spec, model, n, secondary)
+    alph = alph[:n]
     pos = alph > 0.0
     with np.errstate(divide="ignore"):
         log_a_full = np.where(pos, np.log(np.where(pos, alph, 1.0)), -np.inf)
     with np.errstate(invalid="ignore"):
         jensen_upper = _coverage(np.exp(np.cumsum(u[1:] * log_a_full)))
 
-    monotone = spec.is_monotone
-    if fkg is True and not monotone:
-        raise MonotonicityError("FKG bound requires a nondecreasing q sequence")
     fkg_upper = None
     if fkg is True or (fkg is None and monotone):
         fkg_upper = _coverage(np.cumprod(1.0 - u[1:] * (1.0 - alph)))
 
-    concentration_lower, _, notes = _concentration_lower(spec, model, n, secondary)
+    concentration_lower, _, notes = _concentration_lower(terms, n)
     if not pos[0]:  # alpha is a CDF: any zero alpha below N means alpha_0 = 0
         notes = ("jensen_upper is vacuous (1.0): alpha_0 = 0 zeroes every Jensen term", *notes)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ValidationError, check_at_least, check_float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadiusModel:
     """Base class: a radius law specified through its CDF alpha.
 

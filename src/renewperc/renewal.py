@@ -43,7 +43,7 @@ def _check_probability(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QSequence:
     """A renewal law specified by its climb probabilities q_i.
 

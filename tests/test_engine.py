@@ -16,6 +16,7 @@ from renewperc import (
     MonotonicityError,
     PolynomialMonotoneQ,
     PowerLawTailRadius,
+    QSequence,
     TableQ,
     TinyConfig,
     UnboundedRadiusError,
@@ -168,7 +169,8 @@ def test_two_state_laws_are_lumped_and_match_the_kernel(spec, model, horizon):
     _assert_close_above(gf.S, S, 1e-12)
     _assert_close_above(gf.dual_pmf, f, 1e-12)
     assert gf.S[0] == 1.0 and gf.dual_pmf[0] == 0.0
-    u, want = engine._renewal_table(spec, horizon), renewal_probabilities(spec, horizon).u
+    u = engine._tables(spec, model, horizon, horizon + 1)[1]
+    want = renewal_probabilities(spec, horizon).u
     assert u[0] == 1.0
     _assert_close_above(u, want, 1e-11)
 
@@ -199,9 +201,9 @@ def test_only_two_state_laws_skip_the_kernel(monkeypatch, spec, lumped):
 
     monkeypatch.setattr(engine, "renewal_solve", solve)
     monkeypatch.setattr(engine, "renewal_probabilities", probabilities)
-    engine._renewal_table.cache_clear()
+    engine._tables.cache_clear()
     gf_partial(spec, GeometricTailRadius(0.9), 200)
-    engine._renewal_table(spec, 200)
+    engine._tables(spec, GeometricTailRadius(0.9), 200, 201)
     assert calls == ([] if lumped else ["mult", "u"])
 
 
@@ -547,6 +549,19 @@ def test_bounds_on_infinite_radius_never_builds_ck(monkeypatch):
     assert report.concentration_lower is None
 
 
+def test_bounds_fkg_on_non_monotone_law_raises_before_building(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("array built before the monotonicity check")
+
+    for name in ("renewal_probabilities", "markov_renewal_closed", "ck_sequence"):
+        monkeypatch.setattr(engine, name, build)
+    monkeypatch.setattr(GeometricTailRadius, "alpha_array", build)
+    engine._tables.cache_clear()
+    for spec in (MarkovQ(0.6, 0.2), TableQ((0.9, 0.2, 0.5))):
+        with pytest.raises(MonotonicityError):
+            bounds_report(spec, GeometricTailRadius(0.9), 50, fkg=True)
+
+
 def test_bounds_fkg_gating():
     non_monotone = MarkovQ(0.6, 0.2)
     model = GeometricTailRadius(0.9)
@@ -577,6 +592,70 @@ def test_bounds_concentration_degenerates_when_ck_grows():
     )
     assert report.concentration_lower == 0.0
     assert any("no decay" in note for note in report.notes)
+
+
+# ---------------------------------------------------------------------------
+# the one-slot memo that the bracket and the bounds share
+# ---------------------------------------------------------------------------
+
+
+def _evaluate(spec, model, horizon):
+    gf = gf_partial(spec, model, horizon)
+    return percolation_probability(gf, spec, model), bounds_report(spec, model, horizon)
+
+
+def test_bracket_and_bounds_build_u_and_ck_once(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return call
+
+    for fn in (renewal_probabilities, engine.ck_sequence):
+        monkeypatch.setattr(engine, fn.__name__, counted(fn))
+    engine._tables.cache_clear()
+    _evaluate(PolynomialMonotoneQ(0.25), PowerLawTailRadius(3, 1), 400)
+    assert sorted(calls) == ["ck_sequence", "renewal_probabilities"]
+
+
+def test_nothing_leaks_between_evaluations():
+    spec, model = PolynomialMonotoneQ(0.25), PowerLawTailRadius(3, 1)
+    evaluations = [
+        (spec, model, 300),
+        (spec, GeometricTailRadius(0.9), 300),
+        (MarkovQ(0.3, 0.6), GeometricTailRadius(0.9), 300),
+        (spec, model, 300),
+        (spec, model, 200),
+    ]
+    warm = [_evaluate(*args) for args in evaluations]
+    for args, results in zip(evaluations, warm):
+        engine._tables.cache_clear()
+        assert _evaluate(*args) == results
+
+
+class _Flat(QSequence):
+    """q_i = q, defined through q_at only, as a user law would be."""
+
+    is_monotone = True
+
+    def __init__(self, q):
+        self.q = q
+
+    def q_at(self, i):
+        return self.q
+
+
+def test_scalar_only_laws_are_told_apart():
+    assert _Flat(0.3) != _Flat(0.3) and ConstantQ(0.3) == ConstantQ(0.3)
+    model = PowerLawTailRadius(3.0, 1.0)
+    engine._tables.cache_clear()
+    cold = bounds_report(_Flat(0.7), model, 500)
+    bounds_report(_Flat(0.3), model, 500)
+    assert bounds_report(_Flat(0.7), model, 500) == cold
+    assert cold.fkg_upper == pytest.approx(0.1328, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------
