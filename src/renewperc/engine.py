@@ -38,8 +38,8 @@ The bracket's lo and concentration_lower share one tail bound (the
 concentration terms for n = N+1..secondary plus a geometric remainder)
 and are both (1 + head + tail)^(-1); they differ only in their head, the
 exact S_1..S_N against its per-term concentration bounds.  One evaluation
-builds alpha, u and that concentration series once, and the bracket and
-the bounds both read them (``_tables``).  That tail is
+builds alpha and that concentration series once for both (``_tables``),
+and evaluations of one law in a row share u and C_k.  That tail is
 certified only when summed to numerical exhaustion (last term and
 remainder below 1e-15 of 1 + head).  Geometric extrapolation of the last
 decade of S is reported with certified=False, except where S_N = 0
@@ -274,27 +274,37 @@ def _geometric_remainder(terms: np.ndarray) -> Optional[float]:
     return last * r / (1.0 - r)
 
 
-# One slot: the bracket and the bounds of one evaluation share the arrays,
-# and nothing outlives the next evaluation.
+# One slot each: a sweep's radius points, run law by law, share u and C_k,
+# and the bracket and the bounds of one evaluation share alpha and the terms.
+@functools.lru_cache(maxsize=1)
+def _renewal_u(spec: QSequence, horizon: int) -> np.ndarray:
+    """Read-only u_0..u_N, in closed form for two-state laws."""
+    lumped = _two_state(spec)
+    if lumped is None:
+        return _frozen(renewal_probabilities(spec, horizon).u)
+    u = markov_renewal_closed(*lumped, np.arange(horizon + 1))
+    u[0] = 1.0
+    return _frozen(u)
+
+
+@functools.lru_cache(maxsize=1)
+def _ck(spec: QSequence, secondary: int) -> np.ndarray:
+    """Read-only C_1..C_secondary."""
+    return _frozen(ck_sequence(spec, secondary).c[1:])
+
+
 @functools.lru_cache(maxsize=1)
 def _tables(spec: QSequence, model: RadiusModel, horizon: int, secondary: int) -> tuple:
     """Read-only (alpha_0..alpha_{secondary-1}, u_0..u_N, concentration terms).
 
-    u is in closed form for two-state laws.  The terms are the per-term
-    bounds S_n <= prod alpha_i^(u_{i+1}) * exp(C_n sum_i (log alpha_i)^2)
-    for n = 1..secondary, or None when every alpha is zero (the exponent
-    is undefined everywhere; C_k is then never built).  Beyond u_N the
-    exponent uses a lower bound u_lb = min(window) - spread(window) for
-    the renewal probabilities, which only weakens the bound;
-    alpha_i = 0 coordinates are excluded.
+    The terms bound S_n <= prod alpha_i^(u_{i+1}) * exp(C_n sum_i (log alpha_i)^2)
+    for n = 1..secondary, excluding alpha_i = 0 coordinates; they are None
+    when every alpha is zero (C_k is then never built).  Beyond u_N the
+    exponent uses u_lb = min(window) - spread(window), a lower bound on
+    the renewal probabilities, which only weakens the bound.
     """
     alph = model.alpha_array(secondary)
-    lumped = _two_state(spec)
-    if lumped is None:
-        u = renewal_probabilities(spec, horizon).u
-    else:
-        u = markov_renewal_closed(*lumped, np.arange(horizon + 1))
-        u[0] = 1.0
+    u = _renewal_u(spec, horizon)
     pos = alph > 0.0
     terms = None
     if pos.any():
@@ -307,8 +317,8 @@ def _tables(spec: QSequence, model: RadiusModel, horizon: int, secondary: int) -
         lam = np.cumsum(weights * log_a)
         sig = np.cumsum(log_a * log_a)
         with np.errstate(over="ignore"):
-            terms = _frozen(np.exp(lam + ck_sequence(spec, secondary).c[1:] * sig))
-    return _frozen(alph), _frozen(u), terms
+            terms = _frozen(np.exp(lam + _ck(spec, secondary) * sig))
+    return _frozen(alph), u, terms
 
 
 def _concentration_lower(terms, horizon: int, head_sum: Optional[float] = None):
@@ -382,13 +392,13 @@ def percolation_probability(
         notes.append("no tail bound requested; lower endpoint is trivial")
         return bracket(0.0, TAIL_NONE, False)
 
-    alph, _, terms = _tables(spec, model, n, secondary)
     # any other S_N = 0 is underflow
-    if float(gf.S[n]) == 0.0 and _series_vanishes(spec, alph[:n]):
+    if float(gf.S[n]) == 0.0 and _series_vanishes(spec, model.alpha_array(n)):
         notes.append("series terms are exactly zero at the horizon")
         return bracket(hi, TAIL_GEOMETRIC, True)
 
     if tail in ("auto", TAIL_CONCENTRATION):
+        terms = _tables(spec, model, n, secondary)[2]
         lower, certified, extra = _concentration_lower(terms, n, gf.partial_sum)
         notes.extend(extra)
         if lower:  # None or 0.0: unavailable or failed
@@ -465,12 +475,8 @@ def bounds_report(
         iid_closed = _coverage(_iid_series(spec.q, alph))
 
     return BoundsReport(
-        jensen_upper=jensen_upper,
-        fkg_upper=fkg_upper,
-        concentration_lower=concentration_lower,
-        iid_closed=iid_closed,
-        horizon=n,
-        notes=notes,
+        jensen_upper=jensen_upper, fkg_upper=fkg_upper, concentration_lower=concentration_lower,
+        iid_closed=iid_closed, horizon=n, notes=notes,
     )
 
 
@@ -554,18 +560,13 @@ def classify(spec: QSequence, model: RadiusModel, horizon: int) -> ClassifyRepor
     summary = interarrival(spec, mean_horizon, tol=1e-12)
     tail_product = float(survival_products(spec, mean_horizon)[mean_horizon])
     if not summary.converged:
-        if tail_product >= _DIVERGENCE_FLOOR:
-            notes.append("partial products bounded away from zero at the horizon")
-            return ClassifyReport(
-                mean=summary.mean, mean_converged=False, tail_product=tail_product,
-                ratio_window=(), ck_window=(),
-                verdict=VERDICT_EXTINCT_INFINITE_MEAN, notes=tuple(notes),
-            )
-        notes.append("mean neither converged nor clearly divergent at the horizon")
+        divergent = tail_product >= _DIVERGENCE_FLOOR
         return ClassifyReport(
             mean=summary.mean, mean_converged=False, tail_product=tail_product,
             ratio_window=(), ck_window=(),
-            verdict=VERDICT_INCONCLUSIVE, notes=tuple(notes),
+            verdict=VERDICT_EXTINCT_INFINITE_MEAN if divergent else VERDICT_INCONCLUSIVE,
+            notes=("partial products bounded away from zero at the horizon" if divergent
+                   else "mean neither converged nor clearly divergent at the horizon",),
         )
 
     mean = summary.mean

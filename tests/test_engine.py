@@ -32,6 +32,7 @@ from renewperc import (
     survival_products,
 )
 from renewperc import engine
+from renewperc.radius import RadiusModel
 from renewperc.renewal import Q_CAP, interarrival, renewal_solve
 from renewperc.engine import (
     TAIL_CONCENTRATION,
@@ -138,6 +139,11 @@ def _kernel_series(spec, model, n):
     return S, f
 
 
+def _clear_memos():
+    for memo in (engine._tables, engine._renewal_u, engine._ck):
+        memo.cache_clear()
+
+
 def _assert_close_above(got, want, rtol):
     """got within rtol of want where want >= 1e-290; below that, within 1e-290 * rtol."""
     assert np.all(np.abs(got - want) <= rtol * np.maximum(want, 1e-290))
@@ -169,8 +175,7 @@ def test_two_state_laws_are_lumped_and_match_the_kernel(spec, model, horizon):
     _assert_close_above(gf.S, S, 1e-12)
     _assert_close_above(gf.dual_pmf, f, 1e-12)
     assert gf.S[0] == 1.0 and gf.dual_pmf[0] == 0.0
-    u = engine._tables(spec, model, horizon, horizon + 1)[1]
-    want = renewal_probabilities(spec, horizon).u
+    u, want = engine._renewal_u(spec, horizon), renewal_probabilities(spec, horizon).u
     assert u[0] == 1.0
     _assert_close_above(u, want, 1e-11)
 
@@ -201,9 +206,9 @@ def test_only_two_state_laws_skip_the_kernel(monkeypatch, spec, lumped):
 
     monkeypatch.setattr(engine, "renewal_solve", solve)
     monkeypatch.setattr(engine, "renewal_probabilities", probabilities)
-    engine._tables.cache_clear()
+    _clear_memos()
     gf_partial(spec, GeometricTailRadius(0.9), 200)
-    engine._tables(spec, GeometricTailRadius(0.9), 200, 201)
+    engine._renewal_u(spec, 200)
     assert calls == ([] if lumped else ["mult", "u"])
 
 
@@ -545,6 +550,7 @@ def test_bounds_on_infinite_radius_never_builds_ck(monkeypatch):
         raise AssertionError("C_k built for a bound that cannot use it")
 
     monkeypatch.setattr(engine, "ck_sequence", build)
+    _clear_memos()
     report = bounds_report(ConstantQ(0.4375), InfiniteRadius(), 321)
     assert report.concentration_lower is None
 
@@ -556,7 +562,7 @@ def test_bounds_fkg_on_non_monotone_law_raises_before_building(monkeypatch):
     for name in ("renewal_probabilities", "markov_renewal_closed", "ck_sequence"):
         monkeypatch.setattr(engine, name, build)
     monkeypatch.setattr(GeometricTailRadius, "alpha_array", build)
-    engine._tables.cache_clear()
+    _clear_memos()
     for spec in (MarkovQ(0.6, 0.2), TableQ((0.9, 0.2, 0.5))):
         with pytest.raises(MonotonicityError):
             bounds_report(spec, GeometricTailRadius(0.9), 50, fkg=True)
@@ -595,7 +601,7 @@ def test_bounds_concentration_degenerates_when_ck_grows():
 
 
 # ---------------------------------------------------------------------------
-# the one-slot memo that the bracket and the bounds share
+# the one-slot memos: per law (u, C_k) and per evaluation (alpha, terms)
 # ---------------------------------------------------------------------------
 
 
@@ -604,7 +610,15 @@ def _evaluate(spec, model, horizon):
     return percolation_probability(gf, spec, model), bounds_report(spec, model, horizon)
 
 
-def test_bracket_and_bounds_build_u_and_ck_once(monkeypatch):
+_SWEEP_RADII = (
+    PowerLawTailRadius(3, 1), GeometricTailRadius(0.9), PowerLawTailRadius(1.2, 1.2, n0=2),
+)
+
+
+@pytest.mark.parametrize(
+    "radii", [_SWEEP_RADII[:1], _SWEEP_RADII], ids=["one radius", "a sweep's radii"],
+)
+def test_bracket_and_bounds_build_u_and_ck_once_per_law(monkeypatch, radii):
     calls = []
 
     def counted(fn):
@@ -616,9 +630,27 @@ def test_bracket_and_bounds_build_u_and_ck_once(monkeypatch):
 
     for fn in (renewal_probabilities, engine.ck_sequence):
         monkeypatch.setattr(engine, fn.__name__, counted(fn))
-    engine._tables.cache_clear()
-    _evaluate(PolynomialMonotoneQ(0.25), PowerLawTailRadius(3, 1), 400)
-    assert sorted(calls) == ["ck_sequence", "renewal_probabilities"]
+    monkeypatch.setattr(RadiusModel, "alpha_array", counted(RadiusModel.alpha_array))
+    _clear_memos()
+    for model in radii:
+        _evaluate(PolynomialMonotoneQ(0.25), model, 400)
+    # alpha: once for the series, once for the bracket and the bounds together
+    want = ["alpha_array"] * (2 * len(radii)) + ["ck_sequence", "renewal_probabilities"]
+    assert sorted(calls) == want
+
+
+def test_bracket_builds_no_tables_without_the_concentration_tail(monkeypatch):
+    def build(*args):
+        raise AssertionError("tables built for a bracket that cannot use them")
+
+    monkeypatch.setattr(engine, "_tables", build)
+    spec, model = PolynomialMonotoneQ(0.25), PowerLawTailRadius(3, 1)
+    gf = gf_partial(spec, model, 400)
+    bracket = percolation_probability(gf, spec, model, tail="geometric-extrapolation")
+    assert bracket.tail_method == "geometric-extrapolation"
+    spec, model = TableQ((0.5, 0.0, 0.5)), FiniteTableRadius((0.0, 0.0, 0.0, 1.0))
+    bracket = percolation_probability(gf_partial(spec, model, 10), spec, model)
+    assert bracket.certified and bracket.lo == bracket.hi
 
 
 def test_nothing_leaks_between_evaluations():
@@ -632,7 +664,7 @@ def test_nothing_leaks_between_evaluations():
     ]
     warm = [_evaluate(*args) for args in evaluations]
     for args, results in zip(evaluations, warm):
-        engine._tables.cache_clear()
+        _clear_memos()
         assert _evaluate(*args) == results
 
 
@@ -651,11 +683,27 @@ class _Flat(QSequence):
 def test_scalar_only_laws_are_told_apart():
     assert _Flat(0.3) != _Flat(0.3) and ConstantQ(0.3) == ConstantQ(0.3)
     model = PowerLawTailRadius(3.0, 1.0)
-    engine._tables.cache_clear()
+    _clear_memos()
     cold = bounds_report(_Flat(0.7), model, 500)
     bounds_report(_Flat(0.3), model, 500)
     assert bounds_report(_Flat(0.7), model, 500) == cold
     assert cold.fkg_upper == pytest.approx(0.1328, abs=1e-4)
+
+
+class _EqOnlyRadius(PowerLawTailRadius):
+    """Defines __eq__ without __hash__, which makes its instances unhashable."""
+
+    def __eq__(self, other):
+        return isinstance(other, _EqOnlyRadius) and self.c == other.c
+
+
+def test_memo_keys_need_hashable_radii():
+    model, spec = _EqOnlyRadius(3.0, 1.0), ConstantQ(0.4)
+    gf = gf_partial(spec, model, 50)
+    with pytest.raises(TypeError, match="unhashable"):
+        percolation_probability(gf, spec, model)
+    with pytest.raises(TypeError, match="unhashable"):
+        bounds_report(spec, model, 50)
 
 
 # ---------------------------------------------------------------------------
