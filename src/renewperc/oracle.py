@@ -21,10 +21,15 @@ the coverage union as a literal OR of interval bit sets (radius r at site
 s sets bits s+1..s+r).  The hit weights are put in ``itertools.product``
 order (by vector; within one vector the dense order is that order) and
 summed by a sequential ``cumsum``, so every value equals the loop's.
-Blocks fix the leading mark bits and hold at most ``_BLOCK`` pairs unless
-one vector has more: site s allows at most n-s+1 (coverage) or s+1 (relay)
-outcomes, so a vector has at most (n+1)! = 362,880 for n <= 8.  The cap is
-charged from the outcome counts before any array is built.
+After each site's axis the pairs that can no longer hit are dropped, in
+order, with their weights: a cover whose bit s+1 is still clear after
+site s (no later interval opens it), a relay whose last informed site is
+below s+1 minus the radius support bound (no later site reaches back to
+it).  The hits, their weights and their order stay the same.  Blocks fix
+the leading mark bits and hold at most ``_BLOCK`` pairs unless one vector
+has more: site s allows at most n-s+1 (coverage) or s+1 (relay) outcomes,
+so a vector has at most (n+1)! = 362,880 for n <= 8.  The cap is charged
+from the full outcome counts before any array is built.
 """
 
 from __future__ import annotations
@@ -104,7 +109,7 @@ def _check_support(cfg: TinyConfig) -> int:
     return m
 
 
-def _enumerate(cfg: TinyConfig, truncations: dict, idle: int, step, hit) -> float:
+def _enumerate(cfg: TinyConfig, truncations: dict, idle: int, step, live, hit) -> float:
     """Sum P(marks, radii) over the assignments whose final state is a hit.
 
     ``truncations`` maps each enumerated site, in site order, to the value
@@ -113,8 +118,10 @@ def _enumerate(cfg: TinyConfig, truncations: dict, idle: int, step, hit) -> floa
     whose choices are "unmarked" (factor 1.0, radius ``idle``) and its
     radius outcomes.  A leaf's weight is its vector's P(marks) times one
     factor per axis, in site order; its state grows by
-    ``step(state[..., None], site, radii)``.  Runs of mark vectors that
-    fix the leading bits are enumerated one block at a time.
+    ``step(state[..., None], site, radii)``, and after each site only the
+    leaves whose state is ``live(state, site)`` are kept, in their order.
+    Runs of mark vectors that fix the leading bits are enumerated one
+    block at a time.
     """
     n, m = cfg.n, cfg.model.support_bound
     vids = np.arange(1 << (n - 1))  # bit n-1-s marks site s of 1..n-1; site n is always marked
@@ -152,8 +159,12 @@ def _enumerate(cfg: TinyConfig, truncations: dict, idle: int, step, hit) -> floa
             weight = weight.reshape(state.size, 1 + varies, -1)[:, mark * varies, :]
             weight *= probs[:, None]
             state = step(state[..., None], site, radii)
+            keep = live(state, site).ravel()
+            if not keep.any():
+                return total
+            weight, state = weight.reshape(keep.size, -1)[keep], state.ravel()[keep]
             if hi - lo > 1:
-                vid = np.add.outer(vid, mark * bit)
+                vid = np.add.outer(vid, mark * bit).ravel()[keep]
         hits = hit(state).ravel()
         weight = weight.ravel()[hits]
         if hi - lo > 1:  # by vector: within one vector the dense order is product order
@@ -189,6 +200,7 @@ def enumerate_connectivity(cfg: TinyConfig) -> float:
         {site: n - site for site in range(n)},
         0,
         lambda covered, site, radii: covered | (((1 << radii) - 1) << (site + 1)),
+        lambda covered, site: covered >> (site + 1) & 1 == 1,  # no later site covers site + 1
         lambda covered: covered == target,
     )
 
@@ -201,7 +213,7 @@ def enumerate_dual(cfg: TinyConfig) -> float:
     radius at site 0 is never consulted, and an unmarked site's label -1
     never reaches.
     """
-    _check_support(cfg)
+    m = _check_support(cfg)
     n = cfg.n
     if n == 0:
         return 1.0
@@ -210,6 +222,7 @@ def enumerate_dual(cfg: TinyConfig) -> float:
         {site: site for site in range(1, n + 1)},
         -1,
         lambda last, site, radii: np.where(radii >= site - last, site, last),
+        lambda last, site: last >= site + 1 - m,  # no later site reaches back further than m
         lambda last: last == n,
     )
 

@@ -16,9 +16,12 @@ under a shared seed.  Coupling chunks (``coupling-v1``) draw one uniform per ste
 and replicate, step-major.
 
 The kernels keep one value per replicate of a chunk in each state row, so
-each site of a path is a few in-place ufuncs on contiguous rows.  The mark
-chain's row is its height, or for a two-state law (ConstantQ, MarkovQ) one
-climb flag, read off the same uniforms with the same bits.  How many
+each site of a path is a few in-place ufuncs on contiguous rows.  The
+walk's radius, reach and relay rows hold unsigned integers of the
+narrowest type that holds 2 max(n), which is exact because radii are
+capped at max(n); a layout id says nothing of that type.  The mark chain's
+row is its height, or for a two-state law (ConstantQ, MarkovQ) one climb
+flag, read off the same uniforms with the same bits.  How many
 sites or steps one rng call draws is not part of the stream.  Chunks may
 run concurrently, on one thread pool per process sized to the CPUs it may
 use; a chunk writes only its own replicates, so no report depends on it.
@@ -53,7 +56,9 @@ _Z95 = 1.959963984540054
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple:
     """Wilson score interval for a binomial proportion (robust near 0/1)."""
-    trials = check_at_least("trials", trials, 1)
+    trials, successes = check_at_least("trials", trials, 1), check_int("successes", successes)
+    if not 0 <= successes <= trials:
+        raise ValidationError(f"successes must lie in 0..{trials}, got {successes}")
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -180,18 +185,24 @@ def _walk(spec: QSequence, model: RadiusModel, ns, reps: int, seed: int, targets
     each target updates its own state from the one draw of marks and radii.
 
     Connectivity keeps ``reach``, the furthest endpoint s + R_s of the
-    intervals opened so far; site s is covered when ``reach >= s`` on
-    entry, and {0 <-> n} needs every site up to n covered and site n
-    marked.  Each step adds ``R_s * mark_s + s``: an unmarked site gives s,
-    which cannot raise a reach that covered it.  The relay ("dual") keeps
-    ``last``, the last informed site, from 0; site i is informed when it
-    is marked and its own radius reaches back to ``last``, i.e. when
-    ``last + R_i * mark_i >= i``, and {Y_n = 1} is site n informed.
+    intervals opened at covered marked sites; site s is covered when
+    ``reach >= s`` on entry.  Each step adds ``R_s * hit_s + s``, with hit_s
+    "covered and marked": any other site gives s, which cannot raise a
+    reach that covered it.  So a gap at s stops the reach below s for
+    good, and {0 <-> n}, every site up to n covered and site n marked, is
+    hit_n.  The relay ("dual") keeps ``last``, the last informed site,
+    from 0; site i is informed when it is marked and its own radius
+    reaches back to ``last``, i.e. when ``last + R_i * mark_i >= i``, and
+    {Y_n = 1} is site n informed.
 
     Radii are capped at N = max(ns).  No check at a site n <= N tells a
     radius of N from a longer one, and the cap keeps ``inf * 0`` (an
     unmarked infinite radius) finite, so the row of each n is exactly the
-    indicator of a walk that stops at n.
+    indicator of a walk that stops at n.  The cap also makes the rows
+    integers: a capped radius cast to an integer type (a floor, as radii
+    are nonnegative) meets every integer threshold that it met as a
+    float, and a reach s + R_s or a sum last + R_i stays at most 2N, so
+    rows of ``np.min_scalar_type(2 * N)`` hold every value exactly.
     """
     ns = [check_int("n", n) for n in ns]
     reps, seed = check_at_least("reps", reps, 1), check_at_least("seed", seed, 0)
@@ -199,31 +210,30 @@ def _walk(spec: QSequence, model: RadiusModel, ns, reps: int, seed: int, targets
         raise ValidationError("at least one site index is needed")
     if min(ns) < 0:
         raise ValidationError("site index must be nonnegative")
+    if not targets or len(set(targets)) < len(targets) or not set(targets) <= _LAYOUTS.keys():
+        raise ValidationError(f"targets must be distinct names of {sorted(_LAYOUTS)}, got {targets!r}")
     out = np.ones((len(targets), len(ns), reps), dtype=bool)
     top = max(ns)
     if top == 0:
         return out
     rows_at = {n: [row for row, m in enumerate(ns) if m == n] for n in ns}
-    conn = "connectivity" in targets
     climber, row_types = _climber(spec, top + 1)  # heights stay below top
-    width = min(reps, CHUNK)
+    width, ints = min(reps, CHUNK), np.min_scalar_type(2 * top)
 
-    def buffers():  # tile, tip and each target's state, bool rows, then the climber's rows
-        return (np.empty(min(top, _SITE_TILE) * 2 * width), np.empty((1 + len(targets), width)),
-                np.empty((3 + conn, width), dtype=bool), *(np.empty(width, dtype=t) for t in row_types))
+    def buffers():  # uniforms; tip and each target's state; two bool rows; the climber's rows
+        return (np.empty(min(top, _SITE_TILE) * 2 * width), np.empty((1 + len(targets), width), ints),
+                np.empty((2, width), dtype=bool), *(np.empty(width, dtype=t) for t in row_types))
 
-    def chunk(ci, size, tile, floats, flags, *rows):
+    def chunk(ci, size, tile, int_rows, flags, *rows):
         rng = _chunk_rng(seed, ci)
-        tip, *states = floats[:, :size]  # a state is the reach or the relay's last
-        climb, mark, hit = flags[:3, :size]
-        alive = flags[3, :size] if conn else None
+        tip, *states = int_rows[:, :size]  # a state is the reach or the relay's last
+        climb, hit = flags[:, :size]
         rows = [a[:size] for a in rows]
         walks = list(zip(targets, states, out[:, :, ci * CHUNK : ci * CHUNK + size]))
-        rng.random(out=tip)  # site 0's radii, which only connectivity reads
+        rng.random(out=tile[:size])  # site 0's radii, which only connectivity reads
         for target, state, _ in walks:
             if target == "connectivity":
-                np.minimum(model.quantile(tip), top, out=state)
-                alive.fill(True)
+                np.minimum(model.quantile(tile[:size]), top, out=state, casting="unsafe")
             else:
                 state.fill(0)
         climb.fill(False)  # site 0 is marked: its chain is at height 0
@@ -232,25 +242,22 @@ def _walk(spec: QSequence, model: RadiusModel, ns, reps: int, seed: int, targets
         for first in range(1, top + 1, _SITE_TILE):
             block = tile[: min(_SITE_TILE, top + 1 - first) * 2 * size].reshape(-1, 2, size)
             rng.random(out=block)
-            radii = block[:, 1]
-            np.minimum(model.quantile(radii), top, out=radii)
-            for s, (uniforms, radius) in enumerate(block, start=first):
+            radii = block[:, 1].view(ints)[:, :size]  # the capped radii overwrite their uniforms
+            np.minimum(model.quantile(block[:, 1]), top, out=radii, casting="unsafe")
+            for s, uniforms, radius in zip(range(first, top + 1), block[:, 0], radii):
                 climber(uniforms, climb, hit, *rows)
-                np.logical_not(climb, out=mark)
-                for target, state, hits in walks:
+                for target, state, hits in walks:  # hit > climb: hit and site s marked
                     if target == "connectivity":
-                        alive &= np.greater_equal(state, s, out=hit)
-                        np.multiply(radius, mark, out=tip)
+                        np.greater(np.greater_equal(state, s, out=hit), climb, out=hit)
+                        np.multiply(radius, hit, out=tip)
                         tip += s
                     else:
                         np.greater_equal(np.add(radius, state, out=tip), s, out=hit)
-                        hit &= mark
+                        np.greater(hit, climb, out=hit)
                         np.copyto(tip, hit)
                         tip *= s
                     np.maximum(state, tip, out=state)
                     if s in rows_at:
-                        if target == "connectivity":
-                            np.logical_and(alive, mark, out=hit)
                         hits[rows_at[s]] = hit
 
     _in_chunks(reps, top, chunk, buffers)

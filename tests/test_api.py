@@ -70,6 +70,7 @@ COUNTED = {
     "random_tiny_configs": (lambda count: rp.random_tiny_configs(count, 1), 2),
     "random_tiny_configs-seed": (lambda seed: rp.random_tiny_configs(2, seed), 5),
     "wilson_interval": (lambda trials: rp.wilson_interval(3, trials), 50),
+    "wilson_interval-successes": (lambda k: rp.wilson_interval(k, 50), 3),
     "PowerLawTailRadius-n0": (lambda n0: rp.PowerLawTailRadius(3.0, 1.0, n0), 2),
     "PolynomialMonotoneQ-i0": (lambda i0: rp.PolynomialMonotoneQ(0.25, i0), 3),
 }
@@ -86,3 +87,10 @@ def test_counts_are_checked(name):
     want = pickle.dumps(call(count))
     for same in (float(count), np.int64(count), np.float32(count)):
         assert pickle.dumps(call(same)) == want
+
+
+@pytest.mark.parametrize("successes, trials", [(5, 3), (-1, 3), (4, 3)])
+def test_wilson_successes_lie_within_the_trials(successes, trials):
+    with pytest.raises(rp.ValidationError, match="successes"):
+        rp.wilson_interval(successes, trials)
+    assert rp.wilson_interval(trials, trials)[1] == 1.0

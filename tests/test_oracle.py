@@ -25,6 +25,7 @@ from renewperc import (
     enumerate_gf,
     random_tiny_configs,
 )
+from renewperc import oracle
 from renewperc.oracle import _path_probability
 from renewperc.renewal import Q_CAP
 
@@ -246,6 +247,29 @@ def test_cap_skips_mark_vectors_of_probability_zero(oracle_fn, dual):
     assert value == oracle_fn(cfg) > 0.0
     with pytest.raises(EnumerationCapError):
         oracle_fn(TinyConfig(cfg.spec, cfg.model, cfg.n, cap=needed - 1))
+
+
+@pytest.mark.parametrize("oracle_fn, dual", [(enumerate_connectivity, False), (enumerate_dual, True)])
+def test_dead_pairs_never_reach_the_hit_test(oracle_fn, dual):
+    # of this config's 324 pairs, only the 99 that hit survive the pruning to the hit test
+    cfg, reached, hits = TinyConfig(HAND_SPEC, HAND_MODEL, 6), [], []
+    enumerate_all = oracle._enumerate
+
+    def counting(*args):
+        *head, hit = args
+
+        def counted(state):
+            found = hit(state)
+            reached.append(state.size)
+            hits.append(int(found.sum()))
+            return found
+
+        return enumerate_all(*head, counted)
+
+    with mock.patch("renewperc.oracle._enumerate", counting):
+        value = oracle_fn(cfg)
+    assert value == oracle_fn(cfg)
+    assert sum(reached) == sum(hits) == 99 < _assignment_count(cfg, dual) == 324
 
 
 # SHA-256 of both oracles' values (little-endian float64, connectivity then

@@ -339,6 +339,13 @@ def test_counts_are_checked_before_any_draw(monkeypatch, kernel, head):
                 kernel(*head, *counts[:i], bad, *counts[i + 1 :])
 
 
+@pytest.mark.parametrize("targets", [(), ("dual", "dual"), ("conectivity",), ("connectivity", "relay")])
+def test_walk_targets_are_checked_before_any_draw(monkeypatch, targets):
+    monkeypatch.setattr(simulate, "_chunk_rng", None)
+    with pytest.raises(ValidationError, match="targets"):
+        _walk(HAND_SPEC, HAND_MODEL, [3], 10, 1, targets)
+
+
 # ---------------------------------------------------------------------------
 # Chunks on the thread pool
 # ---------------------------------------------------------------------------
@@ -522,3 +529,17 @@ def test_vectorised_kernels_match_a_scalar_walk(spec, model, n):
     assert connectivity_successes(spec, model, n, reps, seed).tolist() == conn
     assert dual_successes(spec, model, n, reps, seed).tolist() == dual
     assert 0 < sum(conn) < reps and 0 < sum(dual) < reps
+
+
+@pytest.mark.parametrize(
+    "model", [InfiniteRadius(), PowerLawTailRadius(c=3.0, gamma=1.0)], ids=["infinite", "power"]
+)
+@pytest.mark.parametrize("n", [127, 128, 129])  # uint8 rows up to n = 127, uint16 from 128
+def test_integer_rows_hold_twice_the_longest_path(model, n):
+    # a reach s + R_s and the relay's last + R_i run up to 2n once R is capped at n
+    spec, reps, seed = ConstantQ(0.3), 150, 4
+    draws = list(_reference_draws(model, n, reps, seed))
+    conn = [_walk_connectivity(spec, marks, radii, n) for marks, radii in draws]
+    dual = [_walk_dual(spec, marks, radii, n) for marks, radii in draws]
+    assert _walk(spec, model, [n], reps, seed, BOTH)[:, 0].tolist() == [conn, dual]
+    assert 0 < sum(dual) < reps
