@@ -12,8 +12,8 @@ computed in renewal form: the weighted mass at house-of-cards height 0
 solves g_n = alpha_{n-1} * sum_k P(T=k) g_{n-k} (``renewal_solve``, the
 blocked O(N K) kernel, K the last k with P(T=k) > 0 in floating point,
 that also gives u), height s after site n holds g_{n-s} P(T > s), and so
-S = g * P(T > .).  The dual occupancy v always comes from the kernel.
-The series has three faces:
+S = g * P(T > .), up to N only, by the kernel's Toeplitz-block GEMMs.  The
+dual occupancy v always comes from the kernel.  The series has three faces:
 
 * dual law: S_{n} is the survival function P(T_Y >= n+1) of the
   inter-arrival time of the dual relay process, so f_k = S_{k-1} - S_k is
@@ -69,6 +69,7 @@ from .renewal import (
     _LIFT,
     ConstantQ,
     QSequence,
+    _toeplitz_product,
     _two_state,
     ck_at,
     ck_sequence,
@@ -131,19 +132,20 @@ def _two_state_table(q0: float, q1: float, alph: np.ndarray) -> GfTable:
     """Series and dual pmf of a two-state law with q0 != q1, in one forward pass.
 
     (a, b) is the weight of the paths whose site i is marked / unmarked;
-    h, the weight sent to a mark at site i + 1, scales to alpha_i h.
+    h, the weight sent to a mark at site i + 1, scales to alpha_i h.  The
+    loop keeps h and b; S and f follow with the same roundings as arrays.
     """
-    S = [1.0]
-    f = [0.0]
+    hs, bs = [], []
     a, b = 1.0, 0.0
     p0, p1 = 1.0 - q0, 1.0 - q1
-    for al, miss in zip(alph.tolist(), (1.0 - alph).tolist()):
+    for al in alph.tolist():
         h = p0 * a + p1 * b
         b = q0 * a + q1 * b
         a = al * h
-        S.append(a + b)
-        f.append(miss * h)
-    return _gf_table(np.array(S), np.array(f))
+        hs.append(h)
+        bs.append(b)
+    h = np.array(hs)
+    return _gf_table(np.append(1.0, alph * h + np.array(bs)), np.append(0.0, (1.0 - alph) * h))
 
 
 def gf_partial(spec: QSequence, model: RadiusModel, horizon: int) -> GfTable:
@@ -155,15 +157,17 @@ def gf_partial(spec: QSequence, model: RadiusModel, horizon: int) -> GfTable:
     else one forward pass over the (marked, unmarked) weights.
 
     Every other law goes through g = renewal_solve(P(T = .), alpha), at
-    O(N K) for P(T = .) supported on 1..K, and S = g * P(T > .) by direct
-    convolution.  In floating point P(T > s) is constant from some s0 on:
-    0 once the products drain, or a stalled subnormal c where q > 0.5
-    (q * c rounds back to c).  Only s < s0 is convolved and the constant
-    tail adds c * (g_0 + ... + g_{n-s0}) to S_n, so no term is dropped and
-    the cost is O(N s0).  The dual pmf is f_n = (1 - alpha_{n-1}) h_n with
+    O(N K) for P(T = .) supported on 1..K, and S = g * P(T > .) for n <= N
+    by ``_toeplitz_product`` (an FFT loses about 1e-7 relative on the small
+    S_n that the tail fits and the 1e-12 exact checks rely on).  In
+    floating point P(T > s) is constant from some s0 on: 0 once the
+    products drain, or a stalled subnormal c where q > 0.5 (q * c rounds
+    back to c).  Only s < s0 is convolved and the constant tail adds
+    c * (g_0 + ... + g_{n-s0}) to S_n, so no term is dropped and the cost
+    is O(N s0).  The dual pmf is f_n = (1 - alpha_{n-1}) h_n with
     h = P(T = .) * g, the sum that g_n = alpha_{n-1} h_n scales; unlike
-    S_{n-1} - S_n it is exactly 0 where S is flat.  Both convolutions run
-    on P(T > .) and P(T = .) lifted by 2^_LIFT, as in renewal_solve: these
+    S_{n-1} - S_n it is exactly 0 where S is flat.  Both products run on
+    P(T > .) and P(T = .) lifted by 2^_LIFT, as in renewal_solve: these
     kernels lie in [0, 1] and g in [0, 1], so the lifted sums stay finite,
     subnormal products become normal, and where the unlifted sums stayed
     normal the bits are the same.  O(N) space.
@@ -178,12 +182,10 @@ def gf_partial(spec: QSequence, model: RadiusModel, horizon: int) -> GfTable:
     g = renewal_solve(pmf, alpha)
     surv = survival_products(spec, horizon)
     s0 = np.count_nonzero(surv > surv[-1])
-    # direct summation: FFT convolution loses ~1e-7 relative accuracy on
-    # the small S_n that the tail fits and the 1e-12 exact checks rely on
     lifted = np.ldexp(surv, _LIFT)
-    S = np.convolve(g, lifted[:s0])[: horizon + 1]
+    S = _toeplitz_product(lifted[:s0], g, 0, horizon + 1)
     S[s0:] += lifted[-1] * np.cumsum(g[: horizon + 1 - s0])
-    f = np.convolve(g, np.ldexp(pmf[: np.flatnonzero(pmf)[-1] + 1], _LIFT))[: horizon + 1]
+    f = _toeplitz_product(np.ldexp(pmf[: np.flatnonzero(pmf)[-1] + 1], _LIFT), g, 0, horizon + 1)
     f[1:] *= 1.0 - alpha
     return _gf_table(np.ldexp(S, -_LIFT, out=S), np.ldexp(f, -_LIFT, out=f))
 

@@ -329,15 +329,48 @@ class RenewalProbTable:
 # forms) was 4.5e-12 with 64, 7e-12 with 128 and 1e-11 with 256.
 _BLOCK = 128
 
-# Long convolutions of the renewal form run on operands scaled by 2^_LIFT
-# and are scaled back by 2^-_LIFT.  A kernel entry of a pmf or of survival
-# products may be subnormal (P(T > s) can stall at 5e-324), and every
-# product with a subnormal operand or result is slow on x86 and loses
-# relative precision.  Lifted, those products are normal; for terms the
-# unlifted sum kept normal, power-of-two scaling is exact and the bits are
-# the same.  Kernel entries in [0, 1] and factors of at most 1 keep every
-# lifted sum below 2^_LIFT times the number of terms, far from overflow.
+# The renewal form's long products (renewal_solve's updates, S and the dual
+# pmf) run on kernels scaled by 2^_LIFT and are scaled back by 2^-_LIFT.  A
+# kernel entry of a pmf or of survival products may be subnormal (P(T > s)
+# can stall at 5e-324), and every product with a subnormal operand or result
+# is slow on x86 and loses relative precision.  Lifted, those products are
+# normal; for terms the unlifted sum kept normal, power-of-two scaling is
+# exact and the bits are the same.  Kernel entries in [0, 1] and factors of
+# at most 1 keep every lifted sum below 2^_LIFT times the number of terms.
 _LIFT = 600
+
+# renewal_solve works in groups of _GROUP blocks.  A GEMM of _toeplitz_product
+# spans at most _ROWS output blocks, under 2^19 multiply-adds, which OpenBLAS
+# runs on the calling thread; threaded, such GEMMs stalled for up to 16 ms.
+_GROUP, _ROWS = 8, 31
+
+
+def _toeplitz_product(x: np.ndarray, h: np.ndarray, t0: int, n: int) -> np.ndarray:
+    """Entries t0 .. t0+n-1 of the full convolution x * h, as _BLOCK x _BLOCK GEMMs.
+
+    With B = _BLOCK, output t0 + B i + r is sum_m sum_p H[i+m, p] X_m[r, p]
+    for H[c, p] = h[t0 - len(x) + 1 + B c + p] and the Toeplitz blocks
+    X_m[r, p] = x[len(x) - 1 - B m - p + r], zero outside h and x.  Rows of H
+    outside its nonzero span are skipped (a causal product does its triangle);
+    the shapes and BLAS kernels, not values or thread count, order each sum.
+    """
+    B = _BLOCK
+    I, M = -(-n // B), (len(x) + B - 2) // B + 1
+    d, size = t0 - len(x) + 1, (I + M - 1) * B
+    H = np.concatenate((np.zeros(max(0, -d)), h[max(0, d) :], np.zeros(size)))[:size].reshape(-1, B)
+    rows = np.flatnonzero(H.any(axis=1))
+    first, stop = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+    # X_m[B - 1 - s] = xp[B m + s :][:B], so column B - 1 - r of Y is output r
+    xp = np.concatenate((np.zeros(B - 1), x[::-1], np.zeros(2 * B)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, B)
+    Y = np.zeros((I, B))
+    for m in range(M):
+        X = np.ascontiguousarray(windows[B * m : B * m + B]).T
+        end = min(I, stop - m)
+        for a in range(max(0, first - m), end, _ROWS):
+            b = min(a + _ROWS, end)
+            Y[a:b] += H[a + m : b + m] @ X
+    return Y[:, ::-1].reshape(-1)[:n]
 
 
 def renewal_solve(f: np.ndarray, mult=None) -> np.ndarray:
@@ -348,15 +381,16 @@ def renewal_solve(f: np.ndarray, mult=None) -> np.ndarray:
     ``mult`` lie in [0, 1], as for every law of this package, so that
     0 <= g_n <= 1.  Only f_1..f_K enter, K the last index with f_K != 0:
     the terms left out are exact zeros, and the cost is O(N K).  g is built
-    in blocks of _BLOCK indices.  A finished block adds its share of the
-    sum to the next K indices with one np.convolve against the kernel
-    lifted by 2^_LIFT, so subnormal f_k g_{n-k} are formed as normal
-    numbers; each block reads those sums scaled back by 2^-_LIFT.  Inside a
-    block the plain equation applies the lower-triangular Toeplitz inverse
-    of the block, whose first column is the first block's own solution; a
-    ``mult`` solve keeps one dot per index.  Every operation is on
-    nonnegative numbers (no FFT), so the rounding error stays componentwise
-    relative.
+    in blocks of _BLOCK indices, in groups of _GROUP blocks.  A finished
+    block adds its share of the sum to the rest of its group with one
+    np.convolve, and a finished group adds its share to the next K indices
+    with one _toeplitz_product, both against the kernel lifted by 2^_LIFT,
+    so subnormal f_k g_{n-k} are formed as normal numbers; each block reads
+    those sums scaled back by 2^-_LIFT.  Inside a block the plain equation
+    applies the lower-triangular Toeplitz inverse of the block, whose first
+    column is the first block's own solution; a ``mult`` solve keeps one
+    dot per index.  Every operation is on nonnegative numbers (no FFT, which
+    loses 1e-7 relative), so the rounding error stays componentwise relative.
     """
     horizon = len(f) - 1
     g = np.zeros(horizon + 1)
@@ -389,9 +423,13 @@ def renewal_solve(f: np.ndarray, mult=None) -> np.ndarray:
                 block[i] = factors[i] * (sums[i] + dots[i](block[:i]))
             if mult is None:
                 inverse = g[:b].copy()
-        reach = min(horizon, b - 1 + K)
-        if reach >= b:
-            acc[b : reach + 1] += np.convolve(block, lifted[: reach - a + 1])[b - a : reach - a + 1]
+        start = a - a % (_GROUP * _BLOCK)
+        end = min(start + _GROUP * _BLOCK, horizon + 1)
+        near, reach = min(end, b + K), min(horizon + 1, end + K)
+        if near > b:
+            acc[b:near] += np.convolve(block, lifted[: near - a])[b - a : near - a]
+        if b == end < reach:
+            acc[end:reach] += _toeplitz_product(g[start:end], lifted, end - start, reach - end)
     return g
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from renewperc import (
@@ -33,7 +33,7 @@ from renewperc import (
 )
 from renewperc import engine
 from renewperc.radius import RadiusModel
-from renewperc.renewal import Q_CAP, interarrival, renewal_solve
+from renewperc.renewal import Q_CAP, _toeplitz_product, interarrival, renewal_solve
 from renewperc.engine import (
     TAIL_CONCENTRATION,
     TAIL_GEOMETRIC,
@@ -180,6 +180,29 @@ def test_two_state_laws_are_lumped_and_match_the_kernel(spec, model, horizon):
     _assert_close_above(u, want, 1e-11)
 
 
+def _two_state_loop(q0, q1, alpha):
+    """The two-state forward pass as a plain per-site loop, writing S and f at each site."""
+    S, f = [1.0], [0.0]
+    a, b = 1.0, 0.0
+    for al in alpha.tolist():
+        h = (1.0 - q0) * a + (1.0 - q1) * b
+        b = q0 * a + q1 * b
+        a = al * h
+        S.append(a + b)
+        f.append((1.0 - al) * h)
+    return np.array(S), np.array(f)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_Q, _Q, _RADII, st.integers(1, 400))
+def test_two_state_forward_pass_keeps_the_per_site_bits(q0, q1, model, horizon):
+    assume(q0 != q1)
+    alpha = model.alpha_array(horizon)
+    S, f = _two_state_loop(q0, q1, alpha)
+    gf = engine._two_state_table(q0, q1, alpha)
+    assert np.array_equal(gf.S, S) and np.array_equal(gf.dual_pmf, f)
+
+
 @pytest.mark.parametrize(
     "spec, lumped",
     [
@@ -276,9 +299,9 @@ def test_lifted_gf_convolutions_keep_the_unlifted_bits():
     g = renewal_solve(pmf, alpha)
     s0 = np.count_nonzero(surv > surv[-1])
     assert 0.0 < surv[-1] < np.finfo(float).tiny
-    S = np.convolve(g, surv[:s0])[: n + 1]
+    S = _toeplitz_product(surv[:s0], g, 0, n + 1)
     S[s0:] += surv[-1] * np.cumsum(g[: n + 1 - s0])
-    f = np.convolve(g, pmf[: np.flatnonzero(pmf)[-1] + 1])[: n + 1]
+    f = _toeplitz_product(pmf[: np.flatnonzero(pmf)[-1] + 1], g, 0, n + 1)
     f[1:] *= 1.0 - alpha
     gf = gf_partial(spec, model, n)
     assert np.array_equal(gf.S, S) and np.array_equal(gf.dual_pmf, f)

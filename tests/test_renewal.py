@@ -26,7 +26,7 @@ from renewperc import (
     simulate_connectivity,
     survival_products,
 )
-from renewperc.renewal import Q_CAP, renewal_solve
+from renewperc.renewal import _LIFT, Q_CAP, _toeplitz_product, renewal_solve
 
 SPECS = [
     ConstantQ(0.5),
@@ -208,7 +208,7 @@ KERNEL_LAWS = {
 
 @pytest.mark.parametrize("mult_kind", ["none", "random", "zeros"])
 @pytest.mark.parametrize("kind", [*KERNEL_LAWS, "zeros"])
-@pytest.mark.parametrize("horizon", [1, 127, 128, 129, 257, 3000])
+@pytest.mark.parametrize("horizon", [1, 127, 128, 129, 257, 1023, 1024, 1025, 2049, 3000])
 def test_renewal_solve_matches_reference(horizon, kind, mult_kind):
     f = np.zeros(horizon + 1) if kind == "zeros" else interarrival(KERNEL_LAWS[kind], horizon).pmf
     mult = {
@@ -236,6 +236,41 @@ def test_renewal_solve_random_kernels(horizon, support, mass, scaled, seed):
     if total > 0.0:
         f *= mass / total
     _assert_matches_reference(f, rng.random(horizon) if scaled else None)
+
+
+def _fsum_convolution(x, h, t0, n):
+    """Entries t0 .. t0+n-1 of the full convolution x * h, each sum by math.fsum."""
+    out = np.zeros(n)
+    for t in range(t0, t0 + n):
+        lo, hi = max(0, t - len(h) + 1), min(len(x), t + 1)
+        if lo < hi:
+            out[t - t0] = math.fsum((x[lo:hi] * h[t - hi + 1 : t - lo + 1][::-1]).tolist())
+    return out
+
+
+@pytest.mark.parametrize("hlen", [1, 128, 700, 1025])
+@pytest.mark.parametrize("xlen", [1, 127, 128, 129, 1023, 1024, 1025])
+def test_toeplitz_product_matches_fsum(xlen, hlen):
+    rng = np.random.default_rng([xlen, hlen])
+    x, h = rng.random(xlen), rng.random(hlen)
+    h[rng.integers(0, hlen + 1) :] = 0.0  # a kernel that ends in zeros, or none at all
+    for t0 in (0, xlen // 2, xlen - 1, xlen + 5, xlen + hlen + 3):
+        n = int(rng.integers(1, 400))
+        got, want = _toeplitz_product(x, h, t0, n), _fsum_convolution(x, h, t0, n)
+        assert got.shape == (n,)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+def test_toeplitz_product_on_a_long_lifted_subnormal_kernel():
+    # P(T > .) stalls at a subnormal here; 40 output blocks take several GEMMs
+    # per Toeplitz block of x
+    surv = survival_products(ConstantQ(0.6), 5200)
+    assert np.any((surv > 0.0) & (surv < np.finfo(float).tiny))
+    lifted = np.ldexp(surv, _LIFT)
+    x = np.random.default_rng(5).random(300)
+    for t0 in (0, 299, 700):
+        want = _fsum_convolution(x, lifted, t0, 5000)
+        assert np.all(np.abs(_toeplitz_product(x, lifted, t0, 5000) - want) <= 1e-13 * want)
 
 
 def test_renewal_probabilities_constant():
