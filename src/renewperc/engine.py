@@ -69,15 +69,14 @@ from .renewal import (
     _LIFT,
     ConstantQ,
     QSequence,
+    _interarrival,
     _toeplitz_product,
     _two_state,
     ck_at,
     ck_sequence,
-    interarrival,
     markov_renewal_closed,
     renewal_probabilities,
     renewal_solve,
-    survival_products,
 )
 
 TAIL_CONCENTRATION = "concentration"
@@ -178,9 +177,9 @@ def gf_partial(spec: QSequence, model: RadiusModel, horizon: int) -> GfTable:
     if lumped is not None:
         q0, q1 = lumped
         return _iid_table(q0, alpha) if q0 == q1 else _two_state_table(q0, q1, alpha)
-    pmf = interarrival(spec, horizon).pmf
+    summary, surv = _interarrival(spec, horizon)
+    pmf = summary.pmf
     g = renewal_solve(pmf, alpha)
-    surv = survival_products(spec, horizon)
     s0 = np.count_nonzero(surv > surv[-1])
     lifted = np.ldexp(surv, _LIFT)
     S = _toeplitz_product(lifted[:s0], g, 0, horizon + 1)
@@ -559,8 +558,8 @@ def classify(spec: QSequence, model: RadiusModel, horizon: int) -> ClassifyRepor
     horizon = check_at_least("horizon", horizon, 4)
     notes: list = []
     mean_horizon = max(1000, min(horizon, 50_000))
-    summary = interarrival(spec, mean_horizon, tol=1e-12)
-    tail_product = float(survival_products(spec, mean_horizon)[mean_horizon])
+    summary, surv = _interarrival(spec, mean_horizon, tol=1e-12)
+    tail_product = float(surv[mean_horizon])
     if not summary.converged:
         divergent = tail_product >= _DIVERGENCE_FLOOR
         return ClassifyReport(

@@ -301,6 +301,11 @@ def interarrival(spec: QSequence, horizon: int, tol: float = 1e-15) -> InterArri
     partial product drops below ``tol`` (converged) or the horizon is hit
     (not converged; the value is then a lower bound, never an estimate).
     """
+    return _interarrival(spec, horizon, tol)[0]
+
+
+def _interarrival(spec: QSequence, horizon: int, tol: float = 1e-15) -> tuple:
+    """``interarrival`` and the survival products P(T > 0), ..., P(T > horizon) it builds."""
     horizon = check_at_least("horizon", horizon, 1)
     if not tol > 0.0:
         raise ValidationError(f"tol must be positive, got {tol!r}")
@@ -313,7 +318,7 @@ def interarrival(spec: QSequence, horizon: int, tol: float = 1e-15) -> InterArri
     stop = int(below[0]) + 1 if converged else horizon
     # cumsum adds in sequence, as a running sum of the terms would
     mean = np.cumsum(np.concatenate(([1.0], surv[1 : stop + 1])))[-1]
-    return InterArrivalSummary(pmf=pmf, mean=mean, converged=converged, horizon=horizon)
+    return InterArrivalSummary(pmf=pmf, mean=mean, converged=converged, horizon=horizon), surv
 
 
 @dataclass(frozen=True)
@@ -345,32 +350,37 @@ _LIFT = 600
 _GROUP, _ROWS = 8, 31
 
 
-def _toeplitz_product(x: np.ndarray, h: np.ndarray, t0: int, n: int) -> np.ndarray:
+def _toeplitz_product(x: np.ndarray, h: np.ndarray, t0: int, n: int, out=None) -> np.ndarray:
     """Entries t0 .. t0+n-1 of the full convolution x * h, as _BLOCK x _BLOCK GEMMs.
 
-    With B = _BLOCK, output t0 + B i + r is sum_m sum_p H[i+m, p] X_m[r, p]
+    With B = _BLOCK, output t0 + B i + r is sum_m sum_p H[i+m, p] X_m[p, r]
     for H[c, p] = h[t0 - len(x) + 1 + B c + p] and the Toeplitz blocks
-    X_m[r, p] = x[len(x) - 1 - B m - p + r], zero outside h and x.  Rows of H
-    outside its nonzero span are skipped (a causal product does its triangle);
-    the shapes and BLAS kernels, not values or thread count, order each sum.
+    X_m[p, r] = x[len(x) - 1 - B m - p + r], zero outside h and x.  Rows of H
+    outside its nonzero span are skipped (a causal product does its triangle).
+    Each GEMM is added, through one buffer, to ``out`` (zeros when None),
+    which takes the outputs up to whole blocks; the first n are returned.
+    The shapes and BLAS kernels, not values or thread count, order each sum.
     """
     B = _BLOCK
     I, M = -(-n // B), (len(x) + B - 2) // B + 1
     d, size = t0 - len(x) + 1, (I + M - 1) * B
-    H = np.concatenate((np.zeros(max(0, -d)), h[max(0, d) :], np.zeros(size)))[:size].reshape(-1, B)
+    if not 0 <= d <= len(h) - size:  # h does not span H: a zero-padded copy does
+        h, d = np.concatenate((np.zeros(max(0, -d)), h[max(0, d) :], np.zeros(size))), 0
+    H = h[d : d + size].reshape(-1, B)
     rows = np.flatnonzero(H.any(axis=1))
     first, stop = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
-    # X_m[B - 1 - s] = xp[B m + s :][:B], so column B - 1 - r of Y is output r
+    # row p of X_m is xp[B m + p :][:B] reversed
     xp = np.concatenate((np.zeros(B - 1), x[::-1], np.zeros(2 * B)))
     windows = np.lib.stride_tricks.sliding_window_view(xp, B)
-    Y = np.zeros((I, B))
+    sums = (np.zeros(I * B) if out is None else out)[: I * B].reshape(I, B)
+    buf = np.empty((_ROWS, B))
     for m in range(M):
-        X = np.ascontiguousarray(windows[B * m : B * m + B]).T
+        X = np.ascontiguousarray(windows[B * m : B * m + B, ::-1])
         end = min(I, stop - m)
         for a in range(max(0, first - m), end, _ROWS):
             b = min(a + _ROWS, end)
-            Y[a:b] += H[a + m : b + m] @ X
-    return Y[:, ::-1].reshape(-1)[:n]
+            sums[a:b] += np.matmul(H[a + m : b + m], X, out=buf[: b - a])
+    return sums.reshape(-1)[:n]
 
 
 def renewal_solve(f: np.ndarray, mult=None) -> np.ndarray:
@@ -383,14 +393,16 @@ def renewal_solve(f: np.ndarray, mult=None) -> np.ndarray:
     the terms left out are exact zeros, and the cost is O(N K).  g is built
     in blocks of _BLOCK indices, in groups of _GROUP blocks.  A finished
     block adds its share of the sum to the rest of its group with one
-    np.convolve, and a finished group adds its share to the next K indices
-    with one _toeplitz_product, both against the kernel lifted by 2^_LIFT,
-    so subnormal f_k g_{n-k} are formed as normal numbers; each block reads
-    those sums scaled back by 2^-_LIFT.  Inside a block the plain equation
-    applies the lower-triangular Toeplitz inverse of the block, whose first
-    column is the first block's own solution; a ``mult`` solve keeps one
-    dot per index.  Every operation is on nonnegative numbers (no FFT, which
-    loses 1e-7 relative), so the rounding error stays componentwise relative.
+    "valid" np.convolve, and a finished group adds its share to the next K
+    indices with one _toeplitz_product straight into the running sums, both
+    against the kernel lifted by 2^_LIFT (subnormal f_k g_{n-k} are formed
+    as normal numbers) and zero-padded once (the far products read it as
+    views); each block reads those sums scaled back by 2^-_LIFT.  Inside a
+    block the plain equation applies the lower-triangular Toeplitz inverse
+    of the block, whose first column is the first block's own solution; a
+    ``mult`` solve keeps one dot per index.  Every operation is on
+    nonnegative numbers (no FFT, which loses 1e-7 relative), so the rounding
+    error stays componentwise relative.
     """
     horizon = len(f) - 1
     g = np.zeros(horizon + 1)
@@ -408,8 +420,8 @@ def renewal_solve(f: np.ndarray, mult=None) -> np.ndarray:
     rev[_BLOCK - 1 - min(K, _BLOCK - 1) :] = kernel[_BLOCK - 1 :: -1]
     # dots[i](x) = f_i x_0 + ... + f_1 x_{i-1}, the in-block sum at offset i
     dots = [rev[_BLOCK - 1 - i : _BLOCK - 1].dot for i in range(_BLOCK)]
-    lifted = np.ldexp(kernel, _LIFT)
-    acc = np.zeros(horizon + 1)  # 2^_LIFT sum_k f_k g_{n-k} over the finished blocks
+    lifted = np.ldexp(np.concatenate((kernel, np.zeros((_GROUP + 1) * _BLOCK))), _LIFT)
+    acc = np.zeros(horizon + _BLOCK)  # 2^_LIFT sum_k f_k g_{n-k} over the finished blocks
     inverse = None
     for a in range(0, horizon + 1, _BLOCK):
         b = min(a + _BLOCK, horizon + 1)
@@ -427,9 +439,9 @@ def renewal_solve(f: np.ndarray, mult=None) -> np.ndarray:
         end = min(start + _GROUP * _BLOCK, horizon + 1)
         near, reach = min(end, b + K), min(horizon + 1, end + K)
         if near > b:
-            acc[b:near] += np.convolve(block, lifted[: near - a])[b - a : near - a]
+            acc[b:near] += np.convolve(lifted[1 : near - a], block, "valid")
         if b == end < reach:
-            acc[end:reach] += _toeplitz_product(g[start:end], lifted, end - start, reach - end)
+            _toeplitz_product(g[start:end], lifted, end - start, reach - end, acc[end:])
     return g
 
 
@@ -457,24 +469,30 @@ def markov_renewal_closed(q0: float, q1: float, i):
     where every term is nonnegative and the error stays relative.  For
     |s| > 1/2, log|s| is taken as log1p(-((1 - q0) + q1)), whose argument
     is exact up to one rounding, as log(q0 - q1) would lose the relative
-    accuracy of s^(2j) - 1 when |s| is near 1.  ``i`` may be an integer
-    array, which gives the array of u_i.
+    accuracy of s^(2j) - 1 when |s| is near 1.  The gap to pi is at most
+    |s|^(i-1); where that is below ulp(pi)/8 it cannot move pi, and u_i is pi.
+    ``i`` may be an integer array, which gives the array of u_i.
     """
     q0 = _check_probability("q0", q0)
     q1 = _check_probability("q1", q1)
     if q0 >= 1.0 or q1 >= 1.0:
         raise ValidationError("q0 and q1 must be < 1 for the closed form")
-    if np.any(np.asarray(i) < 0):
+    i = np.asarray(i)
+    if np.any(i < 0):
         raise ValidationError("index must be nonnegative")
     denom = 1.0 - q1 + q0
     pi = (1.0 - q1) / denom
     s = q1 - q0
+    u = np.full(i.shape, pi)
+    live = (i - 1) * math.log(abs(s)) >= math.log(np.spacing(pi) / 8) - 1 if s else i == 0
     if s >= 0.0:
-        return pi + (q0 / denom) * s**i
-    r = np.asarray(i) % 2
+        u[live] = pi + (q0 / denom) * s ** i[live]
+        return u[()]
+    r = i[live] % 2
     log_abs_s = math.log1p(-((1.0 - q0) + q1)) if s < -0.5 else math.log(-s)
-    e = (i - r) * log_abs_s
-    return (np.exp(e) * np.where(r, 1.0 - q0, 1.0) - pi * np.expm1(e))[()]
+    e = (i[live] - r) * log_abs_s
+    u[live] = np.exp(e) * np.where(r, 1.0 - q0, 1.0) - pi * np.expm1(e)
+    return u[()]
 
 
 # ---------------------------------------------------------------------------
@@ -484,32 +502,32 @@ def markov_renewal_closed(q0: float, q1: float, i):
 # Inner-sum terms prod_{i=k..k+j-1} q*_i are nonincreasing in j, so once a
 # term falls below this cutoff the remainder is at most k * cutoff; that
 # first term is still included.  As q* is nondecreasing, the j-th term is
-# nondecreasing in k, and so are its log-sums (rounding is monotone): the
-# rows k that ck_sequence still sums at step j form a suffix of k >= j.
+# nondecreasing in k, and so are its running products (rounding is monotone):
+# the rows k that ck_sequence still sums at step j form a suffix of k >= j.
 _CK_TERM_CUTOFF = 1e-18
 
 
 def ck_at(spec: QSequence, k: int) -> float:
     """C_k = (sum_{j=1..k} prod_{i=k..k+j-1} q*_i)^2 for a single k.
 
-    Row k of the ck_sequence sweep, bit for bit: the log-products are
-    summed in sequence, cut after the first term at or below the cutoff,
-    and the terms added in order.
+    Row k of the ck_sequence sweep, bit for bit: the terms are the running
+    products of q*_k, q*_{k+1}, ..., cut after the first term at or below
+    the cutoff, and added in order.
     """
     k = check_at_least("k", k, 1)
     sums = _lumped_row(spec, k)
     if sums is None:
-        with np.errstate(divide="ignore"):
-            sums = _row_sums(np.log(q_star_array(spec, 2 * k)[k:]))
+        sums = _row_sums(q_star_array(spec, 2 * k)[k:])
     t = float(sums[-1])
     return t * t  # as np.square in the sweep; t ** 2 goes through pow
 
 
-def _row_sums(logs: np.ndarray) -> np.ndarray:
-    """Running sums of one row's terms, from the logs of its q* factors, up to the cutoff."""
-    cum = np.cumsum(logs)
-    stop = np.count_nonzero(cum > math.log(_CK_TERM_CUTOFF)) + 1  # cum is nonincreasing
-    return np.cumsum(np.exp(cum[:stop]))
+def _row_sums(factors: np.ndarray) -> np.ndarray:
+    """Running sums of one row's terms, the running products of its q* factors, up to the cutoff."""
+    m = 64  # a doubling prefix stops long before the products can stall at 5e-324
+    while (terms := np.cumprod(factors[:m]))[-1] > _CK_TERM_CUTOFF and m < factors.size:
+        m *= 2
+    return np.cumsum(terms[: np.count_nonzero(terms > _CK_TERM_CUTOFF) + 1])
 
 
 def _lumped_row(spec: QSequence, kmax: int) -> Optional[np.ndarray]:
@@ -519,10 +537,7 @@ def _lumped_row(spec: QSequence, kmax: int) -> Optional[np.ndarray]:
     the same terms, and row k is entry min(k, len) - 1 of the result.
     """
     two = _two_state(spec)
-    if two is None:
-        return None
-    with np.errstate(divide="ignore"):
-        return _row_sums(np.log(np.array([max(two)])).repeat(kmax))
+    return None if two is None else _row_sums(np.full(kmax, max(two)))
 
 
 @dataclass(frozen=True)
@@ -538,7 +553,7 @@ def ck_sequence(spec: QSequence, kmax: int) -> CoalescenceConstants:
     """All coalescence constants C_1..C_kmax plus the diagnostics C_k / k.
 
     One sweep over j updates all k: the rows still summing form a suffix
-    lo..kmax, so a step is one slice add, one exp and one searchsorted,
+    lo..kmax, so a step is one slice multiply, one add and one searchsorted,
     and the total work equals that of summing each k on its own.  A
     two-state law sums its one shared row instead (``_lumped_row``).
 
@@ -552,18 +567,14 @@ def ck_sequence(spec: QSequence, kmax: int) -> CoalescenceConstants:
         total[1 : sums.size + 1] = sums
         total[sums.size + 1 :] = sums[-1]
     else:
-        with np.errstate(divide="ignore"):
-            log_qs = np.log(q_star_array(spec, 2 * kmax))
-        limit = math.log(_CK_TERM_CUTOFF)
+        qs = q_star_array(spec, 2 * kmax)
         total = np.zeros(kmax + 1)
-        cum = np.zeros(kmax + 1)  # cum[k]: log of the j-th term of row k
-        term = np.empty(kmax + 1)
+        term = np.ones(kmax + 1)  # term[k]: the j-th term of row k
         lo = j = 1
         while lo <= kmax:
-            cum[lo:] += log_qs[lo + j - 1 : kmax + j]
-            total[lo:] += np.exp(cum[lo:], out=term[lo:])
+            total[lo:] += np.multiply(term[lo:], qs[lo + j - 1 : kmax + j], out=term[lo:])
             j += 1
-            lo = max(lo + int(np.searchsorted(cum[lo:], limit, side="right")), j)
+            lo = max(lo + int(np.searchsorted(term[lo:], _CK_TERM_CUTOFF, side="right")), j)
     c = np.square(total, out=total)  # in place: a new array here grew peak RSS by ~4 MB
     c[0] = np.nan
     ratio = np.empty_like(c)

@@ -307,6 +307,24 @@ def test_lifted_gf_convolutions_keep_the_unlifted_bits():
     assert np.array_equal(gf.S, S) and np.array_equal(gf.dual_pmf, f)
 
 
+def test_every_gemm_is_small_enough_for_the_calling_thread(monkeypatch):
+    # OpenBLAS runs a GEMM of under 2^19 multiply-adds on the calling thread
+    sizes = []
+    matmul = np.matmul
+
+    def counted(a, b, **kwargs):
+        sizes.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, **kwargs)
+
+    model, n = PowerLawTailRadius(3, 1, 1), 5000
+    gf = gf_partial(ConstantQ(0.6), model, n)
+    monkeypatch.setattr(np, "matmul", counted)
+    dual_law(gf, ConstantQ(0.6), model)  # the v solve, on a dual pmf of full support
+    solve_gemms = len(sizes)
+    gf_partial(PolynomialMonotoneQ(0.25), model, n)
+    assert 0 < solve_gemms < len(sizes) and max(sizes) < 2**19
+
+
 # ---------------------------------------------------------------------------
 # dual_law
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from renewperc import (
     simulate_connectivity,
     survival_products,
 )
-from renewperc.renewal import _LIFT, Q_CAP, _toeplitz_product, renewal_solve
+from renewperc.renewal import _CK_TERM_CUTOFF, _LIFT, Q_CAP, _toeplitz_product, renewal_solve
 
 SPECS = [
     ConstantQ(0.5),
@@ -273,6 +273,19 @@ def test_toeplitz_product_on_a_long_lifted_subnormal_kernel():
         assert np.all(np.abs(_toeplitz_product(x, lifted, t0, 5000) - want) <= 1e-13 * want)
 
 
+def test_toeplitz_product_adds_into_out():
+    rng = np.random.default_rng(11)
+    x, h = rng.random(300), rng.random(900)
+    base = rng.random(5 * 128)
+    out = base.copy()
+    got = _toeplitz_product(x, h, 299, 450, out)
+    assert got.shape == (450,) and np.shares_memory(got, out)
+    # the 450 outputs round up to 4 blocks of 128, which all go to out
+    want = base[:512] + _fsum_convolution(x, h, 299, 512)
+    assert np.all(np.abs(out[:512] - want) <= 1e-13 * want)
+    assert np.array_equal(out[512:], base[512:])
+
+
 def test_renewal_probabilities_constant():
     table = renewal_probabilities(ConstantQ(0.5), 40)
     assert table.u[0] == 1.0
@@ -354,6 +367,40 @@ def test_markov_closed_is_relatively_accurate_when_q1_below_q0(q0):
     assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
+def _markov_closed_unskipped(q0, q1, i):
+    """markov_renewal_closed's formula evaluated at every index of ``i``."""
+    denom = 1.0 - q1 + q0
+    pi = (1.0 - q1) / denom
+    s = q1 - q0
+    if s >= 0.0:
+        return pi + (q0 / denom) * s**i
+    r = i % 2
+    log_abs_s = math.log1p(-((1.0 - q0) + q1)) if s < -0.5 else math.log(-s)
+    e = (i - r) * log_abs_s
+    return np.exp(e) * np.where(r, 1.0 - q0, 1.0) - pi * np.expm1(e)
+
+
+# s = q1 - q0 zero, of either sign near 0 and near 1, and in between
+_MARKOV_GRID = sorted({
+    (q0, q1)
+    for q in (0.0, 1e-9, 0.3, 0.5, 0.9, 1.0 - 1e-6, Q_CAP)
+    for d in (0.0, 1e-300, 1e-15, 1e-9, 1e-3, 0.2, 0.7, 1.0 - 1e-6, Q_CAP)
+    for q0, q1 in ((q, q + d), (q + d, q))
+    if q0 < 1.0 and q1 < 1.0
+})
+
+
+def test_markov_closed_skips_only_indices_that_cannot_move_pi():
+    # the skipped indices return pi itself; every u_i keeps the full formula's bits
+    i = np.arange(5001)
+    for q0, q1 in _MARKOV_GRID:
+        got = markov_renewal_closed(q0, q1, i)
+        assert np.array_equal(got, _markov_closed_unskipped(q0, q1, i)), (q0, q1)
+        for k in (0, 1, 2, 77, 5000):
+            assert markov_renewal_closed(q0, q1, k) == got[k]
+    assert markov_renewal_closed(0.3, 0.6, 10**15) == 0.4 / 0.7
+
+
 def test_markov_closed_matches_recursion_grid():
     grid = [0.1, 0.3, 0.5, 0.7, 0.9]
     for q0 in grid:
@@ -406,6 +453,24 @@ def test_ck_sequence_matches_single_k(spec, kmax):
     assert table.c.shape == (kmax + 1,) and math.isnan(table.c[0])
     # every row, bit for bit: ck_at is row k of the same sweep
     assert [ck_at(spec, k) for k in range(1, kmax + 1)] == table.c[1:].tolist()
+
+
+def _ck_log_reference(spec, kmax):
+    """C_1..C_kmax with each term the exp of a running sum of log q*, cut as the sweep cuts."""
+    with np.errstate(divide="ignore"):
+        logs = np.log(q_star_array(spec, 2 * kmax))
+    c = np.empty(kmax)
+    for k in range(1, kmax + 1):
+        cum = np.cumsum(logs[k : 2 * k])
+        stop = np.count_nonzero(cum > math.log(_CK_TERM_CUTOFF)) + 1
+        c[k - 1] = math.fsum(np.exp(cum[:stop]).tolist()) ** 2
+    return c
+
+
+@pytest.mark.parametrize("spec", CK_LAWS, ids=repr)
+def test_ck_sequence_matches_a_log_space_reference(spec):
+    got, want = ck_sequence(spec, 3000).c[1:], _ck_log_reference(spec, 3000)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
 @pytest.mark.parametrize("spec", CK_LAWS, ids=repr)
