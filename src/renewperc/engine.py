@@ -4,22 +4,16 @@ The central object is the partial generating-function series
 
     S_0 = 1,   S_n = E prod_{i=0..n-1} alpha_i^(xi_{i+1}),   n >= 1,
 
-computed exactly.  A law with q_i constant for i >= 1 (ConstantQ, MarkovQ,
-a repeat_last TableQ whose values after the first agree) lumps to the two
-mark states, so S and the dual pmf follow in one O(N) forward pass (the
-i.i.d. product when q_0 = q_1) and u in closed form.  Every other law is
-computed in renewal form: the weighted mass at house-of-cards height 0
-solves g_n = alpha_{n-1} * sum_k P(T=k) g_{n-k} (``renewal_solve``, the
-blocked O(N K) kernel, K the last k with P(T=k) > 0 in floating point,
-that also gives u), height s after site n holds g_{n-s} P(T > s), and so
-S = g * P(T > .), up to N only, by the kernel's Toeplitz-block GEMMs.  The
-dual occupancy v always comes from the kernel.  The series has three faces:
+computed exactly by ``gf_partial``: in one O(N) forward pass for a law
+that lumps to the two mark states (q_i constant for i >= 1), whose u is
+then closed-form, and else in renewal form, by the blocked kernel
+``renewal_solve`` and its Toeplitz-block GEMMs.  The dual occupancy v
+always comes from the kernel.  The series has three faces:
 
 * dual law: S_{n} is the survival function P(T_Y >= n+1) of the
   inter-arrival time of the dual relay process, so f_k = S_{k-1} - S_k is
-  its pmf, computed without the subtraction as (1 - alpha_{k-1}) times the
-  sum that g_k scales, and the dual occupancy v_n follows the renewal
-  recursion;
+  its pmf (formed without the subtraction, see gf_partial), and the dual
+  occupancy v_n follows the renewal recursion;
 * coverage probability: P(cover all of N) = (1 + sum_{n>=1} S_n)^(-1),
   so the truncated sum gives the rigorous upper endpoint
   hi = (1 + partial_sum)^(-1) for free, and any upper bound on the tail
@@ -34,18 +28,25 @@ Sites with alpha_i = 0 annihilate the Jensen product and are excluded
 from the concentration exponent (alpha^xi <= 1 on those coordinates keeps
 the inequality valid); all exponent products are accumulated in log space.
 
-The bracket's lo and concentration_lower share one tail bound (the
+The bracket's lo takes the first tail bound that applies in the chain of
+links of its ``tail`` choice (``_TAIL_CHAINS``): "auto" tries the
+provable-zero, concentration and geometric links in that order,
+"concentration" and "geometric-extrapolation" the zero link and then
+their own, "none" no link.  The zero link applies where S_N = 0
+provably: some q_i = 0 with i < m, m the number of zero alpha below N,
+and S is nonincreasing.  It gives lo = hi, reported as certified
+"geometric-extrapolation" even under "concentration".  The concentration
+link and bounds_report's concentration_lower share one tail bound (the
 concentration terms for n = N+1..secondary plus a geometric remainder)
 and are both (1 + head + tail)^(-1); they differ only in their head, the
 exact S_1..S_N against its per-term concentration bounds.  One evaluation
 builds alpha and that concentration series once for both (``_tables``),
 and evaluations of one law in a row share u and C_k.  That tail is
 certified only when summed to numerical exhaustion (last term and
-remainder below 1e-15 of 1 + head).  Geometric extrapolation of the last
-decade of S is reported with certified=False, except where S_N = 0
-provably: some q_i = 0 with i < m, m the number of zero alpha below N, so
-the tail is identically zero because S is nonincreasing.  An S_N that
-rounded to 0 gets a zero remainder, uncertified.
+remainder below 1e-15 of 1 + head).  The geometric link fits the last
+decade of S and is never certified; an S_N that rounded to 0 gets a
+zero remainder.  When no link applies, lo = 0 with tail_method "none"
+and the chain's fallback note (see percolation_probability).
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ from .renewal import (
 TAIL_CONCENTRATION = "concentration"
 TAIL_GEOMETRIC = "geometric-extrapolation"
 TAIL_NONE = "none"
-_TAIL_CHOICES = ("auto", TAIL_CONCENTRATION, TAIL_GEOMETRIC, TAIL_NONE)
 
 VERDICT_EXTINCT_INFINITE_MEAN = "extinct-infinite-mean"
 VERDICT_EXTINCT_TAIL = "extinct-tail-evidence"
@@ -360,60 +360,72 @@ def _secondary_horizon(horizon: int, requested: Optional[int]) -> int:
     return check_at_least("secondary_horizon", requested, horizon + 1)
 
 
+def _zero_link(gf: GfTable, spec: QSequence, model: RadiusModel, secondary: int):
+    """lo = hi, certified, where S_N = 0 provably; any other S_N = 0 is underflow."""
+    if float(gf.S[gf.horizon]) == 0.0 and _series_vanishes(spec, model.alpha_array(gf.horizon)):
+        return _coverage(gf.S[1:]), True, TAIL_GEOMETRIC, ("series terms are exactly zero at the horizon",)
+    return None, False, TAIL_GEOMETRIC, ()
+
+
+def _concentration_link(gf: GfTable, spec: QSequence, model: RadiusModel, secondary: int):
+    """The concentration tail that bounds_report shares; a lower of None or 0.0 fails."""
+    terms = _tables(spec, model, gf.horizon, secondary)[2]
+    lower, certified, notes = _concentration_lower(terms, gf.horizon, gf.partial_sum)
+    return lower or None, certified, TAIL_CONCENTRATION, notes
+
+
+def _geometric_link(gf: GfTable, spec: QSequence, model: RadiusModel, secondary: int):
+    """The geometric continuation of S fitted over its last decade, never certified."""
+    remainder = _geometric_remainder(gf.S[1:])
+    if remainder is None:
+        return None, False, TAIL_GEOMETRIC, ()
+    lo = 1.0 / (1.0 + gf.partial_sum + remainder)
+    return lo, False, TAIL_GEOMETRIC, ("tail extrapolated from the last decade of S",)
+
+
+_NOT_DECAYING = "warning: series not decaying at the horizon; lower endpoint dropped to 0"
+_FAILED = "warning: concentration tail failed; lower endpoint dropped to 0"
+# tail choice -> (links tried in order, the note when none applies and lo drops to 0)
+_TAIL_CHAINS = {
+    "auto": ((_zero_link, _concentration_link, _geometric_link), _NOT_DECAYING),
+    TAIL_CONCENTRATION: ((_zero_link, _concentration_link), _FAILED),
+    TAIL_GEOMETRIC: ((_zero_link, _geometric_link), _NOT_DECAYING),
+    TAIL_NONE: ((), "no tail bound requested; lower endpoint is trivial"),
+}
+_TAIL_CHOICES = tuple(_TAIL_CHAINS)
+
+
 def percolation_probability(
-    gf: GfTable,
-    spec: QSequence,
-    model: RadiusModel,
-    tail: str = "auto",
-    *,
+    gf: GfTable, spec: QSequence, model: RadiusModel, tail: str = "auto", *,
     secondary_horizon: Optional[int] = None,
 ) -> PercolationBracket:
     """Two-sided bracket for the coverage probability from a series table.
 
-    hi = (1 + partial_sum)^(-1) always.  The lower endpoint subtracts a
-    tail bound chosen by ``tail``: "concentration" (preferred; rigorous
-    given the C_k inputs), "geometric-extrapolation" (heuristic, never
-    certified), "none" (lo = 0), or "auto" (concentration, then geometric,
-    then none, with every fallback recorded in notes).
+    hi = (1 + partial_sum)^(-1) always.  lo takes the first tail bound in
+    ``tail``'s chain that applies: "auto" (provable zero, concentration,
+    geometric), "concentration" (zero, then concentration: rigorous given
+    the C_k inputs), "geometric-extrapolation" (zero, then geometric:
+    heuristic, never certified) or "none" (no link).  Every link's notes
+    are kept.  When no link applies, lo = 0 with tail_method "none" and
+    the note "warning: concentration tail failed; lower endpoint dropped
+    to 0" under "concentration", "no tail bound requested; lower endpoint
+    is trivial" under "none", else "warning: series not decaying at the
+    horizon; lower endpoint dropped to 0".
     """
-    if tail not in _TAIL_CHOICES:
+    if tail not in _TAIL_CHAINS:
         raise ValidationError(f"tail must be one of {_TAIL_CHOICES}, got {tail!r}")
-    n = gf.horizon
-    secondary = _secondary_horizon(n, secondary_horizon)
-    hi = _coverage(gf.S[1:])
+    secondary = _secondary_horizon(gf.horizon, secondary_horizon)
+    links, fallback = _TAIL_CHAINS[tail]
     notes: list = []
-
-    def bracket(lo: float, method: str, certified: bool) -> PercolationBracket:
-        return PercolationBracket(
-            lo=lo, hi=hi, horizon=n, tail_method=method, certified=certified,
-            notes=tuple(notes),
-        )
-
-    if tail == TAIL_NONE:
-        notes.append("no tail bound requested; lower endpoint is trivial")
-        return bracket(0.0, TAIL_NONE, False)
-
-    # any other S_N = 0 is underflow
-    if float(gf.S[n]) == 0.0 and _series_vanishes(spec, model.alpha_array(n)):
-        notes.append("series terms are exactly zero at the horizon")
-        return bracket(hi, TAIL_GEOMETRIC, True)
-
-    if tail in ("auto", TAIL_CONCENTRATION):
-        terms = _tables(spec, model, n, secondary)[2]
-        lower, certified, extra = _concentration_lower(terms, n, gf.partial_sum)
+    for link in links:
+        lo, certified, method, extra = link(gf, spec, model, secondary)
         notes.extend(extra)
-        if lower:  # None or 0.0: unavailable or failed
-            return bracket(lower, TAIL_CONCENTRATION, certified)
-        if tail == TAIL_CONCENTRATION:
-            notes.append("warning: concentration tail failed; lower endpoint dropped to 0")
-            return bracket(0.0, TAIL_NONE, False)
-
-    remainder = _geometric_remainder(gf.S[1:])
-    if remainder is None:
-        notes.append("warning: series not decaying at the horizon; lower endpoint dropped to 0")
-        return bracket(0.0, TAIL_NONE, False)
-    notes.append("tail extrapolated from the last decade of S")
-    return bracket(1.0 / (1.0 + gf.partial_sum + remainder), TAIL_GEOMETRIC, False)
+        if lo is not None:
+            break
+    else:
+        lo, certified, method = 0.0, False, TAIL_NONE
+        notes.append(fallback)
+    return PercolationBracket(lo, _coverage(gf.S[1:]), gf.horizon, method, certified, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -437,11 +449,7 @@ class BoundsReport:
 
 
 def bounds_report(
-    spec: QSequence,
-    model: RadiusModel,
-    horizon: int,
-    fkg: Optional[bool] = None,
-    *,
+    spec: QSequence, model: RadiusModel, horizon: int, fkg: Optional[bool] = None, *,
     secondary_horizon: Optional[int] = None,
 ) -> BoundsReport:
     """Evaluate the Jensen, FKG, and concentration bounds by direct summation.
@@ -471,13 +479,10 @@ def bounds_report(
     if not pos[0]:  # alpha is a CDF: any zero alpha below N means alpha_0 = 0
         notes = ("jensen_upper is vacuous (1.0): alpha_0 = 0 zeroes every Jensen term", *notes)
 
-    iid_closed = None
-    if isinstance(spec, ConstantQ) and spec.q < 1.0:
-        iid_closed = _coverage(_iid_series(spec.q, alph))
-
+    iid = isinstance(spec, ConstantQ) and spec.q < 1.0
     return BoundsReport(
         jensen_upper=jensen_upper, fkg_upper=fkg_upper, concentration_lower=concentration_lower,
-        iid_closed=iid_closed, horizon=n, notes=notes,
+        iid_closed=_coverage(_iid_series(spec.q_at(0), alph)) if iid else None, horizon=n, notes=notes,
     )
 
 

@@ -2,6 +2,7 @@
 
 import math
 import numbers
+from typing import Mapping
 
 
 class RenewpercError(Exception):
@@ -51,3 +52,18 @@ def check_float(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def check_fragment(fragment, keys: Mapping, noun: str, family_noun: str) -> str:
+    """The family of a ``noun`` fragment ("q-spec") checked against keys[family] = (required, optional)."""
+    if not isinstance(fragment, Mapping):
+        raise ValidationError(f"{noun} fragment must be a mapping, got {type(fragment).__name__}")
+    family = fragment.get("family")
+    if family not in keys:
+        raise ValidationError(f"unknown {family_noun} family {family!r}; expected one of {tuple(keys)}")
+    required, optional = keys[family]
+    if extra := set(fragment) - {"family", *required, *optional}:
+        raise ValidationError(f"unknown keys in {noun} fragment: {sorted(extra)}")
+    if missing := [key for key in required if key not in fragment]:
+        raise ValidationError(f"{noun} fragment for {family!r} is missing keys {missing}")
+    return family

@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import ValidationError, check_at_least, check_float
+from .errors import ValidationError, check_at_least, check_float, check_fragment
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,18 +222,7 @@ def radius_from_config(fragment: Mapping) -> RadiusModel:
         {"family": "table", "p": [...]}
         {"family": "infinite"}
     """
-    if not isinstance(fragment, Mapping):
-        raise ValidationError(f"radius fragment must be a mapping, got {type(fragment).__name__}")
-    family = fragment.get("family")
-    if family not in _R_KEYS:
-        raise ValidationError(f"unknown radius family {family!r}; expected one of {tuple(_R_KEYS)}")
-    required, optional = _R_KEYS[family]
-    extra = set(fragment) - {"family", *required, *optional}
-    if extra:
-        raise ValidationError(f"unknown keys in radius fragment: {sorted(extra)}")
-    missing = [key for key in required if key not in fragment]
-    if missing:
-        raise ValidationError(f"radius fragment for {family!r} is missing keys {missing}")
+    family = check_fragment(fragment, _R_KEYS, "radius", "radius")
     if family == "geometric_tail":
         return GeometricTailRadius(r=fragment["r"])
     if family == "power_tail":

@@ -29,7 +29,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from .errors import ValidationError, check_at_least, check_float
+from .errors import ValidationError, check_at_least, check_float, check_fragment
 
 # Climb probabilities are capped strictly below 1 so the chain cannot get
 # absorbed (q_i = 1 would make T defective, which the model excludes).
@@ -217,18 +217,7 @@ def q_sequence_from_config(fragment: Mapping) -> QSequence:
 
     Unknown keys are rejected.
     """
-    if not isinstance(fragment, Mapping):
-        raise ValidationError(f"q-spec fragment must be a mapping, got {type(fragment).__name__}")
-    family = fragment.get("family")
-    if family not in _Q_KEYS:
-        raise ValidationError(f"unknown q family {family!r}; expected one of {tuple(_Q_KEYS)}")
-    required, optional = _Q_KEYS[family]
-    extra = set(fragment) - {"family", *required, *optional}
-    if extra:
-        raise ValidationError(f"unknown keys in q-spec fragment: {sorted(extra)}")
-    missing = [key for key in required if key not in fragment]
-    if missing:
-        raise ValidationError(f"q-spec fragment for {family!r} is missing keys {missing}")
+    family = check_fragment(fragment, _Q_KEYS, "q-spec", "q")
     if family == "constant":
         return ConstantQ(q=fragment["q"])
     if family == "markov":

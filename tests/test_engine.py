@@ -508,6 +508,69 @@ def test_bracket_rejects_unknown_tail():
         percolation_probability(gf, ConstantQ(0.5), InfiniteRadius(), tail="bogus")
 
 
+def _power(c, gamma):
+    return PowerLawTailRadius(c, gamma, 1)
+
+
+_UNAVAILABLE = "concentration bound unavailable: alpha identically zero"
+_NO_DECAY = "concentration tail terms show no decay at the secondary horizon"
+_OVERFLOW = "concentration terms overflow (exploding C_k)"
+_EXTRAPOLATED = "tail extrapolated from the last decade of S"
+_NOT_DECAYING = "warning: series not decaying at the horizon; lower endpoint dropped to 0"
+_FAILED = "warning: concentration tail failed; lower endpoint dropped to 0"
+_ZERO = ("series terms are exactly zero at the horizon",)
+_FAILURES = [
+    (ConstantQ(0.05), InfiniteRadius(), _UNAVAILABLE),
+    (ConstantQ(0.05), GeometricTailRadius(0.9), _NO_DECAY),
+    (ConstantQ(0.6), _power(10, 0.5), _OVERFLOW),
+]
+
+
+# every outcome of every tail choice, on lumped laws (no BLAS in the series)
+@pytest.mark.parametrize(
+    "spec, model, horizon, tail, outcome",
+    [
+        (ConstantQ(0.05), _power(3, 0.5), 1, "auto", (TAIL_CONCENTRATION, True, ())),
+        (ConstantQ(0.05), _power(3, 0.5), 1, "concentration", (TAIL_CONCENTRATION, True, ())),
+        (ConstantQ(0.05), _power(3, 0.5), 7, "geometric", (TAIL_GEOMETRIC, False, (_EXTRAPOLATED,))),
+        (ConstantQ(0.05), _power(3, 0.5), 1, "geometric", (TAIL_NONE, False, (_NOT_DECAYING,))),
+        (ConstantQ(0.05), _power(3, 0.5), 1, "none",
+         (TAIL_NONE, False, ("no tail bound requested; lower endpoint is trivial",))),
+        *[
+            (ConstantQ(0.05), _power(10, 0.5), 3000, tail,
+             (TAIL_CONCENTRATION, True, ("tail terms vanish within the secondary horizon",)))
+            for tail in ("auto", "concentration")
+        ],
+        *[
+            (ConstantQ(0.05), _power(3, 1), 1, tail,
+             (TAIL_CONCENTRATION, False, ("tail completed geometrically beyond the secondary horizon",)))
+            for tail in ("auto", "concentration")
+        ],
+        *[
+            row
+            for spec, model, note in _FAILURES
+            for row in (
+                (spec, model, 7, "auto", (TAIL_GEOMETRIC, False, (note, _EXTRAPOLATED))),
+                (spec, model, 1, "auto", (TAIL_NONE, False, (note, _NOT_DECAYING))),
+                (spec, model, 1, "concentration", (TAIL_NONE, False, (note, _FAILED))),
+            )
+        ],
+        *[
+            (ConstantQ(0.0), _power(3, 0.5), 1, tail, (TAIL_GEOMETRIC, True, _ZERO))
+            for tail in ("auto", "concentration", "geometric")
+        ],
+    ],
+)
+def test_bracket_outcomes_are_pinned(spec, model, horizon, tail, outcome):
+    tail = TAIL_GEOMETRIC if tail == "geometric" else tail
+    bracket = percolation_probability(gf_partial(spec, model, horizon), spec, model, tail)
+    assert (bracket.tail_method, bracket.certified, bracket.notes) == outcome
+    if outcome[2] == _ZERO:
+        assert bracket.lo == bracket.hi
+    if tail == TAIL_NONE:
+        assert bracket.lo == 0.0
+
+
 def test_bracket_nesting_across_horizons_iid():
     # honesty check: a coarse bracket must contain the tighter one
     model = PowerLawTailRadius(c=3.0, gamma=1.0, n0=1)
@@ -627,6 +690,10 @@ def test_bounds_iid_closed_only_for_constant_marks():
     assert const.jensen_upper >= const.iid_closed
     other = bounds_report(MarkovQ(0.3, 0.6), model, 100)
     assert other.iid_closed is None
+    # above Q_CAP the closed product clamps q as the series does
+    spec, model = ConstantQ(1 - 1e-13), PowerLawTailRadius(3, 1, 1)
+    bracket = percolation_probability(gf_partial(spec, model, 200), spec, model)
+    assert bounds_report(spec, model, 200).iid_closed == bracket.hi
 
 
 def test_bounds_concentration_degenerates_when_ck_grows():
