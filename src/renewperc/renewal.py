@@ -261,9 +261,16 @@ def survival_products(spec: QSequence, n: int) -> np.ndarray:
     """P(T > 0), ..., P(T > n): the partial products prod_{i<k} q_i, k = 0..n."""
     n = check_at_least("n", n, 0)
     out = np.empty(n + 1)
-    out[0] = 1.0
-    if n > 0:
-        np.cumprod(spec.q_array(n), out=out[1:])
+    out[0], out[1:] = 1.0, spec.q_array(n)
+    # a doubling prefix carries out[lo] in, as one cumprod does; a product p
+    # with p * min(q) == p stays p, as q <= 1, so a stalled subnormal tail is filled
+    lo, hi, tiny = 0, min(64, n), np.finfo(float).tiny
+    while lo < n:
+        np.cumprod(out[lo : hi + 1], out=out[lo : hi + 1])
+        if out[hi] < tiny and out[hi] * out[hi + 1 :].min(initial=1.0) == out[hi]:
+            out[hi + 1 :] = out[hi]
+            break
+        lo, hi = hi, min(2 * hi, n)
     return out
 
 

@@ -15,16 +15,18 @@ which makes stochastic dominance between radius models hold pathwise
 under a shared seed.  Coupling chunks (``coupling-v1``) draw one uniform per step
 and replicate, step-major.
 
-The kernels keep one value per replicate of a chunk in each state row, so
-each site of a path is a few in-place ufuncs on contiguous rows.  The
-walk's radius, reach and relay rows hold unsigned integers of the
-narrowest type that holds 2 max(n), which is exact because radii are
-capped at max(n); a layout id says nothing of that type.  The mark chain's
-row is its height, or for a two-state law (ConstantQ, MarkovQ) one climb
-flag, read off the same uniforms with the same bits.  How many
-sites or steps one rng call draws is not part of the stream.  Chunks may
-run concurrently, on one thread pool per process sized to the CPUs it may
-use; a chunk writes only its own replicates, so no report depends on it.
+A worker lays its chunks side by side, each at its exact width, and keeps
+one value per replicate of them in each state row, so each site of a path
+is a few in-place ufuncs on contiguous rows however many chunks it holds;
+each chunk draws its rows into its own columns.  The walk's radius, reach
+and relay rows hold unsigned integers of the narrowest type that holds
+2 max(n), which is exact because radii are capped at max(n); a layout id
+says nothing of that type.  The mark chain's row is its height, or for a
+two-state law (ConstantQ, MarkovQ) one climb flag, read off the same
+uniforms with the same bits.  Which chunks share a row is not part of the
+stream.  Workers run concurrently, on one thread pool per process sized
+to the CPUs it may use; a chunk writes only its own replicates, so no
+report depends on them.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ from .radius import RadiusModel
 from .renewal import QSequence, _two_state
 
 CHUNK = 8192
-_STEP_BLOCK = 8  # coupling steps drawn per rng call; not part of the stream
-_SITE_TILE = 8  # sites drawn per rng call; not part of the stream
-# below this many replicate-rows a call runs inline: its chunks hand the
-# interpreter lock back and forth more than their numpy calls overlap
+# below this many replicate-rows a call runs inline: on 2 vCPUs two workers
+# ran verify's 2 x 10^4-replicate, 8-site walks at x0.78-0.97 of one worker,
+# though walks of 0.4M-4M replicate-sites gained x1.03-1.50 (the gate is kept)
 _THREAD_MIN = 1 << 22
+_ROW_CHUNKS = 8  # chunks per row at most, so a worker's rows stay a few MB whatever reps
 # the CPUs this process may run on (no sched_getaffinity on macOS or Windows)
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _LAYOUTS = {"connectivity": f"conn-v2/chunk={CHUNK}", "dual": f"dual-v2/chunk={CHUNK}"}
@@ -119,25 +121,35 @@ if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none
     os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
-def _in_chunks(reps: int, rows: int, kernel, buffers) -> None:
-    """Run ``kernel(ci, size, *bufs)`` on every chunk of ``reps`` replicates of ``rows`` rows.
+def _in_chunks(reps: int, rows: int, seed: int, kernel) -> None:
+    """Run ``kernel(width, chunks)`` on the chunks of ``reps`` replicates of ``rows`` rows.
 
-    Worker w of W = min(CPUs, chunks) runs chunks w, w + W, ... with one
-    ``bufs = buffers()``; worker 0 is the calling thread, the rest use the
-    thread pool, and W = 1 below _THREAD_MIN replicate-rows.  A kernel reads
-    only its chunk's generator and writes only its chunk's replicates, so
-    the result does not depend on W.
+    Worker w of W = min(CPUs, chunks) takes chunks w, w + W, ... and makes
+    one kernel call per _ROW_CHUNKS of them, which walks them side by side
+    as one row of ``width`` columns, each chunk at its exact width:
+    ``chunks`` lists each one's generator, its columns in the row and its
+    replicates.  Worker 0 is the calling thread, the rest use the thread
+    pool, and W = 1 below _THREAD_MIN replicate-rows.  A kernel draws a
+    chunk's uniforms only from its generator into its columns and writes
+    only its replicates, so the result depends on neither W nor which chunks share a row.
     """
-    chunks = [(c // CHUNK, min(CHUNK, reps - c)) for c in range(0, reps, CHUNK)]
-    workers = min(_CPUS, len(chunks)) if rows * reps >= _THREAD_MIN else 1
+    starts = range(0, reps, CHUNK)
+    workers = min(_CPUS, len(starts)) if rows * reps >= _THREAD_MIN else 1
 
-    def run(w, bufs):
-        for ci, size in chunks[w::workers]:
-            kernel(ci, size, *bufs)
+    def run(w):
+        mine = starts[w::workers]
+        for row in range(0, len(mine), _ROW_CHUNKS):
+            chunks, width = [], 0
+            for first in mine[row : row + _ROW_CHUNKS]:
+                size = min(CHUNK, reps - first)
+                rng = _chunk_rng(seed, first // CHUNK)
+                chunks.append((rng, slice(width, width + size), slice(first, first + size)))
+                width += size
+            kernel(width, chunks)
 
-    futures = [_executor().submit(run, w, buffers()) for w in range(1, workers)]
+    futures = [_executor().submit(run, w) for w in range(1, workers)]
     try:
-        run(0, buffers())
+        run(0)
     finally:
         wait(futures)
     for future in futures:
@@ -183,6 +195,10 @@ def _walk(spec: QSequence, model: RadiusModel, ns, reps: int, seed: int, targets
     ``targets`` lists "connectivity", "dual" or both.  Site s is marked when
     its mark uniform exceeds q at the chain's height (see ``_climber``);
     each target updates its own state from the one draw of marks and radii.
+    At each site, a row of chunks (see ``_in_chunks``) draws each chunk's
+    mark row, then its radius row, from that chunk's generator into its
+    columns; ``quantile``, the climber and the updates then run once on the
+    whole row.
 
     Connectivity keeps ``reach``, the furthest endpoint s + R_s of the
     intervals opened at covered marked sites; site s is covered when
@@ -218,62 +234,56 @@ def _walk(spec: QSequence, model: RadiusModel, ns, reps: int, seed: int, targets
         return out
     rows_at = {n: [row for row, m in enumerate(ns) if m == n] for n in ns}
     climber, row_types = _climber(spec, top + 1)  # heights stay below top
-    width, ints = min(reps, CHUNK), np.min_scalar_type(2 * top)
+    ints = np.min_scalar_type(2 * top)
 
-    def buffers():  # uniforms; tip and each target's state; two bool rows; the climber's rows
-        return (np.empty(min(top, _SITE_TILE) * 2 * width), np.empty((1 + len(targets), width), ints),
-                np.empty((2, width), dtype=bool), *(np.empty(width, dtype=t) for t in row_types))
-
-    def chunk(ci, size, tile, int_rows, flags, *rows):
-        rng = _chunk_rng(seed, ci)
-        tip, *states = int_rows[:, :size]  # a state is the reach or the relay's last
-        climb, hit = flags[:, :size]
-        rows = [a[:size] for a in rows]
-        walks = list(zip(targets, states, out[:, :, ci * CHUNK : ci * CHUNK + size]))
-        rng.random(out=tile[:size])  # site 0's radii, which only connectivity reads
+    def walk(width, chunks):
+        marks, radii = np.empty((2, width))  # one site's uniforms
+        radius = radii.view(ints)[:width]  # the capped radii overwrite their uniforms
+        tip, *states = np.empty((1 + len(targets), width), ints)  # a state is the reach or the relay's last
+        climb, hit = np.empty((2, width), dtype=bool)
+        rows = [np.empty(width, dtype=t) for t in row_types]
+        walks = list(zip(targets, states, out))
+        draws = [(rng.random, row[cols]) for rng, cols, _ in chunks for row in (marks, radii)]
+        for draw, uniforms in draws[1::2]:  # site 0's radii, which only connectivity reads
+            draw(out=uniforms)
         for target, state, _ in walks:
             if target == "connectivity":
-                np.minimum(model.quantile(tile[:size]), top, out=state, casting="unsafe")
+                np.minimum(model.quantile(radii), top, out=state, casting="unsafe")
             else:
                 state.fill(0)
         climb.fill(False)  # site 0 is marked: its chain is at height 0
         if rows:  # the heights
             rows[0].fill(0)
-        for first in range(1, top + 1, _SITE_TILE):
-            block = tile[: min(_SITE_TILE, top + 1 - first) * 2 * size].reshape(-1, 2, size)
-            rng.random(out=block)
-            radii = block[:, 1].view(ints)[:, :size]  # the capped radii overwrite their uniforms
-            np.minimum(model.quantile(block[:, 1]), top, out=radii, casting="unsafe")
-            for s, uniforms, radius in zip(range(first, top + 1), block[:, 0], radii):
-                climber(uniforms, climb, hit, *rows)
-                for target, state, hits in walks:  # hit > climb: hit and site s marked
-                    if target == "connectivity":
-                        np.greater(np.greater_equal(state, s, out=hit), climb, out=hit)
-                        np.multiply(radius, hit, out=tip)
-                        tip += s
-                    else:
-                        np.greater_equal(np.add(radius, state, out=tip), s, out=hit)
-                        np.greater(hit, climb, out=hit)
-                        np.copyto(tip, hit)
-                        tip *= s
-                    np.maximum(state, tip, out=state)
-                    if s in rows_at:
-                        hits[rows_at[s]] = hit
+        for s in range(1, top + 1):
+            for draw, uniforms in draws:  # each chunk's mark row, then its radius row
+                draw(out=uniforms)
+            np.minimum(model.quantile(radii), top, out=radius, casting="unsafe")
+            climber(marks, climb, hit, *rows)
+            for target, state, hits in walks:  # hit > climb: hit and site s marked
+                if target == "connectivity":
+                    np.greater(np.greater_equal(state, s, out=hit), climb, out=hit)
+                    np.multiply(radius, hit, out=tip)
+                    tip += s
+                else:
+                    np.greater_equal(np.add(radius, state, out=tip), s, out=hit)
+                    np.greater(hit, climb, out=hit)
+                    np.copyto(tip, hit)
+                    tip *= s
+                np.maximum(state, tip, out=state)
+                if s in rows_at:
+                    for _, cols, replicates in chunks:
+                        hits[rows_at[s], replicates] = hit[cols]
 
-    _in_chunks(reps, top, chunk, buffers)
+    _in_chunks(reps, top, seed, walk)
     return out
 
 
-def connectivity_successes(
-    spec: QSequence, model: RadiusModel, n: int, reps: int, seed: int
-) -> np.ndarray:
+def connectivity_successes(spec: QSequence, model: RadiusModel, n: int, reps: int, seed: int) -> np.ndarray:
     """Per-replicate success indicators of the event {0 <-> n} (see ``_walk``)."""
     return _walk(spec, model, [n], reps, seed, ("connectivity",))[0, 0]
 
 
-def dual_successes(
-    spec: QSequence, model: RadiusModel, n: int, reps: int, seed: int
-) -> np.ndarray:
+def dual_successes(spec: QSequence, model: RadiusModel, n: int, reps: int, seed: int) -> np.ndarray:
     """Per-replicate indicators of {Y_n = 1} under the relay gap rule (see ``_walk``)."""
     return _walk(spec, model, [n], reps, seed, ("dual",))[0, 0]
 
@@ -306,31 +316,25 @@ def _sim_reports(targets, spec: QSequence, model: RadiusModel, ns, reps: int, se
     return [_report(t, n, row, seed) for t, rows in zip(targets, successes) for n, row in zip(ns, rows)]
 
 
-def simulate_connectivity(
-    spec: QSequence, model: RadiusModel, n: int, reps: int, seed: int
-) -> SimReport:
+def simulate_connectivity(spec: QSequence, model: RadiusModel, n: int, reps: int, seed: int) -> SimReport:
     """Unbiased estimate of P(0 <-> n) with Wilson 95% uncertainty."""
     return _report("connectivity", n, connectivity_successes(spec, model, n, reps, seed), seed)
 
 
-def simulate_dual(
-    spec: QSequence, model: RadiusModel, n: int, reps: int, seed: int
-) -> SimReport:
+def simulate_dual(spec: QSequence, model: RadiusModel, n: int, reps: int, seed: int) -> SimReport:
     """Unbiased estimate of P(Y_n = 1) with Wilson 95% uncertainty."""
     return _report("dual", n, dual_successes(spec, model, n, reps, seed), seed)
 
 
-def coalescence_times(
-    spec: QSequence, delays, horizon: int, reps: int, seed: int
-) -> np.ndarray:
+def coalescence_times(spec: QSequence, delays, horizon: int, reps: int, seed: int) -> np.ndarray:
     """First time all chains started at the given delays renew together.
 
     All chains share one uniform per step (chain d climbs iff U <= q at
     its own height, see ``_climber``), so chains that meet stay merged.  Returns 0 for
     replicates still uncoalesced at the horizon (censored).  Chains are
-    stored delay-major, ``(delays, replicates)``; a chunk stops drawing
-    once all its replicates have coalesced, since the rest of its stream
-    cannot change tau.
+    stored delay-major, ``(delays, replicates)``; a row of chunks (see
+    ``_in_chunks``) stops drawing once all its replicates have coalesced,
+    since the rest of their streams cannot change tau.
     """
     delays = tuple(check_int("delays", d) for d in delays)
     if len(delays) == 0:
@@ -341,29 +345,22 @@ def coalescence_times(
     seed = check_at_least("seed", seed, 0)
     climber, row_types = _climber(spec, horizon + max(delays) + 1)
     out = np.zeros(reps, dtype=np.int64)
-    width = min(reps, CHUNK)
     start = np.array(delays, dtype=np.intp)[:, None]
-    chains = len(delays) * width
 
-    def buffers():  # steps, climbs of every chain, two flag rows, then the climber's rows
-        return (np.empty(min(horizon, _STEP_BLOCK) * width), np.empty(chains, dtype=bool),
-                np.empty((2, width), dtype=bool), *(np.empty(chains, dtype=t) for t in row_types))
-
-    def chunk(ci, size, steps, climbs, flags, *rows):
-        rng = _chunk_rng(seed, ci)
-        tau = out[ci * CHUNK : ci * CHUNK + size]
-        climb, *rows = (a[: len(delays) * size].reshape(-1, size) for a in (climbs, *rows))
-        fresh, done = flags[:, :size]
+    def coalesce(width, chunks):
+        uniforms = np.empty(width)  # one step's
+        climb, *rows = (np.empty((len(delays), width), dtype=t) for t in (bool, *row_types))
+        fresh, done = np.empty((2, width), dtype=bool)
+        tau = np.zeros(width, dtype=np.min_scalar_type(horizon))
+        draws = [(rng.random, uniforms[cols]) for rng, cols, _ in chunks]
         np.greater(start, 0, out=climb)  # a chain above height 0 did not just renew
         if rows:  # the heights
             np.copyto(rows[0], start)
         done.fill(False)
         for step in range(1, horizon + 1):
-            row = (step - 1) % _STEP_BLOCK
-            if row == 0:
-                block = steps[: min(_STEP_BLOCK, horizon + 1 - step) * size].reshape(-1, size)
-                rng.random(out=block)
-            climber(block[row], climb, fresh, *rows)  # fresh is free until the reduce
+            for draw, row in draws:
+                draw(out=row)
+            climber(uniforms, climb, fresh, *rows)  # fresh is free until the reduce
             np.logical_or.reduce(climb, axis=0, out=fresh)
             fresh |= done
             np.logical_not(fresh, out=fresh)
@@ -371,14 +368,14 @@ def coalescence_times(
             done |= fresh
             if done.all():
                 break
+        for _, cols, replicates in chunks:
+            out[replicates] = tau[cols]
 
-    _in_chunks(reps, horizon * len(delays), chunk, buffers)
+    _in_chunks(reps, horizon * len(delays), seed, coalesce)
     return out
 
 
-def simulate_coupling(
-    spec: QSequence, delays, horizon: int, reps: int, seed: int
-) -> CouplingReport:
+def simulate_coupling(spec: QSequence, delays, horizon: int, reps: int, seed: int) -> CouplingReport:
     """Survival curve of the coalescence time of delayed chains.
 
     With delays {0, l} this is the pairwise coalescence time; with delays
@@ -391,14 +388,9 @@ def simulate_coupling(
     counts = np.bincount(taus, minlength=horizon + 1)
     # censored replicates (tau = 0) survive every j; the rest survive j <= tau
     at_least = counts[0] + np.cumsum(counts[:0:-1])[::-1]
-    survival = np.empty(len(j_grid))
-    lo = np.empty_like(survival)
-    hi = np.empty_like(survival)
-    se = np.empty_like(survival)
-    for idx, k in enumerate(at_least.tolist()):
-        survival[idx] = k / reps
-        se[idx] = math.sqrt(survival[idx] * (1.0 - survival[idx]) / reps)
-        lo[idx], hi[idx] = wilson_interval(k, reps)
+    survival = at_least / reps
+    se = np.sqrt(survival * (1.0 - survival) / reps)
+    lo, hi = map(np.array, zip(*(wilson_interval(k, reps) for k in at_least.tolist())))
     kmax = max(delays)
     window = survival[: min(kmax, horizon)]
     sum_sq = float(window.sum()) ** 2 if kmax >= 1 else 0.0

@@ -114,6 +114,21 @@ def test_scalar_only_subclass_gets_its_array():
         QSequence().q_array(3)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ConstantQ(0.6),  # stalls at 5e-324 from index 1457
+        ConstantQ(0.5),  # the product ties to 0
+        PolynomialMonotoneQ(0.25),  # stalls at 1.5e-323 from index 3972
+        TableQ((0.6,) * 3000 + (0.3,)),  # stalls, then q drops below 1/2 and the product reaches 0
+    ],
+)
+def test_survival_products_are_one_sequential_cumprod(spec):
+    for n in (0, 1, 63, 64, 65, 1500, 10**4):
+        expected = np.concatenate([[1.0], np.cumprod(spec.q_array(n))])
+        assert survival_products(spec, n).tobytes() == expected.tobytes(), n
+
+
 def test_interarrival_constant_half():
     summary = interarrival(ConstantQ(0.5), 200, tol=1e-16)
     # P(T=3) = q^2 (1-q) = 0.125, E T = 1/(1-q) = 2

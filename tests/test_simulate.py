@@ -5,6 +5,7 @@ import os
 import select
 import signal
 import sys
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -413,7 +414,7 @@ RAGGED_ERROR = ValueError("no radius for the ragged chunk")
 @dataclass(frozen=True)
 class _RaggedChunkFails(GeometricTailRadius):
     def quantile(self, u):
-        if np.shape(u)[-1] == RAGGED_REPS % CHUNK:
+        if np.shape(u)[-1] % CHUNK == RAGGED_REPS % CHUNK:  # the row that holds the ragged chunk
             raise RAGGED_ERROR
         return super().quantile(u)
 
@@ -427,6 +428,29 @@ def test_a_chunk_error_reaches_the_caller(workers, count):
             _walk(HAND_SPEC, _RaggedChunkFails(0.7), [12], RAGGED_REPS, STREAM_SEED, targets)
         assert caught.value is RAGGED_ERROR
     assert _walk_digest() == expected  # the pool still serves the next walk
+
+
+@pytest.mark.parametrize("count", (1, 2))
+def test_chunks_per_row_do_not_change_the_bits(workers, monkeypatch, count):
+    workers(count)
+    expected = _walk_digest()
+    for chunks in (1, 3):  # every chunk a row of its own; rows of three chunks and of one
+        monkeypatch.setattr(simulate, "_ROW_CHUNKS", chunks)
+        assert _walk_digest() == expected
+
+
+@pytest.mark.parametrize("count", (1, 2))
+def test_the_walk_of_a_long_deck_stays_small(workers, count):
+    # the connectivity and relay walk of the mc-long benchmark's sizes, about
+    # 4 MB; drawing 8 sites per rng call across a row of 8 chunks takes twice that
+    workers(count)
+    tracemalloc.start()
+    try:
+        _walk(MarkovQ(0.22, 0.35), PowerLawTailRadius(4, 1, 1), [50, 100, 200], 100_000, 3, BOTH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
