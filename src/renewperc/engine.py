@@ -296,18 +296,19 @@ def _ck(spec: QSequence, secondary: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _tables(spec: QSequence, model: RadiusModel, horizon: int, secondary: int) -> tuple:
-    """Read-only (alpha_0..alpha_{secondary-1}, u_0..u_N, concentration terms).
+    """Read-only (alpha_0..alpha_{secondary-1}, u_0..u_N, concentration terms, lam).
 
     The terms bound S_n <= prod alpha_i^(u_{i+1}) * exp(C_n sum_i (log alpha_i)^2)
-    for n = 1..secondary, excluding alpha_i = 0 coordinates; they are None
-    when every alpha is zero (C_k is then never built).  Beyond u_N the
+    for n = 1..secondary, excluding alpha_i = 0 coordinates, and lam_n is
+    the log of the first factor; both are None when every alpha is zero
+    (C_k is then never built).  Beyond u_N the
     exponent uses u_lb = min(window) - spread(window), a lower bound on
     the renewal probabilities, which only weakens the bound.
     """
     alph = model.alpha_array(secondary)
     u = _renewal_u(spec, horizon)
     pos = alph > 0.0
-    terms = None
+    terms = lam = None
     if pos.any():
         log_a = np.zeros(secondary)
         log_a[pos] = np.log(alph[pos])
@@ -315,11 +316,11 @@ def _tables(spec: QSequence, model: RadiusModel, horizon: int, secondary: int) -
         u_lb = max(0.0, float(window.min()) - float(window.max() - window.min()))
         weights = np.full(secondary, u_lb)
         weights[:horizon] = u[1:]
-        lam = np.cumsum(weights * log_a)
+        lam = _frozen(np.cumsum(weights * log_a))
         sig = np.cumsum(log_a * log_a)
         with np.errstate(over="ignore"):
             terms = _frozen(np.exp(lam + _ck(spec, secondary) * sig))
-    return _frozen(alph), u, terms
+    return _frozen(alph), u, terms, lam
 
 
 def _concentration_lower(terms, horizon: int, head_sum: Optional[float] = None):
@@ -463,20 +464,18 @@ def bounds_report(
     monotone = spec.is_monotone
     if fkg is True and not monotone:
         raise MonotonicityError("FKG bound requires a nondecreasing q sequence")
-    alph, u, terms = _tables(spec, model, n, secondary)
+    alph, u, terms, lam = _tables(spec, model, n, secondary)
     alph = alph[:n]
-    pos = alph > 0.0
-    with np.errstate(divide="ignore"):
-        log_a_full = np.where(pos, np.log(np.where(pos, alph, 1.0)), -np.inf)
-    with np.errstate(invalid="ignore"):
-        jensen_upper = _coverage(np.exp(np.cumsum(u[1:] * log_a_full)))
+    # alpha is a CDF: alpha_0 > 0 makes every alpha positive, and alpha_0 = 0
+    # zeroes every Jensen term
+    jensen_upper = _coverage(np.exp(lam[:n])) if alph[0] > 0.0 else 1.0
 
     fkg_upper = None
     if fkg is True or (fkg is None and monotone):
         fkg_upper = _coverage(np.cumprod(1.0 - u[1:] * (1.0 - alph)))
 
     concentration_lower, _, notes = _concentration_lower(terms, n)
-    if not pos[0]:  # alpha is a CDF: any zero alpha below N means alpha_0 = 0
+    if alph[0] == 0.0:
         notes = ("jensen_upper is vacuous (1.0): alpha_0 = 0 zeroes every Jensen term", *notes)
 
     iid = isinstance(spec, ConstantQ) and spec.q < 1.0
@@ -491,9 +490,9 @@ def forward_connectivity(spec: QSequence, model: RadiusModel, n: int) -> float:
 
     Exact dynamic program over (house-of-cards height, reach excess),
     where the reach excess is the furthest interval endpoint minus the
-    current site, capped by the radius support bound m.  O(n^2 m^2) time.
-    Requires bounded radius support; unbounded models should go through
-    the series/dual path instead.
+    current site, capped by the radius support bound m.  One array step
+    per site, O(n^2 m) time.  Requires bounded radius support; unbounded
+    models should go through the series/dual path instead.
     """
     n = check_at_least("n", n, 0)
     m = model.support_bound
@@ -506,27 +505,19 @@ def forward_connectivity(spec: QSequence, model: RadiusModel, n: int) -> float:
         return 1.0
     pR = model.pmf_array()
     cdf = np.cumsum(pR)
-    q = spec.q_array(n)
+    q = spec.q_array(n)[:, None]
+    # W[s, e]: s sites since the last mark, reach e sites ahead; a site
+    # with e = 0 is uncovered, so only the columns W[:, 1:] live on
     W = np.zeros((n + 1, m + 1))
-    W[0, :] = pR
-    for j in range(1, n + 1):
-        new = np.zeros_like(W)
-        for s in range(j):
-            row = W[s, 1:]
-            if not row.any():
-                continue
-            qs = q[s]
-            if m >= 1:
-                new[s + 1, : m] += row * qs
-            marked = row * (1.0 - qs)
-            for ei in range(1, m + 1):
-                mass = marked[ei - 1]
-                if mass == 0.0:
-                    continue
-                new[0, ei - 1] += mass * cdf[ei - 1]
-                new[0, ei:] += mass * pR[ei:]
-        W = new
-    return float(W[0, :].sum())
+    W[0] = pR
+    for j in range(1, n + 1):  # before site j, only heights s < j carry weight
+        live = W[:j, 1:]
+        marked = (live * (1.0 - q[:j])).sum(axis=0)  # by the reach carried in
+        W[1 : j + 1, :m] = live * q[:j]
+        W[0, :m] = marked * cdf[:m]  # the new radius falls short of the reach
+        W[0, m] = 0.0
+        W[0, 1:] += pR[1:] * np.cumsum(marked)  # the new radius reaches further
+    return float(W[0].sum())
 
 
 @dataclass(frozen=True)

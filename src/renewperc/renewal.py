@@ -415,7 +415,7 @@ def renewal_solve(f: np.ndarray, mult=None) -> np.ndarray:
     rev = np.zeros(_BLOCK)  # rev[_BLOCK - 1 - k] = f_k for k < _BLOCK
     rev[_BLOCK - 1 - min(K, _BLOCK - 1) :] = kernel[_BLOCK - 1 :: -1]
     # dots[i](x) = f_i x_0 + ... + f_1 x_{i-1}, the in-block sum at offset i
-    dots = [rev[_BLOCK - 1 - i : _BLOCK - 1].dot for i in range(_BLOCK)]
+    dots = [rev[_BLOCK - 1 - i : _BLOCK - 1].dot for i in range(min(_BLOCK, horizon + 1))]
     lifted = np.ldexp(np.concatenate((kernel, np.zeros((_GROUP + 1) * _BLOCK))), _LIFT)
     acc = np.zeros(horizon + _BLOCK)  # 2^_LIFT sum_k f_k g_{n-k} over the finished blocks
     inverse = None

@@ -597,6 +597,22 @@ def test_forward_matches_dual_at_larger_sites():
         assert forward_connectivity(spec, model, n) == pytest.approx(float(v[n]), abs=1e-12)
 
 
+@pytest.mark.parametrize("spec, m", [
+    (ConstantQ(0.3), 30),
+    (MarkovQ(0.3, 0.6), 20),
+    (TableQ((0.9, 0.2, 0.5)), 45),  # renewal form
+    (PolynomialMonotoneQ(0.25), 60),
+])
+def test_forward_matches_dual_past_the_gemm_groups(spec, m):
+    # the renewal kernel's v takes Toeplitz-block GEMMs past site 1024 and
+    # again past 2048; the DP knows nothing of them
+    pmf = np.linspace(0.2, 1.0, m + 1)
+    model = FiniteTableRadius(tuple(pmf / pmf.sum()))
+    v = dual_law(gf_partial(spec, model, 2049), spec, model).v
+    for n in (1025, 2049):
+        assert forward_connectivity(spec, model, n) == pytest.approx(float(v[n]), rel=1e-12, abs=0)
+
+
 def test_input_validation():
     with pytest.raises(ValidationError):
         gf_partial(ConstantQ(0.5), InfiniteRadius(), 0)

@@ -23,6 +23,7 @@ from renewperc import (
     enumerate_connectivity,
     enumerate_dual,
     enumerate_gf,
+    forward_connectivity,
     random_tiny_configs,
 )
 from renewperc import oracle
@@ -306,6 +307,17 @@ def test_dense_oracles_match_the_assignment_loops(spec, model, n, block):
     with mock.patch("renewperc.oracle._BLOCK", block):
         assert enumerate_connectivity(cfg) == _ref_connectivity(cfg)
         assert enumerate_dual(cfg) == _ref_dual(cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ORACLE_SPECS, st.one_of(st.just(FiniteTableRadius((1.0,))), _GAPPED_PMFS), st.integers(0, 6))
+def test_forward_dp_matches_the_oracle_on_edge_laws(spec, model, n):
+    # q in {0, 1e-300, Q_CAP}, support 0 and zero pmf entries, which the
+    # random batteries never draw
+    cfg = TinyConfig(spec, model, n)
+    assert forward_connectivity(spec, model, n) == pytest.approx(
+        enumerate_connectivity(cfg), abs=1e-14
+    )
 
 
 def test_oracle_memory_stays_at_one_vector_of_pairs():
