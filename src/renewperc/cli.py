@@ -157,26 +157,21 @@ def _float_tables() -> tuple:
     the first layout id; then each layout's mask over _F_TEMPLATE (0 prints
     a byte, 0xFF pads it).
 
-    For k >= 0, hi is 10**k rounded to a double and lo the remainder
-    rounded, both from exact integers, so hi + lo is 10**k to 2**-106
-    relative.  10**-k is the double-double reciprocal q + q r of that, with
-    r = 1 - q (hi + lo) formed exactly but for its last rounding, to about
-    2**-104 relative.  Layout ``(E + 4) * 17 + k - 1`` prints k significant
-    digits in fixed notation (E in [-4, 16]), layout
-    ``357 + 17 * (|E| >= 100) + k - 1`` in exponent notation, and
-    ``_F_LAYOUTS`` more add a minus sign.
+    With j = 16 - E, hi is 10**j rounded to a double and lo the remainder
+    10**j - hi rounded, both divisions of exact integers (int / int rounds
+    correctly), so hi + lo is 10**j to 2**-106 relative.  Layout
+    ``(E + 4) * 17 + k - 1`` prints k significant digits in fixed notation
+    (E in [-4, 16]), layout ``357 + 17 * (|E| >= 100) + k - 1`` in exponent
+    notation, and ``_F_LAYOUTS`` more add a minus sign.
     """
-    his, los, power = [], [], 1
-    for _ in range(max(_POW10_MAX, -_POW10_MIN) + 1):
-        his.append(float(power))  # int -> float rounds correctly
-        los.append(float(power - int(his[-1])))
-        power *= 10
+    his, los = [], []
+    for j in range(_POW10_MIN, _POW10_MAX + 1):
+        num, den = (10**j, 1) if j >= 0 else (1, 10**-j)
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        his.append(hi)
+        los.append((num * b - a * den) / (den * b))  # 10**j - a / b
     hi, lo = np.array(his), np.array(los)
-    q = 1 / hi
-    p = q * hi
-    r = (1 - p) - _product_error(q, hi, p) - q * lo  # 1 - p is exact: p is near 1
-    hi = np.concatenate([q[-_POW10_MIN:0:-1], hi[: _POW10_MAX + 1]])
-    lo = np.concatenate([(q * r)[-_POW10_MIN:0:-1], lo[: _POW10_MAX + 1]])
     exp = 16 - np.arange(_POW10_MIN, _POW10_MAX + 1)
     mag = np.abs(exp)
     tail = np.empty((len(exp), 4), np.uint8)

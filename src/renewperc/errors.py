@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the number validators."""
+"""Exception types shared across the package, the number validators and the config-fragment helpers."""
 
 import math
 import numbers
@@ -54,16 +54,25 @@ def check_float(name: str, value) -> float:
     return float(value)
 
 
-def check_fragment(fragment, keys: Mapping, noun: str, family_noun: str) -> str:
-    """The family of a ``noun`` fragment ("q-spec") checked against keys[family] = (required, optional)."""
+def check_fragment(fragment, families: Mapping, noun: str, family_noun: str) -> tuple:
+    """The family and other keys of a ``noun`` fragment ("q-spec"), checked against families[family] =
+    (class, required keys, optional keys)."""
     if not isinstance(fragment, Mapping):
         raise ValidationError(f"{noun} fragment must be a mapping, got {type(fragment).__name__}")
     family = fragment.get("family")
-    if family not in keys:
-        raise ValidationError(f"unknown {family_noun} family {family!r}; expected one of {tuple(keys)}")
-    required, optional = keys[family]
+    if not isinstance(family, str) or family not in families:  # a list or dict family is unhashable
+        raise ValidationError(f"unknown {family_noun} family {family!r}; expected one of {tuple(families)}")
+    _, required, optional = families[family]
     if extra := set(fragment) - {"family", *required, *optional}:
         raise ValidationError(f"unknown keys in {noun} fragment: {sorted(extra)}")
     if missing := [key for key in required if key not in fragment]:
         raise ValidationError(f"{noun} fragment for {family!r} is missing keys {missing}")
-    return family
+    return family, {key: value for key, value in fragment.items() if key != "family"}
+
+
+def family_fragment(law, families: Mapping) -> dict:
+    """The fragment of a law whose class or a parent has a row: its family, then each key's field."""
+    for family, (cls, required, optional) in families.items():
+        if isinstance(law, cls):
+            return {"family": family, **{key: getattr(law, key) for key in (*required, *optional)}}
+    raise NotImplementedError(f"{type(law).__name__} has no config family")

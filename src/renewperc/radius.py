@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import ValidationError, check_at_least, check_float, check_fragment
+from .errors import ValidationError, check_at_least, check_float, check_fragment, family_fragment
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +61,8 @@ class RadiusModel:
         raise NotImplementedError
 
     def to_config(self) -> dict:
-        raise NotImplementedError
+        """The fragment ``radius_from_config`` reads back: the family and keys of its row."""
+        return family_fragment(self, _R_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -89,9 +90,6 @@ class GeometricTailRadius(RadiusModel):
         np.floor(v, out=v)
         v += 1.0
         return v[()]  # a scalar for a scalar u
-
-    def to_config(self) -> dict:
-        return {"family": "geometric_tail", "r": self.r}
 
 
 @dataclass(frozen=True)
@@ -136,13 +134,16 @@ class PowerLawTailRadius(RadiusModel):
             np.maximum(v, float(self.n0), out=v)
         return v[()]  # a scalar for a scalar u
 
-    def to_config(self) -> dict:
-        return {"family": "power_tail", "c": self.c, "gamma": self.gamma, "n0": self.n0}
-
 
 @dataclass(frozen=True)
 class FiniteTableRadius(RadiusModel):
-    """Explicit pmf P(R = 0..m); must sum to one."""
+    """Explicit pmf: p[r] = P(R = r) for r = 0..m, summing to one within 1e-9.
+
+    A table whose exact sum (``math.fsum``) is further from one than the
+    rounding of len(p) entries explains, len(p) 2**-52, is divided by that
+    sum, so alpha, ``pmf_array`` and ``quantile`` all read one law with no
+    mass past m.
+    """
 
     p: tuple
 
@@ -154,6 +155,9 @@ class FiniteTableRadius(RadiusModel):
             raise ValidationError("pmf entries must be nonnegative")
         if abs(sum(self.p) - 1.0) > 1e-9:
             raise ValidationError(f"pmf must sum to 1, got {sum(self.p)!r}")
+        total = math.fsum(self.p)
+        if abs(total - 1.0) > len(self.p) * 2.0**-52:
+            object.__setattr__(self, "p", tuple(v / total for v in self.p))
 
     def _alpha(self, idx: np.ndarray) -> np.ndarray:
         # exactly 1 beyond the support, whatever the cumsum rounds to
@@ -199,16 +203,14 @@ class InfiniteRadius(RadiusModel):
     def quantile(self, u: np.ndarray) -> np.ndarray:
         return np.full(np.asarray(u).shape, np.inf)
 
-    def to_config(self) -> dict:
-        return {"family": "infinite"}
 
-
-# family -> (required keys, optional keys)
-_R_KEYS = {
-    "geometric_tail": (("r",), ()),
-    "power_tail": (("c", "gamma"), ("n0",)),
-    "table": (("p",), ()),
-    "infinite": ((), ()),
+# family -> (law class, required keys, optional keys); each key names the
+# class's field, and an absent optional key takes the field's default
+_R_FAMILIES = {
+    "geometric_tail": (GeometricTailRadius, ("r",), ()),
+    "power_tail": (PowerLawTailRadius, ("c", "gamma"), ("n0",)),
+    "table": (FiniteTableRadius, ("p",), ()),
+    "infinite": (InfiniteRadius, (), ()),
 }
 
 
@@ -222,13 +224,7 @@ def radius_from_config(fragment: Mapping) -> RadiusModel:
         {"family": "table", "p": [...]}
         {"family": "infinite"}
     """
-    family = check_fragment(fragment, _R_KEYS, "radius", "radius")
-    if family == "geometric_tail":
-        return GeometricTailRadius(r=fragment["r"])
-    if family == "power_tail":
-        return PowerLawTailRadius(c=fragment["c"], gamma=fragment["gamma"], n0=fragment.get("n0", 1))
-    if family == "table":
-        if not isinstance(fragment["p"], (list, tuple)):
-            raise ValidationError(f"table p must be a list, got {fragment['p']!r}")
-        return FiniteTableRadius(p=tuple(fragment["p"]))
-    return InfiniteRadius()
+    family, fields = check_fragment(fragment, _R_FAMILIES, "radius", "radius")
+    if family == "table" and not isinstance(fragment["p"], (list, tuple)):
+        raise ValidationError(f"table p must be a list, got {fragment['p']!r}")
+    return _R_FAMILIES[family][0](**fields)

@@ -29,7 +29,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from .errors import ValidationError, check_at_least, check_float, check_fragment
+from .errors import ValidationError, check_at_least, check_float, check_fragment, family_fragment
 
 # Climb probabilities are capped strictly below 1 so the chain cannot get
 # absorbed (q_i = 1 would make T defective, which the model excludes).
@@ -73,7 +73,8 @@ class QSequence:
         raise NotImplementedError
 
     def to_config(self) -> dict:
-        raise NotImplementedError
+        """The fragment ``q_sequence_from_config`` reads back: the family and keys of its row."""
+        return family_fragment(self, _Q_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -91,9 +92,6 @@ class ConstantQ(QSequence):
     @property
     def is_monotone(self) -> bool:
         return True
-
-    def to_config(self) -> dict:
-        return {"family": "constant", "q": self.q}
 
 
 @dataclass(frozen=True)
@@ -117,9 +115,6 @@ class MarkovQ(QSequence):
     @property
     def is_monotone(self) -> bool:
         return self.q0 <= self.q1
-
-    def to_config(self) -> dict:
-        return {"family": "markov", "q0": self.q0, "q1": self.q1}
 
 
 @dataclass(frozen=True)
@@ -145,9 +140,6 @@ class PolynomialMonotoneQ(QSequence):
     @property
     def is_monotone(self) -> bool:
         return True
-
-    def to_config(self) -> dict:
-        return {"family": "poly_monotone", "beta": self.beta, "i0": self.i0}
 
 
 REPEAT_LAST = "repeat_last"
@@ -196,12 +188,13 @@ class TableQ(QSequence):
         return {"family": "table", "q": list(self.values), "tail": tail}
 
 
-# family -> (required keys, optional keys)
-_Q_KEYS = {
-    "constant": (("q",), ()),
-    "markov": (("q0", "q1"), ()),
-    "poly_monotone": (("beta",), ("i0",)),
-    "table": (("q",), ("tail",)),
+# family -> (law class, required keys, optional keys); a key names the class's
+# field, except a table's "q" (its values); an absent key takes the field's default
+_Q_FAMILIES = {
+    "constant": (ConstantQ, ("q",), ()),
+    "markov": (MarkovQ, ("q0", "q1"), ()),
+    "poly_monotone": (PolynomialMonotoneQ, ("beta",), ("i0",)),
+    "table": (TableQ, ("q",), ("tail",)),
 }
 
 
@@ -217,19 +210,14 @@ def q_sequence_from_config(fragment: Mapping) -> QSequence:
 
     Unknown keys are rejected.
     """
-    family = check_fragment(fragment, _Q_KEYS, "q-spec", "q")
-    if family == "constant":
-        return ConstantQ(q=fragment["q"])
-    if family == "markov":
-        return MarkovQ(q0=fragment["q0"], q1=fragment["q1"])
-    if family == "poly_monotone":
-        return PolynomialMonotoneQ(beta=fragment["beta"], i0=fragment.get("i0", 2))
-    if not isinstance(fragment["q"], (list, tuple)):
-        raise ValidationError(f"table q must be a list, got {fragment['q']!r}")
-    tail = fragment.get("tail", REPEAT_LAST)
-    if isinstance(tail, Mapping):
-        tail = q_sequence_from_config(tail)
-    return TableQ(values=tuple(fragment["q"]), tail=tail)
+    family, fields = check_fragment(fragment, _Q_FAMILIES, "q-spec", "q")
+    if family == "table":
+        if not isinstance(fragment["q"], (list, tuple)):
+            raise ValidationError(f"table q must be a list, got {fragment['q']!r}")
+        fields["values"] = fields.pop("q")
+        if isinstance(fields.get("tail"), Mapping):
+            fields["tail"] = q_sequence_from_config(fields["tail"])
+    return _Q_FAMILIES[family][0](**fields)
 
 
 # ---------------------------------------------------------------------------

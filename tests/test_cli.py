@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -15,12 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renewperc import (
+    ConstantQ,
+    QSequence,
+    ValidationError,
     cli,
     dual_law,
     gf_partial,
     q_sequence_from_config,
+    radius,
     radius_from_config,
     random_tiny_configs,
+    renewal,
     simulate,
     simulate_connectivity,
     simulate_dual,
@@ -516,6 +522,113 @@ _FRAGMENT_CASES = [
 def test_missing_or_mistyped_fragment_keys_are_validation_errors(tmp_path, root, fragment):
     cfg = _write_config(tmp_path, {**HAND_CONFIG, root: fragment})
     assert main(["exact", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+
+
+# root -> (reader, family table, noun in its messages); the family tables
+# are the only place that names a family's keys
+_READERS = {
+    "q": (q_sequence_from_config, renewal._Q_FAMILIES, "q-spec"),
+    "radius": (radius_from_config, radius._R_FAMILIES, "radius"),
+}
+# per family: fragments without "family", each with its law's to_config()
+# (every key, defaults filled in, in the order it writes them); the first
+# holds only the required keys, the last every key at a non-default value
+_FAMILY_FRAGMENTS = {
+    "q": {
+        "constant": [({"q": 0.5}, {"q": 0.5})],
+        "markov": [({"q0": 0.3, "q1": 0.6}, {"q0": 0.3, "q1": 0.6})],
+        "poly_monotone": [({"beta": 0.25}, {"beta": 0.25, "i0": 2}),
+                          ({"beta": 0.25, "i0": 5}, {"beta": 0.25, "i0": 5})],
+        "table": [({"q": [0.9, 0.2]}, {"q": [0.9, 0.2], "tail": "repeat_last"}),
+                  ({"q": [0.9, 0.2], "tail": {"family": "poly_monotone", "beta": 0.3}},
+                   {"q": [0.9, 0.2], "tail": {"family": "poly_monotone", "beta": 0.3, "i0": 2}})],
+    },
+    "radius": {
+        "geometric_tail": [({"r": 0.9}, {"r": 0.9})],
+        "power_tail": [({"c": 3, "gamma": 1}, {"c": 3, "gamma": 1, "n0": 1}),
+                       ({"c": 3.0, "gamma": 1.5, "n0": 4}, {"c": 3.0, "gamma": 1.5, "n0": 4})],
+        "table": [({"p": [0.25, 0.75]}, {"p": [0.25, 0.75]})],
+        "infinite": [({}, {})],
+    },
+}
+_FAMILY_CASES = [
+    (root, family, fragment, written)
+    for root, families in _FAMILY_FRAGMENTS.items()
+    for family, cases in families.items()
+    for fragment, written in cases
+]
+
+
+@pytest.mark.parametrize("root", _READERS)
+def test_every_family_row_has_fragments(root):
+    assert list(_FAMILY_FRAGMENTS[root]) == list(_READERS[root][1])
+
+
+@pytest.mark.parametrize(
+    "root, family, fragment, written", _FAMILY_CASES,
+    ids=[f"{r}-{f}-{json.dumps(g)}" for r, f, g, _ in _FAMILY_CASES],
+)
+def test_family_fragments_round_trip(root, family, fragment, written):
+    read, families, _ = _READERS[root]
+    law = read({"family": family, **fragment})
+    assert type(law) is families[family][0]
+    config = law.to_config()
+    assert config == {"family": family, **written}
+    assert list(config) == ["family", *written]
+    assert read(config) == law
+
+
+@pytest.mark.parametrize(
+    "root, family", [(root, family) for root, families in _READERS.items() for family in families[1]]
+)
+def test_family_fragments_reject_unknown_and_missing_keys(root, family):
+    read, families, noun = _READERS[root]
+    fragment = {"family": family, **_FAMILY_FRAGMENTS[root][family][0][0]}
+    with pytest.raises(ValidationError) as err:
+        read({**fragment, "oops": 1, "aa": 2})
+    assert str(err.value) == f"unknown keys in {noun} fragment: ['aa', 'oops']"
+    for key in families[family][1]:
+        with pytest.raises(ValidationError) as err:
+            read({k: v for k, v in fragment.items() if k != key})
+        assert str(err.value) == f"{noun} fragment for {family!r} is missing keys [{key!r}]"
+
+
+@pytest.mark.parametrize("root, fragment, message", [
+    ("q", {"family": "markov"}, "q-spec fragment for 'markov' is missing keys ['q0', 'q1']"),
+    ("q", {"family": "table", "q": 0.5}, "table q must be a list, got 0.5"),
+    ("q", {"family": "table", "q": [0.5], "tail": 5}, "unknown tail rule 5"),
+    ("q", {"family": "table", "q": [0.5], "tail": {"family": "constant"}},
+     "q-spec fragment for 'constant' is missing keys ['q']"),
+    ("q", {"family": "poly_monotone", "beta": 0.2, "i0": 1}, "i0 must be >= 2, got 1"),
+    ("q", [1, 2], "q-spec fragment must be a mapping, got list"),
+    ("q", {"family": ["constant"], "q": 0.5},
+     "unknown q family ['constant']; expected one of ('constant', 'markov', 'poly_monotone', 'table')"),
+    ("radius", {"family": "table", "p": 0.5}, "table p must be a list, got 0.5"),
+    ("radius", {"family": "table", "p": [0.5, 0.4]}, "pmf must sum to 1, got 0.9"),
+    ("radius", {"family": "power_tail", "c": 1, "gamma": 1, "n0": None}, "n0 must be an integer, got None"),
+    ("radius", {"family": "infinite", "r": 1}, "unknown keys in radius fragment: ['r']"),
+    ("radius", {"family": "bogus"},
+     "unknown radius family 'bogus'; expected one of ('geometric_tail', 'power_tail', 'table', 'infinite')"),
+    ("radius", None, "radius fragment must be a mapping, got NoneType"),
+])
+def test_bad_fragment_messages(root, fragment, message):
+    with pytest.raises(ValidationError) as err:
+        _READERS[root][0](fragment)
+    assert str(err.value) == message
+
+
+def test_subclass_keeps_its_parents_fragment_and_a_custom_law_has_none():
+    @dataclasses.dataclass(frozen=True)
+    class Shifted(ConstantQ):
+        pass
+
+    class Custom(QSequence):
+        def q_at(self, i):
+            return 0.5
+
+    assert Shifted(0.3).to_config() == {"family": "constant", "q": 0.3}
+    with pytest.raises(NotImplementedError):
+        Custom().to_config()
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from renewperc import (
     bounds_report,
     classify,
     dual_law,
+    enumerate_connectivity,
     enumerate_gf,
     forward_connectivity,
     gf_partial,
@@ -611,6 +612,33 @@ def test_forward_matches_dual_past_the_gemm_groups(spec, m):
     v = dual_law(gf_partial(spec, model, 2049), spec, model).v
     for n in (1025, 2049):
         assert forward_connectivity(spec, model, n) == pytest.approx(float(v[n]), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("p", [(0.3333333333,) * 3, (0.5, 0.5 - 5e-10), (0.1, 0.2, 0.3, 0.4 - 9e-10)])
+def test_exact_paths_agree_on_tables_whose_sum_is_off_by_more_than_rounding(p):
+    # a table within 1e-9 of summing to one is normalised once, so the
+    # engine's alpha, the oracle's truncated outcome and the DP's pmf read
+    # one law; before, each put the missing mass somewhere else
+    model = FiniteTableRadius(p)
+    assert math.fsum(model.p) == pytest.approx(1.0, abs=4e-16)
+    for spec in (ConstantQ(0.4), MarkovQ(0.3, 0.6), TableQ((0.9, 0.2, 0.5)), PolynomialMonotoneQ(0.25)):
+        v = dual_law(gf_partial(spec, model, 7), spec, model).v
+        for n in range(1, 8):
+            exact = enumerate_connectivity(TinyConfig(spec, model, n))
+            assert forward_connectivity(spec, model, n) == pytest.approx(exact, abs=1e-12)
+            assert float(v[n]) == pytest.approx(exact, abs=1e-12)
+
+
+def test_tables_summing_to_one_within_rounding_keep_their_entries():
+    # tables built as the oracle battery builds them: normalising these
+    # would move its pinned digests
+    rng = np.random.default_rng(3)
+    pmfs = [rng.dirichlet(np.ones(m)) for m in range(1, 9) for _ in range(50)]
+    tables = [tuple((pmf / pmf.sum()).tolist()) for pmf in pmfs]
+    assert sum(sum(p) != 1.0 for p in tables) > 10
+    for p in tables:
+        assert FiniteTableRadius(p).p == p
+    assert FiniteTableRadius((0.1, 0.2, 0.3, 0.4 - 9e-10)).p != (0.1, 0.2, 0.3, 0.4 - 9e-10)
 
 
 def test_input_validation():
