@@ -4,9 +4,9 @@ The central object is the partial generating-function series
 
     S_0 = 1,   S_n = E prod_{i=0..n-1} alpha_i^(xi_{i+1}),   n >= 1,
 
-computed exactly by ``gf_partial``: in one O(N) forward pass for a law
-that lumps to the two mark states (q_i constant for i >= 1), whose u is
-then closed-form, and else in renewal form, by the blocked kernel
+computed exactly by ``gf_partial``: for a law that lumps to at most four
+heights (q_h constant from some height m on) by one blocked transfer
+pass, which also gives u, and else in renewal form, by the blocked kernel
 ``renewal_solve`` and its Toeplitz-block GEMMs.  The dual occupancy v
 always comes from the kernel.  The series has three faces:
 
@@ -71,13 +71,13 @@ from .renewal import (
     ConstantQ,
     QSequence,
     _interarrival,
+    _lumped,
     _toeplitz_product,
-    _two_state,
     ck_at,
     ck_sequence,
-    markov_renewal_closed,
     renewal_probabilities,
     renewal_solve,
+    survival_products,
 )
 
 TAIL_CONCENTRATION = "concentration"
@@ -105,6 +105,8 @@ class GfTable:
 
 
 def _gf_table(S: np.ndarray, f: np.ndarray) -> GfTable:
+    # rounded, S may rise by an ulp where flat; this moves hi only upward
+    S = np.minimum.accumulate(S, out=S)
     return GfTable(S=S, dual_pmf=f, horizon=S.size - 1, partial_sum=float(S[1:].sum()))
 
 
@@ -127,33 +129,58 @@ def _iid_table(q: float, alph: np.ndarray) -> GfTable:
     return _gf_table(S, f)
 
 
-def _two_state_table(q0: float, q1: float, alph: np.ndarray) -> GfTable:
-    """Series and dual pmf of a two-state law with q0 != q1, in one forward pass.
+def _pass(q: np.ndarray, alph: np.ndarray, x: np.ndarray, blocks: int) -> tuple:
+    """Prefix products P[b, j] = M(alph[b, j]) ... M(alph[b, 0]) and the start states of ``blocks`` blocks.
 
-    (a, b) is the weight of the paths whose site i is marked / unmarked;
-    h, the weight sent to a mark at site i + 1, scales to alpha_i h.  The
-    loop keeps h and b; S and f follow with the same roundings as arrays.
+    The pass of a law lumped to heights 0..m is x_{i+1} = M(alpha_i) x_i
+    from x_0 = x: M(a) climbs the unmarked mass q_h x_h one height (m
+    stays at m) and sends the marked mass a sum_h (1 - q_h) x_h to height
+    0.  Row b of ``alph`` is block b's (one row serves every block).  All
+    entries are nonnegative, so the rounding error stays componentwise
+    relative.
     """
-    hs, bs = [], []
-    a, b = 1.0, 0.0
-    p0, p1 = 1.0 - q0, 1.0 - q1
-    for al in alph.tolist():
-        h = p0 * a + p1 * b
-        b = q0 * a + q1 * b
-        a = al * h
-        hs.append(h)
-        bs.append(b)
-    h = np.array(hs)
-    return _gf_table(np.append(1.0, alph * h + np.array(bs)), np.append(0.0, (1.0 - alph) * h))
+    k = q.size
+    P = np.zeros((*alph.shape, k, k))
+    P[..., range(1, k), range(k - 1)] = q[:-1]
+    P[..., -1, -1] = q[-1]
+    P[..., 0, :] = alph[..., None] * (1.0 - q)
+    for j in range(1, alph.shape[1]):
+        np.matmul(P[:, j], P[:, j - 1], out=P[:, j])
+    starts = np.empty((blocks, k))
+    for b in range(blocks):
+        starts[b], x = x, P[b % len(P), -1].dot(x)
+    return P, starts
+
+
+def _lumped_table(spec: QSequence, q: np.ndarray, alph: np.ndarray) -> GfTable:
+    """Series and dual pmf of a law lumped to q_0..q_m, by ``_pass`` in blocks of isqrt(n) sites.
+
+    On alpha's zero prefix, sites 0..z-1, a mark zeroes its path, so S_n is
+    P(T > n) as survival_products forms it; the pass takes the other n sites.
+    """
+    N, k = alph.size, q.size
+    z = np.count_nonzero(alph == 0.0)  # alpha is a CDF
+    S, f, x = np.empty(N + 1), np.zeros(N + 1), np.zeros(k)
+    S[: z + 1] = survival_products(spec, z)
+    f[1 : z + 1] = (1.0 - spec.q_array(z)) * S[:z]
+    x[min(z, k - 1)] = S[z]
+    if n := N - z:
+        B = math.isqrt(n)
+        a = np.ones(-(-n // B) * B)
+        a[:n] = alph[z:]
+        X = np.einsum("bjhk,bk->bjh", *_pass(q, a.reshape(-1, B), x, a.size // B)).reshape(-1, k)[:n]
+        S[z + 1 :] = np.einsum("nh->n", X)
+        f[z + 1 :] = (1.0 - alph[z:]) * np.einsum("nh,h->n", np.vstack((x, X[:-1])), 1.0 - q)
+    return _gf_table(S, f)
 
 
 def gf_partial(spec: QSequence, model: RadiusModel, horizon: int) -> GfTable:
-    """Exact S_1..S_N and the dual pmf, lumped for two-state laws.
+    """Exact S_1..S_N and the dual pmf, by a transfer pass for lumped laws.
 
-    A law with q_i constant for i >= 1 (ConstantQ, MarkovQ, and a
-    repeat_last TableQ whose values after the first agree) is a two-state
-    mark chain, and S follows in O(N): the i.i.d. product when q_0 = q_1,
-    else one forward pass over the (marked, unmarked) weights.
+    A law that lumps to the heights 0..m (see ``_lumped``) has S in
+    O(N m^2): the i.i.d. product when every q_h agrees, else the blocked
+    pass x_{i+1} = M(alpha_i) x_i of ``_lumped_table``, with S_n = sum x_n
+    and f_n = (1 - alpha_{n-1}) sum_h (1 - q_h) x_{n-1,h}.
 
     Every other law goes through g = renewal_solve(P(T = .), alpha), at
     O(N K) for P(T = .) supported on 1..K, and S = g * P(T > .) for n <= N
@@ -173,10 +200,9 @@ def gf_partial(spec: QSequence, model: RadiusModel, horizon: int) -> GfTable:
     """
     horizon = check_at_least("horizon", horizon, 1)
     alpha = model.alpha_array(horizon)
-    lumped = _two_state(spec)
-    if lumped is not None:
-        q0, q1 = lumped
-        return _iid_table(q0, alpha) if q0 == q1 else _two_state_table(q0, q1, alpha)
+    q = _lumped(spec)
+    if q is not None:
+        return _iid_table(q[0], alpha) if q.min() == q.max() else _lumped_table(spec, q, alpha)
     summary, surv = _interarrival(spec, horizon)
     pmf = summary.pmf
     g = renewal_solve(pmf, alpha)
@@ -279,13 +305,17 @@ def _geometric_remainder(terms: np.ndarray) -> Optional[float]:
 # and the bracket and the bounds of one evaluation share alpha and the terms.
 @functools.lru_cache(maxsize=1)
 def _renewal_u(spec: QSequence, horizon: int) -> np.ndarray:
-    """Read-only u_0..u_N, in closed form for two-state laws."""
-    lumped = _two_state(spec)
-    if lumped is None:
+    """Read-only u_0..u_N: 1 - q for i.i.d. marks, and for another lumped law
+    height 0 (only marked mass, as m >= 1) of ``_pass`` with alpha = 1,
+    which gives every block the same products, the powers of M(1)."""
+    q = _lumped(spec)
+    if q is None:
         return _frozen(renewal_probabilities(spec, horizon).u)
-    u = markov_renewal_closed(*lumped, np.arange(horizon + 1))
-    u[0] = 1.0
-    return _frozen(u)
+    if q.min() == q.max():
+        return _frozen(np.append(1.0, np.full(horizon, 1.0 - q[0])))
+    B = max(1, math.isqrt(horizon))
+    P, starts = _pass(q, np.ones((1, B)), np.eye(q.size)[0], -(-horizon // B))
+    return _frozen(np.append(1.0, (starts @ P[0, :, 0].T).reshape(-1)[:horizon]))
 
 
 @functools.lru_cache(maxsize=1)

@@ -225,19 +225,28 @@ def q_sequence_from_config(fragment: Mapping) -> QSequence:
 # ---------------------------------------------------------------------------
 
 
-def _two_state(spec: QSequence) -> Optional[tuple]:
-    """(q_0, q_1), clamped, for a law with q_i = q_1 at every i >= 1; else None.
+# The most heights a law lumps to: the lumped pass holds a matrix of that
+# order per site, 2.5 MB at 4 heights and N = 2e4 (15 MB at 9, and no faster).
+_MAX_HEIGHTS = 4
 
-    The house-of-cards chain of such a law lumps to the two mark states:
-    a marked site is followed by a mark with probability 1 - q_0, an
-    unmarked one with probability 1 - q_1.
+
+def _lumped(spec: QSequence) -> Optional[np.ndarray]:
+    """Clamped q_0..q_m, m >= 1 least, where q_h = q_m for every h >= m; None for another law.
+
+    The house-of-cards chain of ConstantQ, MarkovQ and a repeat_last TableQ
+    lumps to the heights 0..m, m standing for all heights from m on; a
+    table that needs more than _MAX_HEIGHTS heights does not lump.
     """
-    if isinstance(spec, TableQ):
-        if spec.tail != REPEAT_LAST or len(set(spec.values[1:])) > 1:
-            return None
-    elif not isinstance(spec, (ConstantQ, MarkovQ)):
+    if isinstance(spec, TableQ) and spec.tail == REPEAT_LAST:
+        q = spec.q_array(max(2, len(spec.values)))
+    elif isinstance(spec, (ConstantQ, MarkovQ)):
+        q = spec.q_array(2)
+    else:
         return None
-    return spec.q_at(0), spec.q_at(1)
+    m = q.size - 1
+    while m > 1 and q[m - 1] == q[m]:
+        m -= 1
+    return q[: m + 1] if m < _MAX_HEIGHTS else None
 
 
 def q_star_array(spec: QSequence, n: int) -> np.ndarray:
@@ -515,13 +524,13 @@ def _row_sums(factors: np.ndarray) -> np.ndarray:
 
 
 def _lumped_row(spec: QSequence, kmax: int) -> Optional[np.ndarray]:
-    """``_row_sums`` of every row k >= 1 of a two-state law, or None for another law.
+    """``_row_sums`` of every row k >= 1 of a law lumped to two heights, or None for another law.
 
     From index 1 on, q* of such a law is max(q_0, q_1), so every row sums
     the same terms, and row k is entry min(k, len) - 1 of the result.
     """
-    two = _two_state(spec)
-    return None if two is None else _row_sums(np.full(kmax, max(two)))
+    q = _lumped(spec)
+    return None if q is None or len(q) > 2 else _row_sums(np.full(kmax, max(q)))
 
 
 @dataclass(frozen=True)
@@ -538,8 +547,8 @@ def ck_sequence(spec: QSequence, kmax: int) -> CoalescenceConstants:
 
     One sweep over j updates all k: the rows still summing form a suffix
     lo..kmax, so a step is one slice multiply, one add and one searchsorted,
-    and the total work equals that of summing each k on its own.  A
-    two-state law sums its one shared row instead (``_lumped_row``).
+    and the total work equals that of summing each k on its own.  A law
+    lumped to two heights sums its one shared row instead (``_lumped_row``).
 
     C_k / k is the quantity whose boundedness separates the summable from
     the divergent regime in the concentration-based survival criterion.

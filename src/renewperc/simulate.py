@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ValidationError, check_at_least, check_int
 from .radius import RadiusModel
-from .renewal import QSequence, _two_state
+from .renewal import QSequence, _lumped
 
 CHUNK = 8192
 # below this many replicate-rows a call runs inline: on 2 vCPUs two workers
@@ -159,15 +159,15 @@ def _in_chunks(reps: int, rows: int, seed: int, kernel) -> None:
 def _climber(spec: QSequence, length: int) -> tuple:
     """``(climb, row_types)``: ``climb(u, climbs, tmp, *rows)`` turns the last climbs into the next.
 
-    ``tmp`` is a free bool row.  A two-state law (see ``_two_state``) climbs
-    with q_0 from height 0 and with q_1 above it, so a site climbs iff
-    u <= lo, or u <= hi and the last site selects hi: it climbed when
-    q_0 <= q_1, it did not otherwise (on bools a > b is a and not b).  Any
-    other law keeps two ``rows`` of these types: each chain's height, below
-    ``length``, and its q.
+    ``tmp`` is a free bool row.  A law lumped to two heights (see
+    ``_lumped``) climbs with q_0 from height 0 and with q_1 above it, so a
+    site climbs iff u <= lo, or u <= hi and the last site selects hi: it
+    climbed when q_0 <= q_1, it did not otherwise (on bools a > b is a and
+    not b).  Any other law keeps two ``rows`` of these types: each chain's
+    height, below ``length``, and its q.
     """
-    lumped = _two_state(spec)
-    if lumped is None:
+    lumped = _lumped(spec)
+    if lumped is None or len(lumped) > 2:
         qtab = spec.q_array(length)
 
         def climb(u, climbs, tmp, z, q):

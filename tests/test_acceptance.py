@@ -254,8 +254,9 @@ def test_criterion_10_monte_carlo_consistency(tmp_path):
     )
 
 
-# The six (law, radius) pairs of ROADMAP item 12.  The last two laws go
-# through the renewal form; at these horizons the 2^600 lift, the s0 cut of
+# The six (law, radius) pairs of ROADMAP item 12.  The table law goes
+# through the lumped pass at three heights, the last law through the renewal
+# form; at these horizons the pass's blocks, the 2^600 lift, the s0 cut of
 # the S convolution and the v solve all act, and v_n tends to the coverage
 # probability.
 LONG_HORIZON_CONFIGS = [

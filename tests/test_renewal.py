@@ -26,6 +26,7 @@ from renewperc import (
     simulate_connectivity,
     survival_products,
 )
+from renewperc import engine
 from renewperc.renewal import _CK_TERM_CUTOFF, _LIFT, Q_CAP, _toeplitz_product, renewal_solve
 
 SPECS = [
@@ -382,6 +383,14 @@ def test_markov_closed_is_relatively_accurate_when_q1_below_q0(q0):
     assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
+@pytest.mark.parametrize("q0", [Q_CAP, 1.0 - 1e-6])
+def test_lumped_u_is_relatively_accurate_when_q1_below_q0(q0):
+    # the engine's transfer pass: the powers of M(1) hold only nonnegative entries
+    want = _markov_u_exact(q0, 0.0, 400)
+    got = engine._renewal_u(MarkovQ(q0, 0.0), 400)
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
 def _markov_closed_unskipped(q0, q1, i):
     """markov_renewal_closed's formula evaluated at every index of ``i``."""
     denom = 1.0 - q1 + q0
@@ -500,7 +509,7 @@ _CK_Q = st.one_of(st.sampled_from([0.0, 1e-300, 0.5, 0.7, 0.999, Q_CAP, 1.0]), s
 @given(st.sampled_from(["constant", "markov", "table"]), _CK_Q, _CK_Q, st.integers(1, 3000))
 def test_lumped_ck_rows_match_the_sweep(kind, q0, q1, kmax):
     # q0 > q1 and q1 > q0 both occur; the same law with a QSequence tail is
-    # not lumped (renewal._two_state gives None), so it runs the general sweep
+    # not lumped (renewal._lumped gives None), so it runs the general sweep
     spec = {"constant": ConstantQ(q0), "markov": MarkovQ(q0, q1), "table": TableQ((q0, q1, q1))}[kind]
     swept = TableQ((spec.q_at(0),), tail=ConstantQ(spec.q_at(1)))
     assert np.array_equal(spec.q_array(2 * kmax), swept.q_array(2 * kmax))
