@@ -57,7 +57,6 @@ from .renewal import (
     ck_at,
     ck_sequence,
     interarrival,
-    markov_renewal_closed,
     q_sequence_from_config,
     q_star_array,
     renewal_probabilities,
@@ -118,7 +117,6 @@ __all__ = [
     "forward_connectivity",
     "gf_partial",
     "interarrival",
-    "markov_renewal_closed",
     "percolation_probability",
     "q_sequence_from_config",
     "q_star_array",

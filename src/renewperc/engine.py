@@ -6,9 +6,10 @@ The central object is the partial generating-function series
 
 computed exactly by ``gf_partial``: for a law that lumps to at most four
 heights (q_h constant from some height m on) by one blocked transfer
-pass, which also gives u, and else in renewal form, by the blocked kernel
-``renewal_solve`` and its Toeplitz-block GEMMs.  The dual occupancy v
-always comes from the kernel.  The series has three faces:
+pass, and else in renewal form, by the blocked kernel ``renewal_solve``
+and its Toeplitz-block GEMMs.  The closed bounds read u from
+``renewal_probabilities``, which runs the same pass on a lumped law; the
+dual occupancy v always comes from the kernel.  The series has three faces:
 
 * dual law: S_{n} is the survival function P(T_Y >= n+1) of the
   inter-arrival time of the dual relay process, so f_k = S_{k-1} - S_k is
@@ -72,6 +73,7 @@ from .renewal import (
     QSequence,
     _interarrival,
     _lumped,
+    _pass,
     _toeplitz_product,
     ck_at,
     ck_sequence,
@@ -127,29 +129,6 @@ def _iid_table(q: float, alph: np.ndarray) -> GfTable:
     f = np.zeros_like(S)
     f[1:] = (1.0 - q) * (1.0 - alph) * S[:-1]
     return _gf_table(S, f)
-
-
-def _pass(q: np.ndarray, alph: np.ndarray, x: np.ndarray, blocks: int) -> tuple:
-    """Prefix products P[b, j] = M(alph[b, j]) ... M(alph[b, 0]) and the start states of ``blocks`` blocks.
-
-    The pass of a law lumped to heights 0..m is x_{i+1} = M(alpha_i) x_i
-    from x_0 = x: M(a) climbs the unmarked mass q_h x_h one height (m
-    stays at m) and sends the marked mass a sum_h (1 - q_h) x_h to height
-    0.  Row b of ``alph`` is block b's (one row serves every block).  All
-    entries are nonnegative, so the rounding error stays componentwise
-    relative.
-    """
-    k = q.size
-    P = np.zeros((*alph.shape, k, k))
-    P[..., range(1, k), range(k - 1)] = q[:-1]
-    P[..., -1, -1] = q[-1]
-    P[..., 0, :] = alph[..., None] * (1.0 - q)
-    for j in range(1, alph.shape[1]):
-        np.matmul(P[:, j], P[:, j - 1], out=P[:, j])
-    starts = np.empty((blocks, k))
-    for b in range(blocks):
-        starts[b], x = x, P[b % len(P), -1].dot(x)
-    return P, starts
 
 
 def _lumped_table(spec: QSequence, q: np.ndarray, alph: np.ndarray) -> GfTable:
@@ -305,17 +284,8 @@ def _geometric_remainder(terms: np.ndarray) -> Optional[float]:
 # and the bracket and the bounds of one evaluation share alpha and the terms.
 @functools.lru_cache(maxsize=1)
 def _renewal_u(spec: QSequence, horizon: int) -> np.ndarray:
-    """Read-only u_0..u_N: 1 - q for i.i.d. marks, and for another lumped law
-    height 0 (only marked mass, as m >= 1) of ``_pass`` with alpha = 1,
-    which gives every block the same products, the powers of M(1)."""
-    q = _lumped(spec)
-    if q is None:
-        return _frozen(renewal_probabilities(spec, horizon).u)
-    if q.min() == q.max():
-        return _frozen(np.append(1.0, np.full(horizon, 1.0 - q[0])))
-    B = max(1, math.isqrt(horizon))
-    P, starts = _pass(q, np.ones((1, B)), np.eye(q.size)[0], -(-horizon // B))
-    return _frozen(np.append(1.0, (starts @ P[0, :, 0].T).reshape(-1)[:horizon]))
+    """Read-only u_0..u_N of ``renewal_probabilities``."""
+    return _frozen(renewal_probabilities(spec, horizon).u)
 
 
 @functools.lru_cache(maxsize=1)

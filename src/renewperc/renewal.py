@@ -11,9 +11,9 @@ are i.i.d. copies of an inter-arrival time T with
     E T      = 1 + sum_{n >= 1} prod_{i <= n-1} q_i.
 
 A family of climb probabilities q_0, q_1, ... therefore pins the whole law.
-This module provides the families, the inter-arrival summary, the renewal
-probabilities u_n = P(xi_n = 1), the running maxima q*_i, the coalescence
-constants
+This module provides the families, the inter-arrival summary, the transfer
+step of a chain lumped to finitely many heights, the renewal probabilities
+u_n = P(xi_n = 1), the running maxima q*_i, the coalescence constants
 
     C_k = ( sum_{j=1..k} prod_{i=k..k+j-1} q*_i )^2.
 
@@ -249,6 +249,29 @@ def _lumped(spec: QSequence) -> Optional[np.ndarray]:
     return q[: m + 1] if m < _MAX_HEIGHTS else None
 
 
+def _pass(q: np.ndarray, alph: np.ndarray, x: np.ndarray, blocks: int) -> tuple:
+    """Prefix products P[b, j] = M(alph[b, j]) ... M(alph[b, 0]) and the start states of ``blocks`` blocks.
+
+    The pass of a law lumped to heights 0..m is x_{i+1} = M(alpha_i) x_i
+    from x_0 = x: M(a) climbs the unmarked mass q_h x_h one height (m
+    stays at m) and sends the marked mass a sum_h (1 - q_h) x_h to height
+    0.  Row b of ``alph`` is block b's (one row serves every block).  All
+    entries are nonnegative, so the rounding error stays componentwise
+    relative.
+    """
+    k = q.size
+    P = np.zeros((*alph.shape, k, k))
+    P[..., range(1, k), range(k - 1)] = q[:-1]
+    P[..., -1, -1] = q[-1]
+    P[..., 0, :] = alph[..., None] * (1.0 - q)
+    for j in range(1, alph.shape[1]):
+        np.matmul(P[:, j], P[:, j - 1], out=P[:, j])
+    starts = np.empty((blocks, k))
+    for b in range(blocks):
+        starts[b], x = x, P[b % len(P), -1].dot(x)
+    return P, starts
+
+
 def q_star_array(spec: QSequence, n: int) -> np.ndarray:
     """q*_0 .. q*_{n-1} as a float array."""
     return np.maximum.accumulate(spec.q_array(n))
@@ -439,53 +462,23 @@ def renewal_solve(f: np.ndarray, mult=None) -> np.ndarray:
 
 
 def renewal_probabilities(spec: QSequence, horizon: int) -> RenewalProbTable:
-    """Renewal probabilities u_n = sum_k P(T=k) u_{n-k}, by ``renewal_solve``."""
-    horizon = check_at_least("horizon", horizon, 0)
-    pmf = interarrival(spec, horizon).pmf if horizon else np.zeros(1)
-    return RenewalProbTable(u=renewal_solve(pmf), horizon=horizon)
+    """Renewal probabilities u_n = sum_k P(T=k) u_{n-k}, the u of the bracket and the bounds.
 
-
-def markov_renewal_closed(q0: float, q1: float, i):
-    """Closed-form u_i for the Markov family, via the spectral decomposition.
-
-    The two-state mark chain has stationary mark probability
-    pi = (1-q1) / (1-q1+q0) and second eigenvalue s = q1-q0, giving
-
-        u_i = pi + (1 - pi) * s^i,
-
-    which matches the renewal recursion (u_0 = 1, geometric relaxation).
-    For s < 0 the odd powers would subtract, so with i = 2j + r it is
-    evaluated as
-
-        u_i = s^(2j) u_r - pi * expm1(2j log|s|),   u_0 = 1, u_1 = 1 - q0,
-
-    where every term is nonnegative and the error stays relative.  For
-    |s| > 1/2, log|s| is taken as log1p(-((1 - q0) + q1)), whose argument
-    is exact up to one rounding, as log(q0 - q1) would lose the relative
-    accuracy of s^(2j) - 1 when |s| is near 1.  The gap to pi is at most
-    |s|^(i-1); where that is below ulp(pi)/8 it cannot move pi, and u_i is pi.
-    ``i`` may be an integer array, which gives the array of u_i.
+    u = 1 - q for i.i.d. marks; for another lumped law (see ``_lumped``),
+    height 0 of ``_pass`` from height 0 at alpha = 1, whose blocks all
+    share the powers of M(1); for every other law, ``renewal_solve``.
     """
-    q0 = _check_probability("q0", q0)
-    q1 = _check_probability("q1", q1)
-    if q0 >= 1.0 or q1 >= 1.0:
-        raise ValidationError("q0 and q1 must be < 1 for the closed form")
-    i = np.asarray(i)
-    if np.any(i < 0):
-        raise ValidationError("index must be nonnegative")
-    denom = 1.0 - q1 + q0
-    pi = (1.0 - q1) / denom
-    s = q1 - q0
-    u = np.full(i.shape, pi)
-    live = (i - 1) * math.log(abs(s)) >= math.log(np.spacing(pi) / 8) - 1 if s else i == 0
-    if s >= 0.0:
-        u[live] = pi + (q0 / denom) * s ** i[live]
-        return u[()]
-    r = i[live] % 2
-    log_abs_s = math.log1p(-((1.0 - q0) + q1)) if s < -0.5 else math.log(-s)
-    e = (i[live] - r) * log_abs_s
-    u[live] = np.exp(e) * np.where(r, 1.0 - q0, 1.0) - pi * np.expm1(e)
-    return u[()]
+    horizon = check_at_least("horizon", horizon, 0)
+    q = _lumped(spec)
+    if q is None:
+        u = renewal_solve(interarrival(spec, horizon).pmf if horizon else np.zeros(1))
+    elif q.min() == q.max():
+        u = np.append(1.0, np.full(horizon, 1.0 - q[0]))
+    else:
+        B = max(1, math.isqrt(horizon))
+        P, starts = _pass(q, np.ones((1, B)), np.eye(q.size)[0], -(-horizon // B))
+        u = np.append(1.0, (starts @ P[0, :, 0].T).reshape(-1)[:horizon])
+    return RenewalProbTable(u=u, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +517,13 @@ def _row_sums(factors: np.ndarray) -> np.ndarray:
 
 
 def _lumped_row(spec: QSequence, kmax: int) -> Optional[np.ndarray]:
-    """``_row_sums`` of every row k >= 1 of a law lumped to two heights, or None for another law.
+    """``_row_sums`` of every row k >= 1 of a lumped law whose q* peaks by index 1, or None.
 
-    From index 1 on, q* of such a law is max(q_0, q_1), so every row sums
-    the same terms, and row k is entry min(k, len) - 1 of the result.
+    From index 1 on, q* of such a law is max(q), so every row sums the
+    same terms, and row k is entry min(k, len) - 1 of the result.
     """
     q = _lumped(spec)
-    return None if q is None or len(q) > 2 else _row_sums(np.full(kmax, max(q)))
+    return None if q is None or max(q[:2]) < max(q) else _row_sums(np.full(kmax, max(q)))
 
 
 @dataclass(frozen=True)
@@ -547,8 +540,8 @@ def ck_sequence(spec: QSequence, kmax: int) -> CoalescenceConstants:
 
     One sweep over j updates all k: the rows still summing form a suffix
     lo..kmax, so a step is one slice multiply, one add and one searchsorted,
-    and the total work equals that of summing each k on its own.  A law
-    lumped to two heights sums its one shared row instead (``_lumped_row``).
+    and the total work equals that of summing each k on its own.  A lumped
+    law whose q* peaks by index 1 sums its one shared row (``_lumped_row``).
 
     C_k / k is the quantity whose boundedness separates the summable from
     the divergent regime in the concentration-based survival criterion.

@@ -20,10 +20,10 @@ PUBLIC = [
     "TinyConfig", "UnboundedRadiusError", "ValidationError", "__version__", "bounds_report",
     "ck_at", "ck_sequence", "classify", "coalescence_times", "connectivity_successes",
     "dual_law", "enumerate_connectivity", "enumerate_dual", "enumerate_gf",
-    "forward_connectivity", "gf_partial", "interarrival", "markov_renewal_closed",
-    "percolation_probability", "q_sequence_from_config", "q_star_array", "radius_from_config",
-    "random_tiny_configs", "renewal_probabilities", "simulate_connectivity",
-    "simulate_coupling", "simulate_dual", "survival_products", "wilson_interval",
+    "forward_connectivity", "gf_partial", "interarrival", "percolation_probability",
+    "q_sequence_from_config", "q_star_array", "radius_from_config", "random_tiny_configs",
+    "renewal_probabilities", "simulate_connectivity", "simulate_coupling", "simulate_dual",
+    "survival_products", "wilson_interval",
 ]
 
 

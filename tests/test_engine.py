@@ -32,7 +32,7 @@ from renewperc import (
     renewal_probabilities,
     survival_products,
 )
-from renewperc import engine
+from renewperc import engine, renewal
 from renewperc.radius import RadiusModel
 from renewperc.renewal import Q_CAP, _toeplitz_product, interarrival, renewal_solve
 from renewperc.engine import (
@@ -178,9 +178,9 @@ def test_lumped_laws_match_the_kernel(spec, model, horizon):
     _assert_close_above(gf.S, S, 1e-12)
     _assert_close_above(gf.dual_pmf, f, 1e-12)
     assert gf.S[0] == 1.0 and gf.dual_pmf[0] == 0.0
-    u, want = engine._renewal_u(spec, horizon), renewal_probabilities(spec, horizon).u
-    assert u[0] == 1.0
-    _assert_close_above(u, want, 1e-12)
+    u = renewal_probabilities(spec, horizon).u
+    assert u[0] == 1.0 and np.array_equal(engine._renewal_u(spec, horizon), u)
+    _assert_close_above(u, renewal_solve(interarrival(spec, horizon).pmf), 1e-12)
 
 
 _RENEWAL_FORM_LAWS = st.one_of(
@@ -214,22 +214,20 @@ def test_gf_series_is_nonincreasing(spec, model, horizon):
     ids=repr,
 )
 def test_only_two_state_laws_skip_the_kernel(monkeypatch, spec, lumped):
+    # every lumped law, of up to four heights, skips the kernel, not only the two-state ones
     calls = []
 
     def solve(*args):
         calls.append("mult" if len(args) == 2 else "plain")
         return renewal_solve(*args)
 
-    def probabilities(*args):
-        calls.append("u")
-        return renewal_probabilities(*args)
-
+    # the series calls the kernel from engine, u from inside renewal
     monkeypatch.setattr(engine, "renewal_solve", solve)
-    monkeypatch.setattr(engine, "renewal_probabilities", probabilities)
+    monkeypatch.setattr(renewal, "renewal_solve", solve)
     _clear_memos()
     gf_partial(spec, GeometricTailRadius(0.9), 200)
     engine._renewal_u(spec, 200)
-    assert calls == ([] if lumped else ["mult", "u"])
+    assert calls == ([] if lumped else ["mult", "plain"])
 
 
 # Laws whose kernels P(T = .) and P(T > .) turn subnormal: P(T > s) of the

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renewperc import (
@@ -19,15 +19,13 @@ from renewperc import (
     ck_at,
     ck_sequence,
     interarrival,
-    markov_renewal_closed,
     q_sequence_from_config,
     q_star_array,
     renewal_probabilities,
     simulate_connectivity,
     survival_products,
 )
-from renewperc import engine
-from renewperc.renewal import _CK_TERM_CUTOFF, _LIFT, Q_CAP, _toeplitz_product, renewal_solve
+from renewperc.renewal import _CK_TERM_CUTOFF, _LIFT, Q_CAP, _lumped_row, _toeplitz_product, renewal_solve
 
 SPECS = [
     ConstantQ(0.5),
@@ -348,92 +346,50 @@ LARGE_N = 20_000
 
 @pytest.mark.parametrize("q", [round(0.05 * i, 2) for i in range(1, 20)])
 def test_renewal_probabilities_constant_large_horizon(q):
-    u = renewal_probabilities(ConstantQ(q), LARGE_N).u
-    assert u[0] == 1.0
-    assert np.max(np.abs(u[1:] - (1.0 - q))) <= 1e-11 * (1.0 - q)
+    spec = ConstantQ(q)
+    for u in (renewal_solve(interarrival(spec, LARGE_N).pmf), renewal_probabilities(spec, LARGE_N).u):
+        assert u[0] == 1.0
+        assert np.max(np.abs(u[1:] - (1.0 - q))) <= 1e-11 * (1.0 - q)
 
 
 @pytest.mark.parametrize("q1", [0.2, 0.6, 0.9])
 @pytest.mark.parametrize("q0", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_renewal_probabilities_markov_large_horizon(q0, q1):
-    u = renewal_probabilities(MarkovQ(q0, q1), LARGE_N).u
-    closed = np.array([markov_renewal_closed(q0, q1, i) for i in range(LARGE_N + 1)])
-    assert np.max(np.abs(u - closed) / closed) <= 1e-11
+    # the renewal kernel against the lumped transfer pass, two independent algorithms
+    spec = MarkovQ(q0, q1)
+    kernel = renewal_solve(interarrival(spec, LARGE_N).pmf)
+    u = renewal_probabilities(spec, LARGE_N).u
+    assert np.max(np.abs(kernel - u) / u) <= 1e-11
 
 
-def test_markov_closed_examples():
-    assert markov_renewal_closed(0.5, 0.5, 0) == pytest.approx(1.0, abs=1e-15)
-    assert markov_renewal_closed(0.5, 0.5, 3) == pytest.approx(0.5, abs=1e-15)
-
-
-def _markov_u_exact(q0, q1, n):
-    """u_0..u_n of the two-state mark chain in exact rational arithmetic, rounded once."""
-    q0, q1 = Fraction(q0), Fraction(q1)
-    u = [Fraction(1)]
+def _lumped_u_exact(q, n):
+    """u_0..u_n of the chain lumped to heights 0..m, q = (q_0..q_m), as x_{i+1} = M(1) x_i in exact rationals."""
+    q = [Fraction(v) for v in q]
+    x, u = [Fraction(1)] + [Fraction(0)] * (len(q) - 1), [Fraction(1)]
     for _ in range(n):
-        u.append(u[-1] * (1 - q0) + (1 - u[-1]) * (1 - q1))
-    return np.array([float(x) for x in u])
-
-
-@pytest.mark.parametrize("q0", [Q_CAP, 1.0 - 1e-6])
-def test_markov_closed_is_relatively_accurate_when_q1_below_q0(q0):
-    # u_n is about 2e-12 at odd n here; s = q1 - q0 < 0 must not subtract
-    want = _markov_u_exact(q0, 0.0, 400)
-    got = markov_renewal_closed(q0, 0.0, np.arange(401))
-    assert np.max(np.abs(got - want) / want) <= 1e-13
+        climbed = [v * h for v, h in zip(x, q)]
+        x = [sum(v * (1 - h) for v, h in zip(x, q))] + climbed[:-2] + [climbed[-2] + climbed[-1]]
+        u.append(x[0])
+    return np.array([float(v) for v in u])
 
 
 @pytest.mark.parametrize("q0", [Q_CAP, 1.0 - 1e-6])
 def test_lumped_u_is_relatively_accurate_when_q1_below_q0(q0):
-    # the engine's transfer pass: the powers of M(1) hold only nonnegative entries
-    want = _markov_u_exact(q0, 0.0, 400)
-    got = engine._renewal_u(MarkovQ(q0, 0.0), 400)
+    # u_n is about 2e-12 at odd n here; the powers of M(1) hold only
+    # nonnegative entries, so nothing subtracts
+    want = _lumped_u_exact((q0, 0.0), 400)
+    got = renewal_probabilities(MarkovQ(q0, 0.0), 400).u
     assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
-def _markov_closed_unskipped(q0, q1, i):
-    """markov_renewal_closed's formula evaluated at every index of ``i``."""
-    denom = 1.0 - q1 + q0
-    pi = (1.0 - q1) / denom
-    s = q1 - q0
-    if s >= 0.0:
-        return pi + (q0 / denom) * s**i
-    r = i % 2
-    log_abs_s = math.log1p(-((1.0 - q0) + q1)) if s < -0.5 else math.log(-s)
-    e = (i - r) * log_abs_s
-    return np.exp(e) * np.where(r, 1.0 - q0, 1.0) - pi * np.expm1(e)
-
-
-# s = q1 - q0 zero, of either sign near 0 and near 1, and in between
-_MARKOV_GRID = sorted({
-    (q0, q1)
-    for q in (0.0, 1e-9, 0.3, 0.5, 0.9, 1.0 - 1e-6, Q_CAP)
-    for d in (0.0, 1e-300, 1e-15, 1e-9, 1e-3, 0.2, 0.7, 1.0 - 1e-6, Q_CAP)
-    for q0, q1 in ((q, q + d), (q + d, q))
-    if q0 < 1.0 and q1 < 1.0
-})
-
-
-def test_markov_closed_skips_only_indices_that_cannot_move_pi():
-    # the skipped indices return pi itself; every u_i keeps the full formula's bits
-    i = np.arange(5001)
-    for q0, q1 in _MARKOV_GRID:
-        got = markov_renewal_closed(q0, q1, i)
-        assert np.array_equal(got, _markov_closed_unskipped(q0, q1, i)), (q0, q1)
-        for k in (0, 1, 2, 77, 5000):
-            assert markov_renewal_closed(q0, q1, k) == got[k]
-    assert markov_renewal_closed(0.3, 0.6, 10**15) == 0.4 / 0.7
-
-
-def test_markov_closed_matches_recursion_grid():
-    grid = [0.1, 0.3, 0.5, 0.7, 0.9]
-    for q0 in grid:
-        for q1 in grid:
-            table = renewal_probabilities(MarkovQ(q0, q1), 50)
-            for i in (0, 1, 2, 3, 10, 50):
-                assert markov_renewal_closed(q0, q1, i) == pytest.approx(
-                    table.u[i], abs=1e-12
-                )
+@pytest.mark.parametrize(
+    "values",
+    [(0.9, 0.2, 0.5), (0.3, 0.6, 0.5), (0.2, 0.3, 0.6), (0.1, 0.9, 0.2, 0.7), (Q_CAP, 0.0, Q_CAP, 0.3)],
+)
+def test_lumped_u_of_tables_matches_the_exact_height_recursion(values):
+    want = _lumped_u_exact(values, 200)
+    got = renewal_probabilities(TableQ(values), 200).u
+    assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
 def test_ck_constant_half_hand_value():
@@ -506,13 +462,17 @@ _CK_Q = st.one_of(st.sampled_from([0.0, 1e-300, 0.5, 0.7, 0.999, Q_CAP, 1.0]), s
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["constant", "markov", "table"]), _CK_Q, _CK_Q, st.integers(1, 3000))
-def test_lumped_ck_rows_match_the_sweep(kind, q0, q1, kmax):
-    # q0 > q1 and q1 > q0 both occur; the same law with a QSequence tail is
-    # not lumped (renewal._lumped gives None), so it runs the general sweep
-    spec = {"constant": ConstantQ(q0), "markov": MarkovQ(q0, q1), "table": TableQ((q0, q1, q1))}[kind]
-    swept = TableQ((spec.q_at(0),), tail=ConstantQ(spec.q_at(1)))
+@given(st.sampled_from(["constant", "markov", "table"]), st.lists(_CK_Q, min_size=2, max_size=4), st.integers(1, 3000))
+@example("table", [0.2, 0.3, 0.6], 500)
+def test_lumped_ck_rows_match_the_sweep(kind, q, kmax):
+    # tables of 2-4 heights with their max at any index; the same law with a
+    # QSequence tail is not lumped (renewal._lumped gives None), so it runs the general sweep
+    spec = {"constant": ConstantQ(q[0]), "markov": MarkovQ(q[0], q[1]), "table": TableQ(tuple(q))}[kind]
+    values = spec.q_array(len(q)).tolist()
+    swept = TableQ(tuple(values[:-1]), tail=ConstantQ(values[-1]))
     assert np.array_equal(spec.q_array(2 * kmax), swept.q_array(2 * kmax))
+    # rows share one sum only where q* peaks by index 1: (0.2, 0.3, 0.6) keeps the sweep
+    assert (_lumped_row(spec, kmax) is None) == (max(values[:2]) < max(values))
     lumped, general = ck_sequence(spec, kmax), ck_sequence(swept, kmax)
     assert np.array_equal(lumped.c[1:], general.c[1:]) and np.array_equal(lumped.ratio[1:], general.ratio[1:])
     for k in {1, kmax // 2 + 1, kmax}:
