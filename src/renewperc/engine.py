@@ -4,12 +4,10 @@ The central object is the partial generating-function series
 
     S_0 = 1,   S_n = E prod_{i=0..n-1} alpha_i^(xi_{i+1}),   n >= 1,
 
-computed exactly by ``gf_partial``: for a law that lumps to at most four
-heights (q_h constant from some height m on) by one blocked transfer
-pass, and else in renewal form, by the blocked kernel ``renewal_solve``
-and its Toeplitz-block GEMMs.  The closed bounds read u from
-``renewal_probabilities``, which runs the same pass on a lumped law; the
-dual occupancy v always comes from the kernel.  The series has three faces:
+computed exactly by ``gf_partial`` with the dual pmf, by a transfer pass
+or in renewal form as ``renewal`` chooses; the closed bounds read u from
+``renewal_probabilities`` and the dual occupancy v from ``renewal_solve``.
+The series has three faces:
 
 * dual law: S_{n} is the survival function P(T_Y >= n+1) of the
   inter-arrival time of the dual relay process, so f_k = S_{k-1} - S_k is
@@ -68,18 +66,15 @@ from .errors import (
 )
 from .radius import RadiusModel
 from .renewal import (
-    _LIFT,
     ConstantQ,
     QSequence,
     _interarrival,
-    _lumped,
-    _pass,
-    _toeplitz_product,
+    _iid_series,
+    _series,
     ck_at,
     ck_sequence,
     renewal_probabilities,
     renewal_solve,
-    survival_products,
 )
 
 TAIL_CONCENTRATION = "concentration"
@@ -106,92 +101,18 @@ class GfTable:
     partial_sum: float
 
 
-def _gf_table(S: np.ndarray, f: np.ndarray) -> GfTable:
-    # rounded, S may rise by an ulp where flat; this moves hi only upward
-    S = np.minimum.accumulate(S, out=S)
-    return GfTable(S=S, dual_pmf=f, horizon=S.size - 1, partial_sum=float(S[1:].sum()))
-
-
-def _iid_series(q: float, alph: np.ndarray) -> np.ndarray:
-    """S_1..S_N for i.i.d. marks of density p = 1 - q: prod_{i<n} [q + p alpha_i].
-
-    q + p alpha_i is 1 - p (1 - alpha_i) without the subtraction, which
-    would round a small q + p alpha_i to 0.
-    """
-    return np.cumprod(q + (1.0 - q) * alph)
-
-
-def _iid_table(q: float, alph: np.ndarray) -> GfTable:
-    """Series and dual pmf of i.i.d. marks: f_n = p (1 - alpha_{n-1}) S_{n-1}."""
-    S = np.empty(alph.size + 1)
-    S[0] = 1.0
-    S[1:] = _iid_series(q, alph)
-    f = np.zeros_like(S)
-    f[1:] = (1.0 - q) * (1.0 - alph) * S[:-1]
-    return _gf_table(S, f)
-
-
-def _lumped_table(spec: QSequence, q: np.ndarray, alph: np.ndarray) -> GfTable:
-    """Series and dual pmf of a law lumped to q_0..q_m, by ``_pass`` in blocks of isqrt(n) sites.
-
-    On alpha's zero prefix, sites 0..z-1, a mark zeroes its path, so S_n is
-    P(T > n) as survival_products forms it; the pass takes the other n sites.
-    """
-    N, k = alph.size, q.size
-    z = np.count_nonzero(alph == 0.0)  # alpha is a CDF
-    S, f, x = np.empty(N + 1), np.zeros(N + 1), np.zeros(k)
-    S[: z + 1] = survival_products(spec, z)
-    f[1 : z + 1] = (1.0 - spec.q_array(z)) * S[:z]
-    x[min(z, k - 1)] = S[z]
-    if n := N - z:
-        B = math.isqrt(n)
-        a = np.ones(-(-n // B) * B)
-        a[:n] = alph[z:]
-        X = np.einsum("bjhk,bk->bjh", *_pass(q, a.reshape(-1, B), x, a.size // B)).reshape(-1, k)[:n]
-        S[z + 1 :] = np.einsum("nh->n", X)
-        f[z + 1 :] = (1.0 - alph[z:]) * np.einsum("nh,h->n", np.vstack((x, X[:-1])), 1.0 - q)
-    return _gf_table(S, f)
-
-
 def gf_partial(spec: QSequence, model: RadiusModel, horizon: int) -> GfTable:
-    """Exact S_1..S_N and the dual pmf, by a transfer pass for lumped laws.
+    """Exact S_1..S_N and the dual pmf f_n = (1 - alpha_{n-1}) h_n of ``renewal._series``.
 
-    A law that lumps to the heights 0..m (see ``_lumped``) has S in
-    O(N m^2): the i.i.d. product when every q_h agrees, else the blocked
-    pass x_{i+1} = M(alpha_i) x_i of ``_lumped_table``, with S_n = sum x_n
-    and f_n = (1 - alpha_{n-1}) sum_h (1 - q_h) x_{n-1,h}.
-
-    Every other law goes through g = renewal_solve(P(T = .), alpha), at
-    O(N K) for P(T = .) supported on 1..K, and S = g * P(T > .) for n <= N
-    by ``_toeplitz_product`` (an FFT loses about 1e-7 relative on the small
-    S_n that the tail fits and the 1e-12 exact checks rely on).  In
-    floating point P(T > s) is constant from some s0 on: 0 once the
-    products drain, or a stalled subnormal c where q > 0.5 (q * c rounds
-    back to c).  Only s < s0 is convolved and the constant tail adds
-    c * (g_0 + ... + g_{n-s0}) to S_n, so no term is dropped and the cost
-    is O(N s0).  The dual pmf is f_n = (1 - alpha_{n-1}) h_n with
-    h = P(T = .) * g, the sum that g_n = alpha_{n-1} h_n scales; unlike
-    S_{n-1} - S_n it is exactly 0 where S is flat.  Both products run on
-    P(T > .) and P(T = .) lifted by 2^_LIFT, as in renewal_solve: these
-    kernels lie in [0, 1] and g in [0, 1], so the lifted sums stay finite,
-    subnormal products become normal, and where the unlifted sums stayed
-    normal the bits are the same.  O(N) space.
+    A lumped law takes a transfer pass; any other, one ``renewal_solve``
+    for the mass h_n of paths that renew at site n, and S as one
+    Toeplitz-block product of g_n = alpha_{n-1} h_n with P(T > .).
     """
     horizon = check_at_least("horizon", horizon, 1)
-    alpha = model.alpha_array(horizon)
-    q = _lumped(spec)
-    if q is not None:
-        return _iid_table(q[0], alpha) if q.min() == q.max() else _lumped_table(spec, q, alpha)
-    summary, surv = _interarrival(spec, horizon)
-    pmf = summary.pmf
-    g = renewal_solve(pmf, alpha)
-    s0 = np.count_nonzero(surv > surv[-1])
-    lifted = np.ldexp(surv, _LIFT)
-    S = _toeplitz_product(lifted[:s0], g, 0, horizon + 1)
-    S[s0:] += lifted[-1] * np.cumsum(g[: horizon + 1 - s0])
-    f = _toeplitz_product(np.ldexp(pmf[: np.flatnonzero(pmf)[-1] + 1], _LIFT), g, 0, horizon + 1)
-    f[1:] *= 1.0 - alpha
-    return _gf_table(np.ldexp(S, -_LIFT, out=S), np.ldexp(f, -_LIFT, out=f))
+    S, f = _series(spec, model.alpha_array(horizon))
+    # rounded, S may rise by an ulp where flat; this moves hi only upward
+    S = np.minimum.accumulate(S, out=S)
+    return GfTable(S=S, dual_pmf=f, horizon=horizon, partial_sum=float(S[1:].sum()))
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ class PowerLawTailRadius(RadiusModel):
         object.__setattr__(self, "n0", check_at_least("n0", self.n0, 1))
 
     def _alpha(self, idx: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # c / inf = 0 gives alpha = 1
             tail = np.minimum(1.0, self.c / idx.astype(float) ** self.gamma)
         out = 1.0 - tail
         out[idx < self.n0] = 0.0
@@ -127,7 +127,8 @@ class PowerLawTailRadius(RadiusModel):
         v = np.subtract(1.0, u, out=np.empty_like(u))
         np.divide(self.c, v, out=v)
         if self.gamma != 1.0:  # x ** 1.0 == x, so skipping it keeps the bits
-            np.power(v, 1.0 / self.gamma, out=v)
+            with np.errstate(over="ignore"):  # an infinite radius covers every site
+                np.power(v, 1.0 / self.gamma, out=v)
         np.floor(v, out=v)
         v += 1.0
         if self.n0 != 1:  # v >= 1 already

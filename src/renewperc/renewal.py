@@ -11,9 +11,11 @@ are i.i.d. copies of an inter-arrival time T with
     E T      = 1 + sum_{n >= 1} prod_{i <= n-1} q_i.
 
 A family of climb probabilities q_0, q_1, ... therefore pins the whole law.
-This module provides the families, the inter-arrival summary, the transfer
-step of a chain lumped to finitely many heights, the renewal probabilities
-u_n = P(xi_n = 1), the running maxima q*_i, the coalescence constants
+This module provides the families, the inter-arrival summary, and the two
+exact forms: the renewal kernel and the transfer pass of a chain lumped to
+finitely many heights.  One choice between them per law gives the renewal
+probabilities u_n = P(xi_n = 1) and the series S with its dual pmf.  It
+also provides the running maxima q*_i and the coalescence constants
 
     C_k = ( sum_{j=1..k} prod_{i=k..k+j-1} q*_i )^2.
 
@@ -350,8 +352,8 @@ class RenewalProbTable:
 # forms) was 4.5e-12 with 64, 7e-12 with 128 and 1e-11 with 256.
 _BLOCK = 128
 
-# The renewal form's long products (renewal_solve's updates, S and the dual
-# pmf) run on kernels scaled by 2^_LIFT and are scaled back by 2^-_LIFT.  A
+# The renewal form's long products (renewal_solve's updates and S) run on
+# kernels scaled by 2^_LIFT and are scaled back by 2^-_LIFT.  A
 # kernel entry of a pmf or of survival products may be subnormal (P(T > s)
 # can stall at 5e-324), and every product with a subnormal operand or result
 # is slow on x86 and loses relative precision.  Lifted, those products are
@@ -400,25 +402,25 @@ def _toeplitz_product(x: np.ndarray, h: np.ndarray, t0: int, n: int, out=None) -
 
 
 def renewal_solve(f: np.ndarray, mult=None) -> np.ndarray:
-    """Solve g_0 = 1, g_n = mult[n-1] * sum_{k=1..n} f_k g_{n-k} for n < len(f).
+    """The sums h_n = sum_{k=1..n} f_k g_{n-k}, h_0 = 1, of g_0 = 1, g_n = mult[n-1] h_n, for n < len(f).
 
-    ``f[0]`` is ignored; ``mult`` defaults to all ones (the plain renewal
-    equation).  f_1, f_2, ... must be a (possibly defective) pmf and
-    ``mult`` lie in [0, 1], as for every law of this package, so that
-    0 <= g_n <= 1.  Only f_1..f_K enter, K the last index with f_K != 0:
-    the terms left out are exact zeros, and the cost is O(N K).  g is built
-    in blocks of _BLOCK indices, in groups of _GROUP blocks.  A finished
-    block adds its share of the sum to the rest of its group with one
-    "valid" np.convolve, and a finished group adds its share to the next K
-    indices with one _toeplitz_product straight into the running sums, both
-    against the kernel lifted by 2^_LIFT (subnormal f_k g_{n-k} are formed
-    as normal numbers) and zero-padded once (the far products read it as
-    views); each block reads those sums scaled back by 2^-_LIFT.  Inside a
-    block the plain equation applies the lower-triangular Toeplitz inverse
-    of the block, whose first column is the first block's own solution; a
-    ``mult`` solve keeps one dot per index.  Every operation is on
-    nonnegative numbers (no FFT, which loses 1e-7 relative), so the rounding
-    error stays componentwise relative.
+    ``f[0]`` is ignored; ``mult`` defaults to all ones, the plain renewal
+    equation, whose h is g itself.  f_1, f_2, ... must be a (possibly
+    defective) pmf and ``mult`` lie in [0, 1], as for every law of this
+    package, so that 0 <= g_n <= h_n <= 1.  Only f_1..f_K enter, K the last
+    index with f_K != 0: the terms left out are exact zeros, and the cost is
+    O(N K).  g is built in blocks of _BLOCK indices, in groups of _GROUP
+    blocks.  A finished block adds its share of the sum to the rest of its
+    group with one "valid" np.convolve, and a finished group adds its share
+    to the next K indices with one _toeplitz_product straight into the
+    running sums, both against the kernel lifted by 2^_LIFT (subnormal
+    f_k g_{n-k} are formed as normal numbers) and zero-padded once (the far
+    products read it as views); each block reads those sums scaled back by
+    2^-_LIFT.  Inside a block the plain equation applies the lower-triangular
+    Toeplitz inverse of the block, whose first column is the first block's
+    own solution; a ``mult`` solve keeps one dot per index.  Every operation
+    is on nonnegative numbers (no FFT, which loses 1e-7 relative), so the
+    rounding error stays componentwise relative.
     """
     horizon = len(f) - 1
     g = np.zeros(horizon + 1)
@@ -429,15 +431,15 @@ def renewal_solve(f: np.ndarray, mult=None) -> np.ndarray:
     K = int(support[-1]) + 1
     kernel = np.array(f[: K + 1], dtype=float)
     kernel[0] = 0.0
-    scale = np.ones(horizon + 1)  # scale[n] multiplies g_n
-    if mult is not None:
-        scale[1:] = mult
+    scale = np.append(1.0, np.ones(horizon) if mult is None else mult)  # scale[n] multiplies g_n
     rev = np.zeros(_BLOCK)  # rev[_BLOCK - 1 - k] = f_k for k < _BLOCK
     rev[_BLOCK - 1 - min(K, _BLOCK - 1) :] = kernel[_BLOCK - 1 :: -1]
     # dots[i](x) = f_i x_0 + ... + f_1 x_{i-1}, the in-block sum at offset i
     dots = [rev[_BLOCK - 1 - i : _BLOCK - 1].dot for i in range(min(_BLOCK, horizon + 1))]
     lifted = np.ldexp(np.concatenate((kernel, np.zeros((_GROUP + 1) * _BLOCK))), _LIFT)
     acc = np.zeros(horizon + _BLOCK)  # 2^_LIFT sum_k f_k g_{n-k} over the finished blocks
+    acc[0] = np.ldexp(1.0, _LIFT)  # h_0 = 1
+    h = g if mult is None else np.empty(horizon + 1)
     inverse = None
     for a in range(0, horizon + 1, _BLOCK):
         b = min(a + _BLOCK, horizon + 1)
@@ -448,9 +450,12 @@ def renewal_solve(f: np.ndarray, mult=None) -> np.ndarray:
         else:
             sums, factors = sums.tolist(), scale[a:b].tolist()
             for i in range(1 if a == 0 else 0, b - a):
-                block[i] = factors[i] * (sums[i] + dots[i](block[:i]))
+                sums[i] += dots[i](block[:i])
+                block[i] = factors[i] * sums[i]
             if mult is None:
                 inverse = g[:b].copy()
+            else:
+                h[a:b] = sums
         start = a - a % (_GROUP * _BLOCK)
         end = min(start + _GROUP * _BLOCK, horizon + 1)
         near, reach = min(end, b + K), min(horizon + 1, end + K)
@@ -458,7 +463,7 @@ def renewal_solve(f: np.ndarray, mult=None) -> np.ndarray:
             acc[b:near] += np.convolve(lifted[1 : near - a], block, "valid")
         if b == end < reach:
             _toeplitz_product(g[start:end], lifted, end - start, reach - end, acc[end:])
-    return g
+    return h
 
 
 def renewal_probabilities(spec: QSequence, horizon: int) -> RenewalProbTable:
@@ -479,6 +484,78 @@ def renewal_probabilities(spec: QSequence, horizon: int) -> RenewalProbTable:
         P, starts = _pass(q, np.ones((1, B)), np.eye(q.size)[0], -(-horizon // B))
         u = np.append(1.0, (starts @ P[0, :, 0].T).reshape(-1)[:horizon])
     return RenewalProbTable(u=u, horizon=horizon)
+
+
+def _iid_series(q: float, alph: np.ndarray) -> np.ndarray:
+    """S_1..S_N for i.i.d. marks of density p = 1 - q: prod_{i<n} [q + p alpha_i].
+
+    q + p alpha_i is 1 - p (1 - alpha_i) without the subtraction, which
+    would round a small q + p alpha_i to 0.
+    """
+    return np.cumprod(q + (1.0 - q) * alph)
+
+
+def _iid_table(q: float, alph: np.ndarray) -> tuple:
+    """Series and dual pmf of i.i.d. marks: f_n = p (1 - alpha_{n-1}) S_{n-1}."""
+    S = np.append(1.0, _iid_series(q, alph))
+    return S, np.append(0.0, (1.0 - q) * (1.0 - alph) * S[:-1])
+
+
+def _lumped_table(spec: QSequence, q: np.ndarray, alph: np.ndarray) -> tuple:
+    """Series and dual pmf of a law lumped to q_0..q_m, by ``_pass`` in blocks of isqrt(n) sites.
+
+    On alpha's zero prefix, sites 0..z-1, a mark zeroes its path, so S_n is
+    P(T > n) as survival_products forms it; the pass takes the other n sites.
+    """
+    N, k = alph.size, q.size
+    z = np.count_nonzero(alph == 0.0)  # alpha is a CDF
+    S, f, x = np.empty(N + 1), np.zeros(N + 1), np.zeros(k)
+    S[: z + 1] = survival_products(spec, z)
+    f[1 : z + 1] = (1.0 - spec.q_array(z)) * S[:z]
+    x[min(z, k - 1)] = S[z]
+    if n := N - z:
+        B = math.isqrt(n)
+        a = np.ones(-(-n // B) * B)
+        a[:n] = alph[z:]
+        X = np.einsum("bjhk,bk->bjh", *_pass(q, a.reshape(-1, B), x, a.size // B)).reshape(-1, k)[:n]
+        S[z + 1 :] = np.einsum("nh->n", X)
+        f[z + 1 :] = (1.0 - alph[z:]) * np.einsum("nh,h->n", np.vstack((x, X[:-1])), 1.0 - q)
+    return S, f
+
+
+def _series(spec: QSequence, alpha: np.ndarray) -> tuple:
+    """S_0..S_N and the dual pmf f_0..f_N (f_0 = 0) for alpha_0..alpha_{N-1}.
+
+    A law that lumps to the heights 0..m (see ``_lumped``) takes O(N m^2):
+    the i.i.d. product when every q_h agrees, else the blocked pass
+    x_{i+1} = M(alpha_i) x_i of ``_lumped_table``, with S_n = sum x_n and
+    f_n = (1 - alpha_{n-1}) sum_h (1 - q_h) x_{n-1,h}.
+
+    Every other law takes h = renewal_solve(P(T = .), alpha), O(N K) for
+    P(T = .) supported on 1..K.  The mass h_n of paths that renew at site
+    n splits into g_n = alpha_{n-1} h_n, whose interval covers on, and
+    f_n = (1 - alpha_{n-1}) h_n, which ends the dual relay (unlike
+    S_{n-1} - S_n, exactly 0 where S is flat).  S = g * P(T > .) for
+    n <= N is one ``_toeplitz_product``, on P(T > .) lifted by 2^_LIFT and
+    with no FFT, as in renewal_solve.  In floating point P(T > s) is
+    constant from some s0 on: 0 once the products drain, or a stalled
+    subnormal c where q > 0.5 (q * c rounds back to c).  Only s < s0 is
+    convolved and the constant tail adds c * (g_0 + ... + g_{n-s0}) to S_n,
+    so no term is dropped and the cost is O(N s0).
+    """
+    q = _lumped(spec)
+    if q is not None:
+        return _iid_table(q[0], alpha) if q.min() == q.max() else _lumped_table(spec, q, alpha)
+    N = alpha.size
+    summary, surv = _interarrival(spec, N)
+    h = renewal_solve(summary.pmf, alpha)
+    g = np.append(1.0, alpha * h[1:])
+    s0 = np.count_nonzero(surv > surv[-1])
+    lifted = np.ldexp(surv, _LIFT)
+    S = _toeplitz_product(lifted[:s0], g, 0, N + 1)
+    S[s0:] += lifted[-1] * np.cumsum(g[: N + 1 - s0])
+    h[0], h[1:] = 0.0, (1.0 - alpha) * h[1:]
+    return np.ldexp(S, -_LIFT, out=S), h
 
 
 # ---------------------------------------------------------------------------

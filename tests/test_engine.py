@@ -129,11 +129,16 @@ def test_gf_markov_matches_transfer_product_at_large_horizon(q0, q1):
     assert np.max(np.abs(got - expected) / expected) <= 1e-12
 
 
+def _scaled(h, alpha):
+    """g_0 = 1, g_n = alpha_{n-1} h_n: the g whose sums renewal_solve(f, alpha) returns."""
+    return np.append(1.0, alpha * h[1:])
+
+
 def _kernel_series(spec, model, n):
-    """S and the dual pmf from g = renewal_solve(P(T = .), alpha) and full convolutions."""
+    """S and the dual pmf from the g of renewal_solve(P(T = .), alpha) and full convolutions."""
     pmf = interarrival(spec, n).pmf
     alpha = model.alpha_array(n)
-    g = renewal_solve(pmf, alpha)
+    g = _scaled(renewal_solve(pmf, alpha), alpha)
     S = np.convolve(g, survival_products(spec, n))[: n + 1]
     f = np.convolve(g, pmf)[: n + 1]
     f[1:] *= 1.0 - alpha
@@ -172,7 +177,7 @@ _RADII = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(_LUMPED_LAWS, _RADII, st.integers(1, 400))
 def test_lumped_laws_match_the_kernel(spec, model, horizon):
-    assert engine._lumped(spec) is not None
+    assert renewal._lumped(spec) is not None
     gf = gf_partial(spec, model, horizon)
     S, f = _kernel_series(spec, model, horizon)
     _assert_close_above(gf.S, S, 1e-12)
@@ -221,7 +226,8 @@ def test_only_two_state_laws_skip_the_kernel(monkeypatch, spec, lumped):
         calls.append("mult" if len(args) == 2 else "plain")
         return renewal_solve(*args)
 
-    # the series calls the kernel from engine, u from inside renewal
+    # the series and u call the kernel from inside renewal; engine's name is
+    # patched too, so a call from engine would also count
     monkeypatch.setattr(engine, "renewal_solve", solve)
     monkeypatch.setattr(renewal, "renewal_solve", solve)
     _clear_memos()
@@ -257,7 +263,7 @@ def subnormal_case(request):
     if np.finfo(np.longdouble).minexp > -16000:
         pytest.skip("np.longdouble has the float64 exponent range here")
     spec, n = request.param
-    assert engine._lumped(spec) is None  # these laws test the renewal form
+    assert renewal._lumped(spec) is None  # these laws test the renewal form
     surv = survival_products(spec, n)
     assert np.any((surv > 0.0) & (surv < np.finfo(float).tiny))
     pmf = interarrival(spec, n).pmf
@@ -273,7 +279,7 @@ def _assert_relative_where_normal(got, want):
 def test_renewal_solve_is_relatively_accurate_on_subnormal_kernels(subnormal_case):
     spec, n, pmf, surv, alpha, u_ref, g_ref = subnormal_case
     _assert_relative_where_normal(renewal_solve(pmf), u_ref)
-    _assert_relative_where_normal(renewal_solve(pmf, alpha), g_ref)
+    _assert_relative_where_normal(_scaled(renewal_solve(pmf, alpha), alpha), g_ref)
 
 
 def test_gf_is_relatively_accurate_on_subnormal_kernels(subnormal_case):
@@ -288,19 +294,48 @@ def test_gf_is_relatively_accurate_on_subnormal_kernels(subnormal_case):
 
 def test_lifted_gf_convolutions_keep_the_unlifted_bits():
     # P(T > .) stalls at a subnormal here, yet where the unlifted sums stay
-    # normal the power-of-two lift changes no bit of S or f
+    # normal the power-of-two lift changes no bit of S; f is the solve's own
+    # sums h, each scaled by 1 - alpha
     spec, model, n = PolynomialMonotoneQ(0.25), PowerLawTailRadius(3, 1, 1), 5000
     pmf, surv = interarrival(spec, n).pmf, survival_products(spec, n)
     alpha = model.alpha_array(n)
-    g = renewal_solve(pmf, alpha)
+    h = renewal_solve(pmf, alpha)
+    g = _scaled(h, alpha)
     s0 = np.count_nonzero(surv > surv[-1])
     assert 0.0 < surv[-1] < np.finfo(float).tiny
     S = _toeplitz_product(surv[:s0], g, 0, n + 1)
     S[s0:] += surv[-1] * np.cumsum(g[: n + 1 - s0])
-    f = _toeplitz_product(pmf[: np.flatnonzero(pmf)[-1] + 1], g, 0, n + 1)
-    f[1:] *= 1.0 - alpha
     gf = gf_partial(spec, model, n)
-    assert np.array_equal(gf.S, S) and np.array_equal(gf.dual_pmf, f)
+    assert np.array_equal(gf.S, S)
+    assert gf.dual_pmf[0] == 0.0 and np.array_equal(gf.dual_pmf[1:], (1.0 - alpha) * h[1:])
+
+
+def test_renewal_form_makes_one_toeplitz_product(monkeypatch):
+    # up to 1024 indices renewal_solve stays within one group of blocks and
+    # forms no Toeplitz product, so the one call is S's: f comes from the
+    # solve's sums, not from a second product with P(T = .)
+    calls = []
+
+    def product(*args):
+        calls.append(args[3])
+        return _toeplitz_product(*args)
+
+    monkeypatch.setattr(renewal, "_toeplitz_product", product)
+    for spec in (PolynomialMonotoneQ(0.25), TableQ((0.9, 0.2, 0.5), tail=ConstantQ(0.6))):
+        calls.clear()
+        gf_partial(spec, PowerLawTailRadius(3, 1, 1), 1000)
+        assert calls == [1001]
+
+
+def test_renewal_form_dual_pmf_matches_the_full_convolution():
+    # P(T = .) and P(T > .) of this law turn subnormal; the dual pmf read off
+    # the solve's sums agrees with the full convolution P(T = .) * g
+    spec, model, n = TableQ((0.9, 0.2, 0.5), tail=ConstantQ(0.6)), PowerLawTailRadius(3, 1, 1), 3000
+    assert renewal._lumped(spec) is None
+    S, f = _kernel_series(spec, model, n)
+    gf = gf_partial(spec, model, n)
+    _assert_close_above(gf.dual_pmf, f, 1e-12)
+    _assert_close_above(gf.S, S, 1e-12)
 
 
 def test_every_gemm_is_small_enough_for_the_calling_thread(monkeypatch):
@@ -702,8 +737,8 @@ def test_bounds_fkg_on_non_monotone_law_raises_before_building(monkeypatch):
     def build(*args, **kwargs):
         raise AssertionError("array built before the monotonicity check")
 
-    for name in ("renewal_probabilities", "_pass", "ck_sequence"):
-        monkeypatch.setattr(engine, name, build)
+    for module, name in ((engine, "renewal_probabilities"), (renewal, "_pass"), (engine, "ck_sequence")):
+        monkeypatch.setattr(module, name, build)
     monkeypatch.setattr(GeometricTailRadius, "alpha_array", build)
     _clear_memos()
     for spec in (MarkovQ(0.6, 0.2), TableQ((0.9, 0.2, 0.5))):

@@ -56,6 +56,15 @@ def test_alpha_nondecreasing_power_property(c, gamma):
     assert np.all(np.diff(values) >= -1e-15)
 
 
+def test_power_law_powers_that_overflow_give_the_limits():
+    # idx ** 400 and (c / (1 - u)) ** 1000 overflow to inf, with no warning:
+    # c / inf = 0 gives alpha = 1, and the radius is infinite
+    alpha = PowerLawTailRadius(c=3.0, gamma=400.0).alpha_array(200)
+    assert alpha[0] == alpha[1] == 0.0 and np.all(alpha[2:] == 1.0)
+    radii = PowerLawTailRadius(c=3.0, gamma=0.001).quantile(np.array([0.0, 0.5, 0.9]))
+    assert np.all(np.isposinf(radii))
+
+
 _RADII = st.one_of(
     st.builds(GeometricTailRadius, st.floats(0.01, 0.99)),
     st.builds(PowerLawTailRadius, st.floats(0.1, 10.0), st.floats(0.2, 3.0), st.integers(1, 5)),

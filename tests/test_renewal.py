@@ -195,19 +195,22 @@ def test_interarrival_mean_is_the_running_sum(spec, horizon, tol):
 
 
 def _reference_solve(f, mult=None):
-    """g_0 = 1, g_n = mult[n-1] * sum_{k=1..n} f_k g_{n-k}, each sum by math.fsum."""
-    g = np.zeros(len(f))
-    g[0] = 1.0
+    """g_0 = 1, g_n = mult[n-1] h_n and h_0 = 1, h_n = sum_{k=1..n} f_k g_{n-k}, each sum by math.fsum."""
+    g, h = np.zeros(len(f)), np.zeros(len(f))
+    g[0] = h[0] = 1.0
     for n in range(1, len(f)):
-        h = math.fsum((f[1 : n + 1] * g[n - 1 :: -1]).tolist())
-        g[n] = h if mult is None else mult[n - 1] * h
-    return g
+        h[n] = math.fsum((f[1 : n + 1] * g[n - 1 :: -1]).tolist())
+        g[n] = h[n] if mult is None else mult[n - 1] * h[n]
+    return g, h
 
 
 def _assert_matches_reference(f, mult=None):
-    got, want = renewal_solve(f, mult), _reference_solve(f, mult)
-    assert got.shape == want.shape
-    assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-300)
+    h = renewal_solve(f, mult)
+    g = h if mult is None else np.append(1.0, mult * h[1:])
+    assert h.shape == (len(f),) and h[0] == 1.0
+    for got, want in zip((g, h), _reference_solve(f, mult)):
+        assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-300)
+    return h
 
 
 # f with support 1..3, support up to ~600 (drains to exact zeros), full
@@ -230,7 +233,9 @@ def test_renewal_solve_matches_reference(horizon, kind, mult_kind):
         "random": np.random.default_rng(horizon).random(horizon),
         "zeros": InfiniteRadius().alpha_array(horizon),
     }[mult_kind]
-    _assert_matches_reference(f, mult)
+    h = _assert_matches_reference(f, mult)
+    if mult_kind == "zeros":  # g vanishes past g_0 = 1, so h_n = f_n
+        assert np.array_equal(h[1:], f[1:])
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,6 +255,7 @@ def test_renewal_solve_random_kernels(horizon, support, mass, scaled, seed):
     if total > 0.0:
         f *= mass / total
     _assert_matches_reference(f, rng.random(horizon) if scaled else None)
+    assert np.array_equal(_assert_matches_reference(f, np.zeros(horizon))[1:], f[1:])
 
 
 def _fsum_convolution(x, h, t0, n):
