@@ -2,25 +2,26 @@
 
 Ground truth against the exact engine and the simulator.  The code here
 deliberately shares no arithmetic kernels with the engine, only the laws,
-which each enumeration reads once through ``q_array``, ``alpha_array`` and
-``pmf_array``: path probabilities come from a walk of the house-of-cards
-chain over those q values, the coverage test unions intervals site by
+read once per enumeration: ``q_array`` by all three, ``alpha_array`` by
+the series, ``pmf_array`` by connectivity and relay.  P(marks) comes from
+one walk of the house-of-cards chain over all mark vectors at once, in
+``itertools.product`` order; the coverage test unions intervals site by
 site, and the relay test applies the gap rule directly.  Radii are
 enumerated only at marked sites (they are irrelevant elsewhere) and only
-through their endpoint truncated at the last site that can matter, with
-the truncated outcome carrying the aggregated tail probability; both
+through their endpoint truncated at the last site that can matter, the
+truncated outcome carrying the ``math.fsum`` of the pmf's tail; both
 reductions are exact.
 
 The connectivity and relay oracles hold the (mark vector, radius
 assignment) pairs as dense arrays with one axis per enumerated site, whose
 choices are "unmarked" (factor 1.0, state unchanged) and the site's radius
 outcomes.  So each pair carries the weight and state of a per-assignment
-loop: P(marks) from one walk over all mark vectors (the products of
-``_path_probability``) times the outcome probabilities in site order, and
-the coverage union as a literal OR of interval bit sets (radius r at site
-s sets bits s+1..s+r).  The hit weights are put in ``itertools.product``
-order (by vector; within one vector the dense order is that order) and
-summed by a sequential ``cumsum``, so every value equals the loop's.
+loop: P(marks) from the walk's odd vectors (site n is always marked)
+times the outcome probabilities in site order, and the coverage union as
+a literal OR of interval bit sets (radius r at site s sets bits
+s+1..s+r).  The hit weights are put in ``itertools.product`` order (by
+vector; within one vector the dense order is that order) and summed by a
+sequential ``cumsum``, so every value equals the loop's.
 After each site's axis the pairs that can no longer hit are dropped, in
 order, with their weights: a cover whose bit s+1 is still clear after
 site s (no later interval opens it), a relay whose last informed site is
@@ -34,7 +35,7 @@ from the full outcome counts before any array is built.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,41 +63,40 @@ class TinyConfig:
         object.__setattr__(self, "cap", check_at_least("cap", self.cap, 0))
 
 
-def _path_probability(qs: list, bits) -> float:
-    """P(xi_1..xi_k = bits | xi_0 = 1) by walking the chain; qs holds q_0..q_{k-1}."""
-    prob = 1.0
-    state = 0
-    for b in bits:
-        q = qs[state]
-        if b:
-            prob *= 1.0 - q
-            state = 0
-        else:
-            prob *= q
-            state += 1
-    return prob
+def _mark_vectors(qs: np.ndarray, k: int) -> tuple:
+    """Each site's marks over the 2^k vectors xi_1..xi_k and their P(. | xi_0 = 1).
+
+    The vectors are in ``itertools.product`` order; each site multiplies in
+    1 - q (marked) or q (unmarked) at the chain's height.  qs starts with q_0..q_{k-1}.
+    """
+    vids = np.arange(1 << k)
+    marks = [(vids >> (k - s)) & 1 == 1 for s in range(1, k + 1)]
+    prob, height = np.ones(vids.size), np.zeros(vids.size, dtype=np.int64)
+    for b in marks:
+        q = qs[height]
+        prob *= np.where(b, 1.0 - q, q)
+        height = np.where(b, 0, height + 1)
+    return marks, prob
 
 
 def enumerate_gf(cfg: TinyConfig) -> np.ndarray:
-    """S_0..S_n as the full sum over all 2^k mark vectors per term."""
+    """S_0..S_n as the full sum over all 2^k mark vectors per term.
+
+    A vector's term is P(marks) times alpha_{i-1} at each marked site i, in
+    site order; one sequential ``cumsum`` adds them in ``itertools.product`` order.
+    """
     n = cfg.n
     if n > _GF_SITE_LIMIT:
         raise ValidationError(f"series enumeration is limited to n <= {_GF_SITE_LIMIT}")
     if 2 ** (n + 1) > cfg.cap:
         raise EnumerationCapError(f"2^{n + 1} terms exceed the cap {cfg.cap}")
-    qs = cfg.spec.q_array(n).tolist()
-    alph = cfg.model.alpha_array(n).tolist()
-    S = np.empty(n + 1)
-    S[0] = 1.0
+    qs, alph = cfg.spec.q_array(n), cfg.model.alpha_array(n)
+    S = np.ones(n + 1)
     for k in range(1, n + 1):
-        total = 0.0
-        for bits in itertools.product((0, 1), repeat=k):
-            term = _path_probability(qs, bits)
-            for i, b in enumerate(bits):
-                if b:
-                    term *= alph[i]
-            total += term
-        S[k] = total
+        marks, term = _mark_vectors(qs, k)
+        for b, a in zip(marks, alph):
+            term *= np.where(b, a, 1.0)  # x 1.0 is exact: an unmarked site adds no factor
+        S[k] = np.cumsum(term)[-1]
     return S
 
 
@@ -124,20 +124,15 @@ def _enumerate(cfg: TinyConfig, truncations: dict, idle: int, step, live, hit) -
     block at a time.
     """
     n, m = cfg.n, cfg.model.support_bound
-    vids = np.arange(1 << (n - 1))  # bit n-1-s marks site s of 1..n-1; site n is always marked
-    marks = [(vids >> (n - 1 - s)) & 1 == 1 for s in range(1, n)] + [True]
-    qs = cfg.spec.q_array(n)
-    p_marks, height = np.ones(vids.size), np.zeros(vids.size, dtype=np.int64)
-    for b in marks:  # the products of _path_probability, in its order
-        q = qs[height]
-        p_marks *= np.where(b, 1.0 - q, q)
-        height = np.where(b, 0, height + 1)
-    pmf, tail = cfg.model.pmf_array().tolist(), (1.0 - np.append(0.0, cfg.model.alpha_array(n))).tolist()
-    size = np.ones(vids.size, dtype=np.int64)  # radius assignments per mark vector
+    marks, p_marks = _mark_vectors(cfg.spec.q_array(n), n)
+    # site n is always marked: the odd vectors, where bit n-1-s marks site s of 1..n-1
+    marks, p_marks = [b[1::2] for b in marks], p_marks[1::2]
+    pmf = cfg.model.pmf_array().tolist()
+    size = np.ones(p_marks.size, dtype=np.int64)  # radius assignments per mark vector
     axes = []  # (site, its vector bit or 0, its choices' radii, probabilities and marks)
     for site, top in truncations.items():
         t = min(m, top)  # larger radii act like t: their mass joins the top outcome
-        choices = [(r, p, 1) for r, p in enumerate(pmf[:t] + [tail[t]]) if p > 0.0]
+        choices = [(r, p, 1) for r, p in enumerate(pmf[:t] + [math.fsum(pmf[t:])]) if p > 0.0]
         bit = 1 << (n - 1 - site) if 0 < site < n else 0
         size *= np.where(marks[site - 1], len(choices), 1) if bit else len(choices)
         if bit:
@@ -172,7 +167,7 @@ def _enumerate(cfg: TinyConfig, truncations: dict, idle: int, step, live, hit) -
         weight[:1] += total
         return float(np.cumsum(weight)[-1]) if weight.size else total
 
-    total, todo = 0.0, [(0, vids.size)]
+    total, todo = 0.0, [(0, p_marks.size)]
     while todo:
         lo, hi = todo.pop()
         if hi - lo > 1 and size[lo:hi].sum() > _BLOCK:

@@ -27,7 +27,6 @@ from renewperc import (
     random_tiny_configs,
 )
 from renewperc import oracle
-from renewperc.oracle import _path_probability
 from renewperc.renewal import Q_CAP
 
 HAND_SPEC = MarkovQ(0.3, 0.6)
@@ -131,15 +130,48 @@ def test_random_battery_rejects_empty_ranges(kwargs, message):
     assert all(cfg.n == 2 for cfg in random_tiny_configs(3, seed=1, n_max=2, support_max=1))
 
 
-# The per-assignment loops the product-array oracles replaced, kept as
+# The scalar chain walk, series loop and per-assignment loops that the
+# oracles' one mark-vector walk and product arrays replaced, kept as
 # references: the arithmetic is unchanged, so the results must be equal.
+def _path_probability(qs, bits):
+    """P(xi_1..xi_k = bits | xi_0 = 1) by walking the chain; qs holds q_0..q_{k-1}."""
+    prob = 1.0
+    state = 0
+    for b in bits:
+        q = qs[state]
+        if b:
+            prob *= 1.0 - q
+            state = 0
+        else:
+            prob *= q
+            state += 1
+    return prob
+
+
+def _ref_gf(cfg):
+    n = cfg.n
+    qs = cfg.spec.q_array(n).tolist()
+    alph = cfg.model.alpha_array(n).tolist()
+    S = np.empty(n + 1)
+    S[0] = 1.0
+    for k in range(1, n + 1):
+        total = 0.0
+        for bits in itertools.product((0, 1), repeat=k):
+            term = _path_probability(qs, bits)
+            for i, b in enumerate(bits):
+                if b:
+                    term *= alph[i]
+            total += term
+        S[k] = total
+    return S
+
+
 def _ref_marked_outcomes(model, truncate_at):
     m = model.support_bound
     t = min(m, truncate_at)
-    pmf = model.pmf_array()
-    outcomes = [(v, float(pmf[v])) for v in range(t)]
-    top = 1.0 - (model.alpha(t - 1) if t >= 1 else 0.0)
-    outcomes.append((t, top))
+    pmf = model.pmf_array().tolist()
+    outcomes = [(v, pmf[v]) for v in range(t)]
+    outcomes.append((t, math.fsum(pmf[t:])))  # the tail's mass, exact however small
     return [(v, p) for v, p in outcomes if p > 0.0]
 
 
@@ -274,9 +306,9 @@ def test_dead_pairs_never_reach_the_hit_test(oracle_fn, dual):
 
 
 # SHA-256 of both oracles' values (little-endian float64, connectivity then
-# relay for each config), taken with the per-mark-vector oracles that the
-# dense choice arrays replaced.
-ORACLE_DIGEST = "e76714ad75c07b2bc3d789cc90b41a07904fe8414a2f153f45906de1812e5362"
+# relay for each config), taken with the top radius outcome's mass as the
+# fsum of the pmf's tail.
+ORACLE_DIGEST = "09f053f4fcdcef7f958430e05584addce274a135024ac054b1ac79e91aad7fa4"
 
 
 def test_oracle_values_are_pinned():
@@ -299,6 +331,15 @@ _GAPPED_PMFS = st.lists(
 ).filter(lambda p: sum(p) > 0.0).map(lambda p: FiniteTableRadius(tuple(v / sum(p) for v in p)))
 
 
+@pytest.mark.parametrize("enumerate_fn", [enumerate_connectivity, enumerate_dual])
+def test_top_radius_outcome_keeps_a_small_tail_exact(enumerate_fn):
+    # P(R >= 1) is p[1] exactly, while 1 - p[0] would keep only about 10 of its digits
+    model = FiniteTableRadius((0.9999990000010001, 9.99999000001e-07))
+    cfg = TinyConfig(ConstantQ(0.0), model, 1)
+    assert enumerate_fn(cfg) == model.p[1]
+    assert _ref_connectivity(cfg) == _ref_dual(cfg) == model.p[1]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_ORACLE_SPECS, _GAPPED_PMFS, st.integers(0, 6), st.sampled_from([1, 2, 5, 40, 1 << 16]))
 def test_dense_oracles_match_the_assignment_loops(spec, model, n, block):
@@ -307,6 +348,7 @@ def test_dense_oracles_match_the_assignment_loops(spec, model, n, block):
     with mock.patch("renewperc.oracle._BLOCK", block):
         assert enumerate_connectivity(cfg) == _ref_connectivity(cfg)
         assert enumerate_dual(cfg) == _ref_dual(cfg)
+    assert enumerate_gf(cfg).tobytes() == _ref_gf(cfg).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
