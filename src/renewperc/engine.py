@@ -38,9 +38,9 @@ and S is nonincreasing.  It gives lo = hi, reported as certified
 link and bounds_report's concentration_lower share one tail bound (the
 concentration terms for n = N+1..secondary plus a geometric remainder)
 and are both (1 + head + tail)^(-1); they differ only in their head, the
-exact S_1..S_N against its per-term concentration bounds.  One evaluation
-builds alpha and that concentration series once for both (``_tables``),
-and evaluations of one law in a row share u and C_k.  That tail is
+exact S_1..S_N against its per-term concentration bounds.  ``_tables``
+builds alpha and that series, from u and C_k to the secondary horizon,
+once per (law, radius, secondary horizon) for both.  That tail is
 certified only when summed to numerical exhaustion (last term and
 remainder below 1e-15 of 1 + head).  The geometric link fits the last
 decade of S and is never certified; an S_N that rounded to 0 gets a
@@ -205,7 +205,7 @@ def _geometric_remainder(terms: np.ndarray) -> Optional[float]:
 # and the bracket and the bounds of one evaluation share alpha and the terms.
 @functools.lru_cache(maxsize=1)
 def _renewal_u(spec: QSequence, horizon: int) -> np.ndarray:
-    """Read-only u_0..u_N of ``renewal_probabilities``."""
+    """Read-only u_0..u_horizon of ``renewal_probabilities``."""
     return _frozen(renewal_probabilities(spec, horizon).u)
 
 
@@ -216,28 +216,22 @@ def _ck(spec: QSequence, secondary: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _tables(spec: QSequence, model: RadiusModel, horizon: int, secondary: int) -> tuple:
-    """Read-only (alpha_0..alpha_{secondary-1}, u_0..u_N, concentration terms, lam).
+def _tables(spec: QSequence, model: RadiusModel, secondary: int) -> tuple:
+    """Read-only (alpha_0..alpha_{secondary-1}, u_0..u_secondary, concentration terms, lam).
 
     The terms bound S_n <= prod alpha_i^(u_{i+1}) * exp(C_n sum_i (log alpha_i)^2)
     for n = 1..secondary, excluding alpha_i = 0 coordinates, and lam_n is
     the log of the first factor; both are None when every alpha is zero
-    (C_k is then never built).  Beyond u_N the
-    exponent uses u_lb = min(window) - spread(window), a lower bound on
-    the renewal probabilities, which only weakens the bound.
+    (C_k is then never built).
     """
     alph = model.alpha_array(secondary)
-    u = _renewal_u(spec, horizon)
+    u = _renewal_u(spec, secondary)
     pos = alph > 0.0
     terms = lam = None
     if pos.any():
         log_a = np.zeros(secondary)
         log_a[pos] = np.log(alph[pos])
-        window = u[max(1, horizon // 2) :]
-        u_lb = max(0.0, float(window.min()) - float(window.max() - window.min()))
-        weights = np.full(secondary, u_lb)
-        weights[:horizon] = u[1:]
-        lam = _frozen(np.cumsum(weights * log_a))
+        lam = _frozen(np.cumsum(u[1:] * log_a))
         sig = np.cumsum(log_a * log_a)
         with np.errstate(over="ignore"):
             terms = _frozen(np.exp(lam + _ck(spec, secondary) * sig))
@@ -291,7 +285,7 @@ def _zero_link(gf: GfTable, spec: QSequence, model: RadiusModel, secondary: int)
 
 def _concentration_link(gf: GfTable, spec: QSequence, model: RadiusModel, secondary: int):
     """The concentration tail that bounds_report shares; a lower of None or 0.0 fails."""
-    terms = _tables(spec, model, gf.horizon, secondary)[2]
+    terms = _tables(spec, model, secondary)[2]
     lower, certified, notes = _concentration_lower(terms, gf.horizon, gf.partial_sum)
     return lower or None, certified, TAIL_CONCENTRATION, notes
 
@@ -385,7 +379,7 @@ def bounds_report(
     monotone = spec.is_monotone
     if fkg is True and not monotone:
         raise MonotonicityError("FKG bound requires a nondecreasing q sequence")
-    alph, u, terms, lam = _tables(spec, model, n, secondary)
+    alph, u, terms, lam = _tables(spec, model, secondary)
     alph = alph[:n]
     # alpha is a CDF: alpha_0 > 0 makes every alpha positive, and alpha_0 = 0
     # zeroes every Jensen term
@@ -393,7 +387,7 @@ def bounds_report(
 
     fkg_upper = None
     if fkg is True or (fkg is None and monotone):
-        fkg_upper = _coverage(np.cumprod(1.0 - u[1:] * (1.0 - alph)))
+        fkg_upper = _coverage(np.cumprod(1.0 - u[1 : n + 1] * (1.0 - alph)))
 
     concentration_lower, _, notes = _concentration_lower(terms, n)
     if alph[0] == 0.0:

@@ -21,6 +21,7 @@ from renewperc import (
     TinyConfig,
     UnboundedRadiusError,
     bounds_report,
+    ck_sequence,
     classify,
     dual_law,
     enumerate_connectivity,
@@ -780,6 +781,25 @@ def test_bounds_concentration_degenerates_when_ck_grows():
     )
     assert report.concentration_lower == 0.0
     assert any("no decay" in note for note in report.notes)
+
+
+@pytest.mark.parametrize("horizon", [2, 200])
+@pytest.mark.parametrize("spec", [MarkovQ(0.05, 0.9), MarkovQ(0.6, 0.3)], ids=repr)
+def test_concentration_lower_reads_u_to_the_secondary_horizon(spec, horizon):
+    # every term n = 1..secondary weighs log alpha_{n-1} by the law's own u_n,
+    # however far beyond the horizon n lies
+    secondary, model = 1200, PowerLawTailRadius(3, 1, 1)
+    u = renewal_probabilities(spec, secondary).u
+    c = ck_sequence(spec, secondary).c
+    alpha = model.alpha_array(secondary)
+    log_a = np.zeros(secondary)
+    log_a[alpha > 0.0] = np.log(alpha[alpha > 0.0])
+    terms = np.exp(np.cumsum(u[1:] * log_a) + c[1:] * np.cumsum(log_a * log_a))
+    tail = terms[horizon:]
+    head = 1.0 + float(terms[:horizon].sum())
+    want = 1.0 / (head + (float(tail.sum()) + engine._geometric_remainder(tail)))
+    report = bounds_report(spec, model, horizon, secondary_horizon=secondary)
+    assert report.concentration_lower == want
 
 
 # ---------------------------------------------------------------------------
